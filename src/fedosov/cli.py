@@ -123,6 +123,8 @@ def cmd_gauge(args):
 
 
 def cmd_verify(args):
+    if args.dim < 2 or args.dim % 2:
+        raise CliError(f"--dim must be even and >= 2, got {args.dim}")
     data = None
     if args.data is not None:
         data = _load_data(args.data, args.order)
@@ -210,6 +212,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.order < 0:
+            raise CliError(f"--order must be >= 0, got {args.order}")
         return args.fn(args)
     except (CliError, fio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)

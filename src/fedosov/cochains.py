@@ -12,11 +12,22 @@ a_1..a_k produces  dx^S c(x) y^p (d^{alpha_1}a_1)...(d^{alpha_k}a_k)  with
 commutative products of the resulting y-series and argument dx blocks
 wedged after dx^S in slot order.
 
+The cochain algebra itself (insertion, cup, product cochain, Hochschild d,
+evaluation, triangular reconstruction) is one kernel over dx-free term
+dicts {(m, p, alphas): coeff}.  It touches coefficients only through *, +,
+unary - and truth value, so the same lines run with XPoly coefficients here
+and with Fraction coefficients for the constant-theta complex of `weylhh`.
+Cochain operations here group terms by dx subset, call the kernel per block
+or block pair, and wedge the dx blocks in front.
+
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
   * the Gerstenhaber bracket uses the shifted-arity signs only; with these
-    conventions graded antisymmetry and the graded Jacobi identity hold
-    with arity signs alone at every exterior degree,
+    conventions graded antisymmetry holds at every exterior degree, but the
+    graded Jacobi identity does not: for A of arity 2 and exterior degree 0
+    with B and C of arity 1 and exterior degree 1 it fails for some triples
+    in the exterior-degree-2 component, and neither global sign dressing
+    repairs it,
   * the cup-derivation rule picks up the exterior degrees:
     d(A cup B) = (-)^{q_B} dA cup B + (-)^{k_A + q_A} A cup dB,
   * the bracket-derivation rule takes the dressing forced by the bracket
@@ -37,21 +48,19 @@ Sign conventions (pinned by the identity suite, see the module tests):
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import comb, factorial
 
 from .poly import XPoly, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, as_form,
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _acc, as_form,
                    contract_index, merge_subsets, omega_matrix, prepend_index,
                    unit_vec, vec_add, vec_sub)
 
 
-def _acc(d, key, val: XPoly):
-    prev = d.get(key)
-    val = val if prev is None else prev + val
-    if val.is_zero():
-        d.pop(key, None)
-    else:
-        d[key] = val
+def _add_terms(out, terms, sign=1, prefix=()):
+    """out += sign * terms, with prefix put in front of every key."""
+    for key, c in terms.items():
+        _acc(out, prefix + key, c if sign > 0 else -c)
 
 
 def _falling(n, k):
@@ -61,7 +70,38 @@ def _falling(n, k):
     return out
 
 
-class FiberwiseCochain:
+class SparseTerms:
+    """The linear structure of a sparse sum {key: coefficient}.  A subclass
+    stores the sum in ``terms`` and defines ``_empty()``, the zero of the
+    same shape."""
+
+    __slots__ = ()
+
+    def _with(self, terms):
+        out = self._empty()
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        _add_terms(terms, other.terms)
+        return self._with(terms)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_fraction(c)
+        return self._with({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def is_zero(self):
+        return not self.terms
+
+
+class FiberwiseCochain(SparseTerms):
     """Form-valued fiberwise Hochschild cochain; arity 0 coincides with
     form-valued Weyl sections."""
 
@@ -85,6 +125,9 @@ class FiberwiseCochain:
             clean[(tuple(S), m, tuple(p),
                    tuple(tuple(al) for al in alphas))] = c
         self.terms = clean
+
+    def _empty(self):
+        return FiberwiseCochain(self.dim, self.order, self.arity, None, self.cap)
 
     # -- constructors -------------------------------------------------------
 
@@ -125,26 +168,10 @@ class FiberwiseCochain:
     # -- linear structure ---------------------------------------------------
 
     def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        return FiberwiseCochain(self.dim, self.order, self.arity, terms,
+        # through the constructor: a sum keeps self's order and arity
+        return FiberwiseCochain(self.dim, self.order, self.arity,
+                                super().__add__(other).terms,
                                 max(self.cap, other.cap))
-
-    def __neg__(self):
-        out = FiberwiseCochain(self.dim, self.order, self.arity, None, self.cap)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = FiberwiseCochain(self.dim, self.order, self.arity, None, self.cap)
-        if c:
-            out.terms = {k: v.scale(c) for k, v in self.terms.items()}
-        return out
 
     def hbar_shift(self, j: int):
         return FiberwiseCochain(
@@ -152,25 +179,18 @@ class FiberwiseCochain:
             {(S, m + j, p, al): c for (S, m, p, al), c in self.terms.items()},
             self.cap)
 
-    def is_zero(self):
-        return not self.terms
-
     def exterior_degrees(self):
         return sorted({len(S) for (S, _, _, _) in self.terms})
 
     def homogeneous_q(self, q):
-        out = FiberwiseCochain(self.dim, self.order, self.arity, None, self.cap)
-        out.terms = {k: c for k, c in self.terms.items() if len(k[0]) == q}
-        return out
+        return self._with({k: c for k, c in self.terms.items() if len(k[0]) == q})
 
     def min_term_weight(self):
         return min((2 * m + sum(p) for (_, m, p, _) in self.terms), default=0)
 
     def restrict_slots(self, cap):
-        out = FiberwiseCochain(self.dim, self.order, self.arity, None, self.cap)
-        out.terms = {k: c for k, c in self.terms.items()
-                     if all(sum(al) <= cap for al in k[3])}
-        return out
+        return self._with({k: c for k, c in self.terms.items()
+                           if all(sum(al) <= cap for al in k[3])})
 
     def truncate(self, order, cap=None):
         return FiberwiseCochain(self.dim, order, self.arity, self.terms,
@@ -190,61 +210,44 @@ class FiberwiseCochain:
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# the cochain kernel on dx-free terms {(m, p, alphas): coeff}
 
 
-def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
-    """Evaluate on WeylElement or FormWeyl arguments; argument dx blocks are
-    wedged after the cochain's own dx^S in slot order."""
-    if len(args) != P.arity:
-        raise ValueError("arity mismatch")
-    args = [as_form(a) for a in args]
-    comps = {}
-    for (S, m, p, alphas), c in P.terms.items():
-        partial = {(S, m, p): c}
+def _eval_terms(terms, args):
+    """Evaluate on arguments given as {(m, p): coeff}: the sum of
+    c y^p (d^{alpha_1} a_1)...(d^{alpha_k} a_k) as {(m, p): coeff}."""
+    out = {}
+    for (m, p, alphas), c in terms.items():
+        partial = {(m, p): c}
         for al, arg in zip(alphas, args):
             nxt = {}
-            for T, w in arg.components.items():
-                for (ka, pa), ca in w.terms.items():
-                    if not all(x <= y for x, y in zip(al, pa)):
-                        continue
-                    f = 1
-                    for n_, k_ in zip(pa, al):
-                        f *= _falling(n_, k_)
-                    for (Scur, mcur, pcur), ccur in partial.items():
-                        merged = merge_subsets(Scur, T)
-                        if merged is None:
-                            continue
-                        sign, S2 = merged
-                        _acc(nxt, (S2, mcur + ka, vec_add(pcur, vec_sub(pa, al))),
-                             (ccur * ca).scale(sign * f))
+            for (ka, pa), ca in arg.items():
+                if not all(x <= y for x, y in zip(al, pa)):
+                    continue
+                f = 1
+                for n_, k_ in zip(pa, al):
+                    f *= _falling(n_, k_)
+                for (mc, pc), cc in partial.items():
+                    _acc(nxt, (mc + ka, vec_add(pc, vec_sub(pa, al))), cc * ca * f)
             partial = nxt
             if not partial:
                 break
-        for (S2, m2, p2), c2 in partial.items():
-            _acc(comps, (S2, m2, p2), c2)
-    grouped = {}
-    for (S, m, p), c in comps.items():
-        grouped.setdefault(S, {})[(m, p)] = c
-    return FormWeyl(P.dim, P.order,
-                    {S: WeylElement(P.dim, P.order, t) for S, t in grouped.items()})
+        _add_terms(out, partial)
+    return out
 
 
-# ---------------------------------------------------------------------------
-# cup product, insertion, Gerstenhaber bracket, Hochschild differential
-
-
-def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCochain:
+def _product_terms(omega, one, t_max):
     """The fiberwise multiplication as a 2-cochain, with Poisson pairings up
-    to order t_max."""
-    omega = omega_matrix(chart_or_theta, dim)
+    to order t_max: sum_t (hbar/2)^t/t! omega^{i1 j1}..omega^{it jt}
+    d^t (x) d^t; one is the unit coefficient."""
+    dim = len(omega)
     zero = (0,) * dim
     terms = {}
-    state = {(zero, zero): XPoly.const(dim, 1)}
+    state = {(zero, zero): one}
     t = 0
     while True:
         for (al, be), c in state.items():
-            terms[((), t, zero, (al, be))] = c
+            terms[(t, zero, (al, be))] = c
         if t == t_max:
             break
         t += 1
@@ -253,53 +256,47 @@ def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCoc
             for i in range(dim):
                 for j in range(dim):
                     om = omega[i][j]
-                    if om.is_zero():
+                    if not om:
                         continue
                     _acc(nxt, (vec_add(al, unit_vec(dim, i + 1)),
                                vec_add(be, unit_vec(dim, j + 1))),
-                         (om * c).scale(Fraction(1, 2 * t)))
+                         om * c * Fraction(1, 2 * t))
         state = nxt
-    return FiberwiseCochain(dim, order, 2, terms, cap)
+    return terms
 
 
-def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
-    """(P1 cup P2)(a_1..a_{k1+k2}) = P1(first) o P2(rest).  The fiberwise
-    product pairs the y-parts and slots of both factors; dx blocks are
-    wedged in factor order."""
-    dim, order, cap = P1.dim, P1.order, max(P1.cap, P2.cap)
-    omega = omega_matrix(chart_or_theta, dim)
+def _cup_terms(terms1, terms2, omega, order, cap):
+    """P1(first) o P2(rest): the fiberwise product pairs the y-parts and
+    slots of both factors.  Pairing steps that can only produce terms beyond
+    the order or slot cap are dropped (that is exact at the order)."""
+    dim = len(omega)
     out = {}
-    for (S1, m1, p1, al1), c1 in P1.terms.items():
-        for (S2, m2, p2, al2), c2 in P2.terms.items():
-            merged = merge_subsets(S1, S2)
-            if merged is None:
-                continue
-            sign, S = merged
+    for (m1, p1, al1), c1 in terms1.items():
+        for (m2, p2, al2), c2 in terms2.items():
             kk = m1 + m2
-            state = {(p1, al1, p2, al2): (c1 * c2).scale(sign)}
+            state = {(p1, al1, p2, al2): c1 * c2}
             t = 0
             while state:
                 for (q1, b1, q2, b2), c in state.items():
-                    _acc(out, (S, kk + t, vec_add(q1, q2), b1 + b2), c)
+                    _acc(out, (kk + t, vec_add(q1, q2), b1 + b2), c)
                 t += 1
                 nxt = {}
                 for (q1, b1, q2, b2), c in state.items():
                     for i in range(dim):
                         for j in range(dim):
                             om = omega[i][j]
-                            if om.is_zero():
+                            if not om:
                                 continue
-                            base = (om * c).scale(Fraction(1, 2 * t))
+                            base = om * c * Fraction(1, 2 * t)
                             for q1n, b1n, f1 in _derive_targets(q1, b1, i):
                                 for q2n, b2n, f2 in _derive_targets(q2, b2, j):
                                     if 2 * (kk + t) + sum(q1n) + sum(q2n) > order:
                                         continue
                                     if any(sum(al) > cap for al in b1n + b2n):
                                         continue
-                                    _acc(nxt, (q1n, b1n, q2n, b2n),
-                                         base.scale(f1 * f2))
+                                    _acc(nxt, (q1n, b1n, q2n, b2n), base * (f1 * f2))
                 state = nxt
-    return FiberwiseCochain(dim, order, P1.arity + P2.arity, out, cap)
+    return out
 
 
 def _derive_targets(p, alphas, i):
@@ -341,25 +338,20 @@ def _slot_splits(alpha, nslots):
     return out
 
 
-def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCochain:
-    """Insert P2 into slot i (0-based) of P1; the slot derivative distributes
-    multinomially over P2's y-part and slots; dx^{S1} dx^{S2} ordering."""
-    dim = P1.dim
-    order = P1.order
+def _insert_terms(terms1, i, terms2, order):
+    """Insert P2 into slot i (0-based) of P1: the slot derivative
+    distributes multinomially over P2's y-part and slots.  Pairs whose
+    every output term lies beyond the order are skipped."""
     out = {}
-    for (S1, m1, p1, al1), c1 in P1.terms.items():
+    for (m1, p1, al1), c1 in terms1.items():
         alpha = al1[i]
         asize = sum(alpha)
         base_w = 2 * m1 + sum(p1)
-        for (S2, m2, p2, al2), c2 in P2.terms.items():
+        for (m2, p2, al2), c2 in terms2.items():
             # minimal achievable output weight for this pair
             if base_w + 2 * m2 + max(0, sum(p2) - asize) > order:
                 continue
-            merged = merge_subsets(S1, S2)
-            if merged is None:
-                continue
-            sign, S = merged
-            base = (c1 * c2).scale(sign)
+            base = c1 * c2
             nslots = len(al2)
             for pieces, f in _slot_splits(alpha, nslots):
                 g0 = pieces[0]
@@ -372,11 +364,10 @@ def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCocha
                     continue
                 new_alphas = tuple(vec_add(al2[s], pieces[s + 1])
                                    for s in range(nslots))
-                key = (S, m1 + m2, vec_add(p1, vec_sub(p2, g0)),
+                key = (m1 + m2, vec_add(p1, vec_sub(p2, g0)),
                        al1[:i] + new_alphas + al1[i + 1:])
-                _acc(out, key, base.scale(ff))
-    return FiberwiseCochain(dim, order, P1.arity + P2.arity - 1, out,
-                            max(P1.cap, P2.cap))
+                _acc(out, key, base * ff)
+    return out
 
 
 def _compositions(total, parts):
@@ -398,45 +389,174 @@ def _multinomial(total, compn):
     return out
 
 
+def _bracket(ins, P1, P2, zero):
+    """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2),
+    k' = arity - 1, for cochains of one type with its insertion ins and
+    the zero of the bracket's arity."""
+    k1, k2 = P1.arity - 1, P2.arity - 1
+    out = zero
+    for i in range(P1.arity):
+        term = ins(P1, i, P2)
+        out = out - term if (i * k2) % 2 else out + term
+    for j in range(P2.arity):
+        term = ins(P2, j, P1)
+        out = out - term if (k1 * k2 + j * k1) % 2 == 0 else out + term
+    return out
+
+
+def _hochschild_terms(terms, k, mu, order):
+    """Hochschild differential of arity-k terms, mu the product cochain:
+    (d P)(a_1..a_{k+1}) = a_1 o P(a_2..) - P(a_1 o a_2, ..) + ...
+    + (-)^k P(a_1, .., a_k o a_{k+1}) + (-)^{k+1} P(a_1..a_k) o a_{k+1}."""
+    out = _insert_terms(mu, 1, terms, order)
+    _add_terms(out, _insert_terms(mu, 0, terms, order), (-1) ** (k + 1))
+    for j in range(k):
+        _add_terms(out, _insert_terms(terms, j, mu, order), (-1) ** (j + 1))
+    return out
+
+
+def _reconstruct(dim, arity, max_deg, order, values, shift):
+    """The unique polydifferential form of a polylinear map, triangularly by
+    total slot degree from its values on monomial argument tuples, exact for
+    slot multidegrees up to max_deg: {(nu_1..nu_k): {(m, p): coeff}}, the
+    coefficient of d^{nu_1}..d^{nu_k}.  values(nus) is the value on
+    x^{nu_1}..x^{nu_k} as {(m, p): coeff}; shift(key, coeff, e, f) is
+    where the known coefficient coeff at key lands, times the integer f, on
+    a tuple with extra total exponent e."""
+    degs = _multidegrees(dim, max_deg)
+    tuples = [()]
+    for _ in range(arity):
+        tuples = [t + (d,) for t in tuples for d in degs]
+    tuples.sort(key=lambda bt: (sum(sum(b) for b in bt), bt))
+    data = {}
+    for nt in tuples:
+        acc = dict(values(nt))
+        # subtract the contributions of known coefficients with mu <= nu
+        for mus, coeff in data.items():
+            if not all(all(a <= b for a, b in zip(mu, nu))
+                       for mu, nu in zip(mus, nt)):
+                continue
+            f = 1
+            extra = (0,) * dim
+            for mu, nu in zip(mus, nt):
+                for n_, k_ in zip(nu, mu):
+                    f *= _falling(n_, k_)
+                extra = vec_add(extra, vec_sub(nu, mu))
+            for key, c in coeff.items():
+                key2, c2 = shift(key, c, extra, f)
+                _acc(acc, key2, -c2)
+        fact = 1
+        for nu in nt:
+            for e in nu:
+                fact *= factorial(e)
+        entry = {key: c * Fraction(1, fact) for key, c in acc.items()
+                 if 2 * key[0] + sum(key[1]) <= order}
+        if entry:
+            data[nt] = entry
+    return data
+
+
+def _multidegrees(dim, max_total):
+    out = [()]
+    for _ in range(dim):
+        out = [t + (e,) for t in out for e in range(max_total + 1)]
+    return sorted((t for t in out if sum(t) <= max_total),
+                  key=lambda t: (sum(t), t))
+
+
+# ---------------------------------------------------------------------------
+# the cochain algebra on dx blocks
+
+
+def _blocks(P: FiberwiseCochain):
+    """P's terms by dx subset: {S: {(m, p, alphas): coeff}}."""
+    out = {}
+    for (S, m, p, alphas), c in P.terms.items():
+        out.setdefault(S, {})[(m, p, alphas)] = c
+    return out
+
+
+def _pairwise(P1: FiberwiseCochain, P2: FiberwiseCochain, kernel):
+    """kernel on every pair of dx blocks, wedged dx^{S_1} dx^{S_2}."""
+    out = {}
+    blocks2 = _blocks(P2)
+    for S1, b1 in _blocks(P1).items():
+        for S2, b2 in blocks2.items():
+            merged = merge_subsets(S1, S2)
+            if merged is not None:
+                _add_terms(out, kernel(b1, b2), merged[0], (merged[1],))
+    return out
+
+
+def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
+    """Evaluate on WeylElement or FormWeyl arguments; argument dx blocks are
+    wedged after the cochain's own dx^S in slot order."""
+    if len(args) != P.arity:
+        raise ValueError("arity mismatch")
+    args = [as_form(a).components for a in args]
+    comps = {}
+    for S, block in _blocks(P).items():
+        for Ts in product(*args):
+            sign, S2 = 1, S
+            for T in Ts:
+                merged = merge_subsets(S2, T)
+                if merged is None:
+                    break
+                sign *= merged[0]
+                S2 = merged[1]
+            else:
+                vals = _eval_terms(block, [a[T].terms for a, T in zip(args, Ts)])
+                _add_terms(comps, vals, sign, (S2,))
+    grouped = {}
+    for (S, m, p), c in comps.items():
+        grouped.setdefault(S, {})[(m, p)] = c
+    return FormWeyl(P.dim, P.order,
+                    {S: WeylElement(P.dim, P.order, t) for S, t in grouped.items()})
+
+
+def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCochain:
+    """The fiberwise multiplication as a 2-cochain, with Poisson pairings up
+    to order t_max."""
+    terms = _product_terms(omega_matrix(chart_or_theta, dim), XPoly.const(dim, 1), t_max)
+    return FiberwiseCochain(dim, order, 2, {((),) + k: c for k, c in terms.items()}, cap)
+
+
+def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
+    """(P1 cup P2)(a_1..a_{k1+k2}) = P1(first) o P2(rest).  The fiberwise
+    product pairs the y-parts and slots of both factors; dx blocks are
+    wedged in factor order."""
+    dim, order, cap = P1.dim, P1.order, max(P1.cap, P2.cap)
+    omega = omega_matrix(chart_or_theta, dim)
+    out = _pairwise(P1, P2, lambda b1, b2: _cup_terms(b1, b2, omega, order, cap))
+    return FiberwiseCochain(dim, order, P1.arity + P2.arity, out, cap)
+
+
+def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCochain:
+    """Insert P2 into slot i (0-based) of P1; the slot derivative distributes
+    multinomially over P2's y-part and slots; dx^{S1} dx^{S2} ordering."""
+    out = _pairwise(P1, P2, lambda b1, b2: _insert_terms(b1, i, b2, P1.order))
+    return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity - 1, out,
+                            max(P1.cap, P2.cap))
+
+
 def gerstenhaber(P1: FiberwiseCochain, P2: FiberwiseCochain) -> FiberwiseCochain:
     """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2),
     k' = arity - 1."""
-    k1, k2 = P1.arity - 1, P2.arity - 1
-    out = None
-    for i in range(P1.arity):
-        term = insert(P1, i, P2)
-        if (i * k2) % 2:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
-        out = FiberwiseCochain.zero(P1.dim, P1.order, P1.arity + P2.arity - 1,
-                                    max(P1.cap, P2.cap))
-    for j in range(P2.arity):
-        term = insert(P2, j, P1)
-        if (k1 * k2 + j * k1) % 2 == 0:
-            out = out - term
-        else:
-            out = out + term
-    return out
+    zero = FiberwiseCochain.zero(P1.dim, P1.order, P1.arity + P2.arity - 1,
+                                 max(P1.cap, P2.cap))
+    return _bracket(insert, P1, P2, zero)
 
 
 def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
     """Fiberwise Hochschild differential with the (-1)^q exterior-degree
     prefactor; equals (-1)^{q+k+1} [mult, P]_G on each exterior component."""
-    k = P.arity
     t_max = max(0, P.order - min(0, P.min_term_weight()) + 1)
-    mu = product_cochain(chart_or_theta, P.dim, P.order, t_max, P.cap)
-    out = FiberwiseCochain.zero(P.dim, P.order, k + 1, P.cap)
-    for q in P.exterior_degrees():
-        Pq = P.homogeneous_q(q)
-        part = insert(mu, 1, Pq)
-        last = insert(mu, 0, Pq)
-        part = part + (last if (k + 1) % 2 == 0 else -last)
-        for j in range(k):
-            mid = insert(Pq, j, mu)
-            part = part + (mid if (j + 1) % 2 == 0 else -mid)
-        out = out + (part if q % 2 == 0 else -part)
-    return out
+    mu = _blocks(product_cochain(chart_or_theta, P.dim, P.order, t_max, P.cap))
+    out = {}
+    for S, block in _blocks(P).items():
+        _add_terms(out, _hochschild_terms(block, P.arity, mu.get((), {}), P.order),
+                   (-1) ** len(S), (S,))
+    return FiberwiseCochain(P.dim, P.order, P.arity + 1, out, P.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -523,22 +643,14 @@ def nabla_cochain(P: FiberwiseCochain, chart: SymplecticChart) -> FiberwiseCocha
     return FiberwiseCochain(dim, P.order, P.arity, out, P.cap)
 
 
-def _left_right_mult_cochains(r: FormWeyl, chart, order, cap):
-    """The 1-cochains a -> r o a and a -> a o r, with r's dx index kept."""
-    dim = r.dim
-    rc = FiberwiseCochain.from_form(r, cap)
-    ident = FiberwiseCochain.identity(dim, order, cap)
-    return cup(rc, ident, chart), cup(ident, rc, chart)
-
-
 def _r_mult_parts(chart, r: FormWeyl, order, cap):
-    """(r as 0-cochain, left-mult 1-cochain, right-mult 1-cochain), carried
-    two levels above the target order for the hbar division."""
+    """(r as 0-cochain, the left-mult 1-cochain a -> r o a, the right-mult
+    1-cochain a -> a o r), with r's dx index kept, carried two levels above
+    the target order for the hbar division."""
     work = order + 2
-    r = r.truncate(work)
-    rc = FiberwiseCochain.from_form(r, cap)
-    L, R = _left_right_mult_cochains(r, chart, work, cap)
-    return rc, L, R
+    rc = FiberwiseCochain.from_form(r.truncate(work), cap)
+    ident = FiberwiseCochain.identity(r.dim, work, cap)
+    return rc, cup(rc, ident, chart), cup(ident, rc, chart)
 
 
 def _commutator_action(P: FiberwiseCochain, chart, parts) -> FiberwiseCochain:
@@ -600,12 +712,16 @@ def horizontal_lift_cochain(P: FiberwiseCochain, chart: SymplecticChart,
             raise ValueError("input must have exterior degree 0")
         if not delta_cochain(P).is_zero():
             raise ValueError("input must be delta-closed")
-    parts = None if r.is_zero() else _r_mult_parts(chart, r, P.order, P.cap)
-    # the recursion map is linear and strictly raises the filtration, so the
-    # fixed point is the sum of the iterated increments
-    total = P
-    inc = P
-    for _ in range(P.order + 2):
+    return _fixed_point(P, chart, r, "cochain lift")
+
+
+def _fixed_point(first, chart, r, what):
+    """The fixed point of A = first + delta_inv(nabla A + (1/hbar) K_r(A)).
+    The recursion map is linear and strictly raises the filtration, so the
+    fixed point is the sum of the iterated increments."""
+    parts = None if r.is_zero() else _r_mult_parts(chart, r, first.order, first.cap)
+    total = inc = first
+    for _ in range(first.order + 2):
         upd = nabla_cochain(inc, chart)
         if parts is not None:
             upd = upd + _commutator_action(inc, chart, parts)
@@ -613,7 +729,7 @@ def horizontal_lift_cochain(P: FiberwiseCochain, chart: SymplecticChart,
         if inc.is_zero():
             return total
         total = total + inc
-    raise RuntimeError("cochain lift failed to stabilize")
+    raise RuntimeError(f"{what} failed to stabilize")
 
 
 def transfer_exactness(P: FiberwiseCochain, chart: SymplecticChart,
@@ -625,18 +741,7 @@ def transfer_exactness(P: FiberwiseCochain, chart: SymplecticChart,
             raise ValueError("input must have exterior degree >= 1")
         if not fedosov_d_cochain(P, chart, r).truncate(P.order - 1).is_zero():
             raise ValueError("input must be D-closed")
-    parts = None if r.is_zero() else _r_mult_parts(chart, r, P.order, P.cap)
-    total = -delta_inv_cochain(P)
-    inc = total
-    for _ in range(P.order + 2):
-        upd = nabla_cochain(inc, chart)
-        if parts is not None:
-            upd = upd + _commutator_action(inc, chart, parts)
-        inc = delta_inv_cochain(upd)
-        if inc.is_zero():
-            return total
-        total = total + inc
-    raise RuntimeError("exactness recursion failed to stabilize")
+    return _fixed_point(-delta_inv_cochain(P), chart, r, "exactness recursion")
 
 
 class LocalCochainEvaluator:
@@ -670,48 +775,17 @@ class LocalCochainEvaluator:
         {(mu_1..mu_k): y-free WeylElement} for |mu_s| <= max_order."""
         dim = self.cochain.dim
         order = self.star_product.order
-        from .weyl import WeylElement as WE
 
-        degs = [t for t in _multidegrees(dim, max_order)]
-        tuples = [()]
-        for _ in range(self.arity):
-            tuples = [t + (d,) for t in tuples for d in degs]
-        tuples.sort(key=lambda bt: (sum(sum(b) for b in bt), bt))
-        data = {}
-        for nt in tuples:
-            args = [WE.from_xpoly(XPoly.monomial(dim, mu, 1), order) for mu in nt]
-            val = self(*args)
-            acc = dict(val.terms)
-            for mus, coeff in data.items():
-                if not all(all(a <= b for a, b in zip(mu, nu))
-                           for mu, nu in zip(mus, nt)):
-                    continue
-                if mus == nt:
-                    continue
-                f = 1
-                shift = (0,) * dim
-                for mu, nu in zip(mus, nt):
-                    for n_, k_ in zip(nu, mu):
-                        f *= _falling(n_, k_)
-                    shift = vec_add(shift, vec_sub(nu, mu))
-                for (m, p), cx in coeff.terms.items():
-                    sub = cx * XPoly.monomial(dim, shift, f)
-                    prev = acc.get((m, p))
-                    sub = -sub if prev is None else prev - sub
-                    if sub.is_zero():
-                        acc.pop((m, p), None)
-                    else:
-                        acc[(m, p)] = sub
-            fact = 1
-            for mu in nt:
-                for e in mu:
-                    for ii in range(1, e + 1):
-                        fact *= ii
-            entry = WE(dim, order,
-                       {k: v.scale(Fraction(1, fact)) for k, v in acc.items()})
-            if not entry.is_zero():
-                data[nt] = entry
-        return data
+        def values(nus):
+            args = [WeylElement.from_xpoly(XPoly.monomial(dim, mu, 1), order)
+                    for mu in nus]
+            return self(*args).terms
+
+        def shift(key, c, e, f):
+            return key, c * XPoly.monomial(dim, e, f)
+
+        data = _reconstruct(dim, self.arity, max_order, order, values, shift)
+        return {nus: WeylElement(dim, order, entry) for nus, entry in data.items()}
 
 
 class _CupEvaluator:
@@ -730,14 +804,6 @@ class _CupEvaluator:
         a = self.left(*args[:k1])
         b = self.right(*args[k1:])
         return self.left.star_product(a, b)
-
-
-def _multidegrees(dim, max_total):
-    out = [()]
-    for _ in range(dim):
-        out = [t + (e,) for t in out for e in range(max_total + 1)]
-    return sorted((t for t in out if sum(t) <= max_total),
-                  key=lambda t: (sum(t), t))
 
 
 def to_local_operator(P: FiberwiseCochain, star_product,
@@ -785,14 +851,7 @@ def transport_cochain(P: FiberwiseCochain, g, ginv) -> FiberwiseCochain:
         cx = c.substitute_linear(ginv)
         for S2, f0 in _subst_subset(S, ginv).items():
             for mono, f1 in _subst_multidegree(p, ginv).items():
-                partial = [((), Fraction(1))]
-                for al in alphas:
-                    nxt = []
-                    for done, f in partial:
-                        for al2, f2 in _subst_multidegree(al, gt).items():
-                            nxt.append((done + (al2,), f * f2))
-                    partial = nxt
-                for done, f2 in partial:
+                for done, f2 in _subst_multidegrees(alphas, gt).items():
                     _acc(out, (S2, m, mono, done), cx.scale(f0 * f1 * f2))
     return FiberwiseCochain(P.dim, P.order, P.arity, out, P.cap)
 
@@ -822,17 +881,12 @@ def transport_chart(chart: SymplecticChart, g, ginv) -> SymplecticChart:
                     f = gq[j - 1][mj - 1] * gi[mi - 1][i - 1] * gi[mk - 1][k - 1]
                     if not f:
                         continue
-                    key = (j, i, k)
-                    prev = christoffel.get(key, XPoly.zero(n))
-                    s = prev + gx.scale(f)
-                    if s.is_zero():
-                        christoffel.pop(key, None)
-                    else:
-                        christoffel[key] = s
+                    _acc(christoffel, (j, i, k), gx.scale(f))
     return SymplecticChart(n, lower, upper, christoffel, chart.x_cap)
 
 
 def _subst_multidegree(p, M):
+    """Expand prod_i (sum_j M[i][j] y_j)^{p_i}: {multidegree: Fraction}."""
     dim = len(p)
     acc = {(0,) * dim: Fraction(1)}
     for i in range(dim):
@@ -841,19 +895,24 @@ def _subst_multidegree(p, M):
             for mono, c in acc.items():
                 for j in range(dim):
                     f = as_fraction(M[i][j])
-                    if not f:
-                        continue
-                    key = vec_add(mono, unit_vec(dim, j + 1))
-                    prev = nxt.get(key, Fraction(0)) + c * f
-                    if prev:
-                        nxt[key] = prev
-                    else:
-                        nxt.pop(key, None)
+                    if f:
+                        _acc(nxt, vec_add(mono, unit_vec(dim, j + 1)), c * f)
             acc = nxt
     return acc
 
 
+def _subst_multidegrees(ps, M):
+    """_subst_multidegree on each entry of a tuple: {tuple: Fraction}."""
+    out = {(): Fraction(1)}
+    for p in ps:
+        out = {done + (mono,): c * f for done, c in out.items()
+               for mono, f in _subst_multidegree(p, M).items()}
+    return out
+
+
 def _subst_subset(S, M):
+    """Expand prod_{i in S} (sum_j M[i][j] e_j) in an exterior algebra, each
+    e_j multiplied from the right: {subset: Fraction} with ordering signs."""
     dim = len(M)
     acc = {(): Fraction(1)}
     for i in S:
@@ -865,11 +924,6 @@ def _subst_subset(S, M):
                     continue
                 after = sum(1 for t in mono if t > j)
                 sign = -1 if after % 2 else 1
-                key = tuple(sorted(mono + (j,)))
-                prev = nxt.get(key, Fraction(0)) + c * f * sign
-                if prev:
-                    nxt[key] = prev
-                else:
-                    nxt.pop(key, None)
+                _acc(nxt, tuple(sorted(mono + (j,))), c * f * sign)
         acc = nxt
     return acc

@@ -435,7 +435,7 @@ def _tokenize(text: str):
     i = 0
     while i < len(out):
         tok = out[i]
-        if tok.endswith("^") and i + 2 < len(out) + 1 and i + 1 < len(out) and out[i + 1] == "-":
+        if tok.endswith("^") and i + 2 < len(out) and out[i + 1] == "-":
             merged.append(tok + "-" + out[i + 2])
             i += 3
         else:
@@ -459,12 +459,15 @@ def _parse_factor(tok: str):
         else:
             var, exp = body, "1"
         try:
-            return ("var", (int(var), int(exp)))
+            var, exp = int(var), int(exp)
         except ValueError as exc:
             raise ParseError(f"bad variable token {tok!r}") from exc
+        if exp < 0:
+            raise ParseError(f"negative exponent in {tok!r}")
+        return ("var", (var, exp))
     try:
         return ("num", Fraction(tok))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"cannot parse token {tok!r}") from exc
 
 

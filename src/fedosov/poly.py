@@ -62,6 +62,9 @@ class XPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import XPoly, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement,
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _acc,
                    commutator_over_hbar, curvature_R, delta_inv,
                    moyal_product, nabla, product_over_hbar, sigma_project,
                    weyl_curvature_class)
@@ -165,11 +165,7 @@ def fedosov_class(data: FedosovData) -> dict:
     for k, form in data.omega_series.items():
         level = out.setdefault(k - 1, {})
         for key, p in form.items():
-            s = level.get(key, XPoly.zero(n)) + p
-            if s.is_zero():
-                level.pop(key, None)
-            else:
-                level[key] = s
+            _acc(level, key, p)
         if not level:
             out.pop(k - 1)
     return out
@@ -226,10 +222,7 @@ class GaugeOperator:
                     d = d * coeff
                     if d.is_zero():
                         continue
-                    key = (m + k, p)
-                    prev = g_terms.get(key)
-                    d = d if prev is None else prev + d
-                    g_terms[key] = d
+                    _acc(g_terms, (m + k, p), d)
                 out = out + WeylElement(f.dim, f.order, g_terms)
         return out
 
@@ -250,23 +243,12 @@ class GaugeOperator:
         """Operator composition: (self.compose(other))(f) = self(other(f))."""
         # Build by applying to a generic basis is overkill; compose symbolically.
         out = {}
-
-        def _acc(k, mu, poly):
-            if poly.is_zero():
-                return
-            level = out.setdefault(k, {})
-            s = level.get(mu, XPoly.zero(self.dim)) + poly
-            if s.is_zero():
-                level.pop(mu, None)
-            else:
-                level[mu] = s
-
         for k, ops in self.terms.items():
             for mu, p in ops.items():
-                _acc(k, mu, p)
+                _acc(out.setdefault(k, {}), mu, p)
         for k, ops in other.terms.items():
             for mu, p in ops.items():
-                _acc(k, mu, p)
+                _acc(out.setdefault(k, {}), mu, p)
         # cross terms: self's Q_k applied after other's Q_l requires Leibniz
         # expansion of d^mu (q(x) d^nu f).
         for k1, ops1 in self.terms.items():
@@ -283,7 +265,7 @@ class GaugeOperator:
                             if q.is_zero():
                                 continue
                             tot = tuple(a + b for a, b in zip(rest, nu))
-                            _acc(k1 + k2, tot, q.scale(c))
+                            _acc(out.setdefault(k1 + k2, {}), tot, q.scale(c))
         return GaugeOperator(self.dim, out)
 
     def __eq__(self, other):

@@ -32,6 +32,17 @@ def vec_sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
 
 
+def _acc(d, key, val):
+    """d[key] += val, dropping the key when the sum vanishes."""
+    prev = d.get(key)
+    if prev is not None:
+        val = prev + val
+    if val:
+        d[key] = val
+    else:
+        d.pop(key, None)
+
+
 def unit_vec(dim: int, i: int):
     """Multidegree e_i, 1-based i."""
     return tuple(1 if j == i - 1 else 0 for j in range(dim))
@@ -179,13 +190,7 @@ class WeylElement:
         for (k, p), c in self.terms.items():
             if p[i - 1]:
                 p2 = p[: i - 1] + (p[i - 1] - 1,) + p[i:]
-                add = c.scale(p[i - 1])
-                prev = terms.get((k, p2))
-                add = add if prev is None else prev + add
-                if add.is_zero():
-                    terms.pop((k, p2), None)
-                else:
-                    terms[(k, p2)] = add
+                _acc(terms, (k, p2), c.scale(p[i - 1]))
         out = WeylElement(self.dim, self.order)
         out.terms = terms
         return out
@@ -343,7 +348,7 @@ class SymplecticChart:
         self.x_cap = x_cap
 
     @classmethod
-    def standard_flat(cls, dim: int, order_unused=None) -> "SymplecticChart":
+    def standard_flat(cls, dim: int) -> "SymplecticChart":
         """Flat chart with the block-constant symplectic form
         omega^{2i-1,2i} = 1 and zero connection."""
         n = dim
@@ -364,7 +369,7 @@ class SymplecticChart:
         n = len(theta)
         upper = [[XPoly.const(n, theta[i][j]) if theta[i][j] else XPoly.zero(n)
                   for j in range(n)] for i in range(n)]
-        low = _invert_constant_antisymmetric(theta)
+        low = _matrix_inverse(theta)
         lower = [[XPoly.const(n, low[i][j]) if low[i][j] else XPoly.zero(n)
                   for j in range(n)] for i in range(n)]
         return cls(n, lower, upper, christoffel or {}, x_cap)
@@ -420,15 +425,16 @@ class ChartValidationError(ValueError):
     pass
 
 
-def _invert_constant_antisymmetric(theta):
-    """Exact inverse of a constant antisymmetric matrix, by Gauss-Jordan."""
-    n = len(theta)
-    a = [[Fraction(theta[i][j]) for j in range(n)] for i in range(n)]
+def _matrix_inverse(m):
+    """Exact inverse of a constant matrix, by Gauss-Jordan; ValueError if
+    it is singular."""
+    n = len(m)
+    a = [[as_fraction(v) for v in row] for row in m]
     inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            raise ValueError("theta is degenerate")
+            raise ValueError("matrix is singular")
         a[col], a[piv] = a[piv], a[col]
         inv[col], inv[piv] = inv[piv], inv[col]
         d = a[col][col]
@@ -645,15 +651,7 @@ def delta_inv(a) -> FormWeyl:
                 con = contract_index(idx, S)
                 sign, S2 = con
                 p2 = vec_add(p, unit_vec(f.dim, idx))
-                coeff = Fraction(sign, m)
-                add = c.scale(coeff)
-                comp = comps.setdefault(S2, {})
-                prev = comp.get((k, p2))
-                add = add if prev is None else prev + add
-                if add.is_zero():
-                    comp.pop((k, p2), None)
-                else:
-                    comp[(k, p2)] = add
+                _acc(comps.setdefault(S2, {}), (k, p2), c.scale(Fraction(sign, m)))
     return FormWeyl(f.dim, f.order,
                     {S: WeylElement(f.dim, f.order, terms)
                      for S, terms in comps.items()})
@@ -670,16 +668,6 @@ def nabla(a, chart: SymplecticChart) -> FormWeyl:
     """dx^i d/dx^i - dx^i Gamma^j_{ik} y^k d/dy^j."""
     f = as_form(a)
     comps = {}
-
-    def _acc(S2, key, add):
-        comp = comps.setdefault(S2, {})
-        prev = comp.get(key)
-        add = add if prev is None else prev + add
-        if add.is_zero():
-            comp.pop(key, None)
-        else:
-            comp[key] = add
-
     for S, w in f.components.items():
         for i in range(1, f.dim + 1):
             ins = prepend_index(i, S)
@@ -691,7 +679,7 @@ def nabla(a, chart: SymplecticChart) -> FormWeyl:
                 if chart.x_cap is not None:
                     dc = dc.truncate(chart.x_cap)
                 if not dc.is_zero():
-                    _acc(S2, (k, p), dc.scale(sign))
+                    _acc(comps.setdefault(S2, {}), (k, p), dc.scale(sign))
             for (j, ii, kk), g in chart.christoffel.items():
                 if ii != i:
                     continue
@@ -703,7 +691,7 @@ def nabla(a, chart: SymplecticChart) -> FormWeyl:
                     if chart.x_cap is not None:
                         add = add.truncate(chart.x_cap)
                     if not add.is_zero():
-                        _acc(S2, (k, p2), add)
+                        _acc(comps.setdefault(S2, {}), (k, p2), add)
     return FormWeyl(f.dim, f.order,
                     {S: WeylElement(f.dim, f.order, terms)
                      for S, terms in comps.items()})
@@ -748,13 +736,7 @@ def curvature_R(chart: SymplecticChart, order: int) -> FormWeyl:
             if c.is_zero():
                 continue
             p = vec_add(unit_vec(n, k), unit_vec(n, l))
-            comp = comps.setdefault((i, j), {})
-            prev = comp.get((0, p))
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                comp.pop((0, p), None)
-            else:
-                comp[(0, p)] = c
+            _acc(comps.setdefault((i, j), {}), (0, p), c)
     return FormWeyl(n, order,
                     {S: WeylElement(n, order, terms) for S, terms in comps.items()})
 

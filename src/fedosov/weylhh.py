@@ -20,80 +20,31 @@ Chain arithmetic is exact and untruncated (all operations on finitely
 generated chains are finite); cochain data is normalized to filtration
 weight 2k + |p| <= order and per-slot |alpha| <= cap, which is exact for
 every evaluation at that order.
+
+The cochain operations (insertion, cup, bracket, Hochschild d, product
+cochain, evaluation, reconstruction from values) run on the kernel of
+`cochains` with Fraction coefficients: a WeylCochain is a fiberwise cochain
+with no dx part and constant coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf
 
+from .cochains import (SparseTerms, _bracket, _cup_terms, _eval_terms,
+                       _hochschild_terms, _insert_terms, _product_terms,
+                       _reconstruct, _subst_multidegree,
+                       _subst_multidegrees, _subst_subset)
 from .poly import HbarScalar, as_fraction
+from .weyl import (_acc, _matrix_inverse, contract_index, prepend_index,
+                   unit_vec, vec_add, vec_sub)
 
 ZERO = Fraction(0)
 
 
 def _zero(dim):
     return (0,) * dim
-
-
-def vec_add(p, q):
-    return tuple(a + b for a, b in zip(p, q))
-
-
-def vec_sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
-
-
-def vec_le(p, q):
-    return all(a <= b for a, b in zip(p, q))
-
-
-def unit(dim, i):
-    return tuple(1 if j == i else 0 for j in range(dim))
-
-
-def multidegrees(dim, max_total):
-    """All exponent tuples with given total-degree bound, sorted by
-    (total, tuple)."""
-    out = [()]
-    for _ in range(dim):
-        out = [t + (e,) for t in out for e in range(max_total + 1)]
-    out = [t for t in out if sum(t) <= max_total]
-    out.sort(key=lambda t: (sum(t), t))
-    return out
-
-
-def subset_insert_left(i, T):
-    """Sign and result of multiplying the anticommuting generator i from the
-    left into the increasing monomial T; None if i already occurs."""
-    if i in T:
-        return None
-    before = sum(1 for t in T if t < i)
-    return (-1 if before % 2 else 1), tuple(sorted(T + (i,)))
-
-
-def subset_remove_left(i, T):
-    """Left derivative sign and result; None if i does not occur."""
-    if i not in T:
-        return None
-    pos = T.index(i)
-    return (-1 if pos % 2 else 1), T[:pos] + T[pos + 1:]
-
-
-def _acc(d, key, val):
-    s = d.get(key, ZERO) + val
-    if s:
-        d[key] = s
-    else:
-        d.pop(key, None)
-
-
-def falling(n, k):
-    """n (n-1) ... (n-k+1)."""
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 class WeylContext:
@@ -108,7 +59,7 @@ class WeylContext:
             for j in range(self.dim):
                 if self.theta[i][j] != -self.theta[j][i]:
                     raise ValueError("theta must be antisymmetric")
-        self.theta_lower = _invert(self.theta)
+        self.theta_lower = _matrix_inverse(self.theta)
         self.order = order
         self.cap = order if cap is None else cap
         self._mono_cache = {}
@@ -155,32 +106,11 @@ class WeylContext:
         return out
 
 
-def _invert(theta):
-    n = len(theta)
-    a = [list(row) for row in theta]
-    inv = [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("theta is degenerate")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        inv[col] = [v / d for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
-
-
 # ---------------------------------------------------------------------------
 # W-series
 
 
-class WSeries:
+class WSeries(SparseTerms):
     """Element of the Weyl algebra: {(hbar_exp, y_multidegree): Fraction}."""
 
     __slots__ = ("dim", "terms")
@@ -204,31 +134,8 @@ class WSeries:
     def const(cls, dim, c=1):
         return cls(dim, {(0, _zero(dim)): as_fraction(c)})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        out = WSeries(self.dim)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = WSeries(self.dim)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = WSeries(self.dim)
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
-
-    def is_zero(self):
-        return not self.terms
+    def _empty(self):
+        return WSeries(self.dim)
 
     def is_y_free(self):
         return all(not any(p) for (_, p) in self.terms)
@@ -242,9 +149,7 @@ class WSeries:
         for (k1, p1), c1 in self.terms.items():
             for (k2, p2), c2 in other.terms.items():
                 _acc(terms, (k1 + k2, vec_add(p1, p2)), c1 * c2)
-        out = WSeries(self.dim)
-        out.terms = terms
-        return out
+        return self._with(terms)
 
     def weyl_mul(self, other, ctx: WeylContext, order=None):
         """Moyal-type product in W_theta."""
@@ -276,7 +181,7 @@ def w_commutator(a: WSeries, b: WSeries, ctx: WeylContext) -> WSeries:
 # bar resolution
 
 
-class BarChain:
+class BarChain(SparseTerms):
     """Element of B_m = completed (m+2)-fold tensor power of W."""
 
     __slots__ = ("dim", "m", "terms")
@@ -299,31 +204,8 @@ class BarChain:
         ps = (_zero(dim),) + tuple(tuple(b) for b in betas) + (_zero(dim),)
         return cls(dim, len(betas), {(k, ps): as_fraction(c)})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        out = BarChain(self.dim, self.m)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = BarChain(self.dim, self.m)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = BarChain(self.dim, self.m)
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
-
-    def is_zero(self):
-        return not self.terms
+    def _empty(self):
+        return BarChain(self.dim, self.m)
 
     def __eq__(self, other):
         return (isinstance(other, BarChain) and self.m == other.m
@@ -395,7 +277,7 @@ def bar_act_right(ctx: WeylContext, b: BarChain, v: WSeries) -> BarChain:
 # Koszul resolution
 
 
-class KoszulChain:
+class KoszulChain(SparseTerms):
     """Element of K_m: {(hbar_exp, p1, p2, C_subset): Fraction} with the
     C indices 1-based, strictly increasing."""
 
@@ -417,31 +299,8 @@ class KoszulChain:
     def generator(cls, dim, T, c=1):
         return cls(dim, len(T), {(0, _zero(dim), _zero(dim), tuple(T)): as_fraction(c)})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        out = KoszulChain(self.dim, self.m)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = KoszulChain(self.dim, self.m)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = KoszulChain(self.dim, self.m)
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
-
-    def is_zero(self):
-        return not self.terms
+    def _empty(self):
+        return KoszulChain(self.dim, self.m)
 
     def __eq__(self, other):
         return (isinstance(other, KoszulChain) and self.m == other.m
@@ -467,20 +326,20 @@ def koszul_d(ctx: WeylContext, a: KoszulChain) -> KoszulChain:
     out = {}
     for (k, p1, p2, T), c in a.terms.items():
         for idx in T:
-            sign, T2 = subset_remove_left(idx, T)
+            sign, T2 = contract_index(idx, T)
             cc = c * sign
             i = idx - 1
-            _acc(out, (k, vec_add(p1, unit(dim, i)), p2, T2), cc)
-            _acc(out, (k, p1, vec_add(p2, unit(dim, i)), T2), -cc)
+            _acc(out, (k, vec_add(p1, unit_vec(dim, idx)), p2, T2), cc)
+            _acc(out, (k, p1, vec_add(p2, unit_vec(dim, idx)), T2), -cc)
             for j in range(dim):
                 th = ctx.theta[i][j]
                 if not th:
                     continue
                 if p1[j]:
-                    _acc(out, (k + 1, vec_sub(p1, unit(dim, j)), p2, T2),
+                    _acc(out, (k + 1, vec_sub(p1, unit_vec(dim, j + 1)), p2, T2),
                          -cc * th * Fraction(p1[j], 2))
                 if p2[j]:
-                    _acc(out, (k + 1, p1, vec_sub(p2, unit(dim, j)), T2),
+                    _acc(out, (k + 1, p1, vec_sub(p2, unit_vec(dim, j + 1)), T2),
                          -cc * th * Fraction(p2[j], 2))
     return KoszulChain(dim, a.m - 1, out)
 
@@ -514,12 +373,12 @@ def koszul_h(ctx: WeylContext, a) -> KoszulChain:
         for kc in range(dim):
             if not p1[kc]:
                 continue
-            ins = subset_insert_left(kc + 1, T)
+            ins = prepend_index(kc + 1, T)
             if ins is None:
                 continue
             csign, T2 = ins
             c0 = c * csign * p1[kc]
-            p1a = vec_sub(p1, unit(dim, kc))
+            p1a = vec_sub(p1, unit_vec(dim, kc + 1))
             # D_{-t} D = exp((hbar (1-t)/2) theta^{ij} d/dy1^i d/dy2^j);
             # s pairings carry (1-t)^s and hbar^s
             states = {(p1a, p2): c0}
@@ -541,8 +400,8 @@ def koszul_h(ctx: WeylContext, a) -> KoszulChain:
                             if not pb2[j] or not ctx.theta[i][j]:
                                 continue
                             coeff = cs * ctx.theta[i][j] * Fraction(pb1[i] * pb2[j], 2 * s)
-                            _acc(nxt, (vec_sub(pb1, unit(dim, i)),
-                                       vec_sub(pb2, unit(dim, j))), coeff)
+                            _acc(nxt, (vec_sub(pb1, unit_vec(dim, i + 1)),
+                                       vec_sub(pb2, unit_vec(dim, j + 1))), coeff)
                 states = nxt
     return KoszulChain(dim, a.m + 1, out)
 
@@ -592,23 +451,27 @@ def koszul_act_right(ctx: WeylContext, a: KoszulChain, v: WSeries) -> KoszulChai
 # comparison maps lambda, nu and the homotopy rho
 
 
+def _bimodule_map(ctx: WeylContext, zero, gen, act_left, act_right, items):
+    """A map given on generators, extended as a bimodule map: the sum of
+    hbar^k c  left o gen(key) o right  over items (k, left, key, right, c)."""
+    out = zero
+    for k, left, key, right, c in items:
+        piece = gen(ctx, key)
+        if any(left):
+            piece = act_left(ctx, WSeries.monomial(ctx.dim, left), piece)
+        if any(right):
+            piece = act_right(ctx, piece, WSeries.monomial(ctx.dim, right))
+        out = out + piece._with({(t[0] + k,) + t[1:]: v * c
+                                 for t, v in piece.terms.items()})
+    return out
+
+
 def koszul_to_bar(ctx: WeylContext, a: KoszulChain) -> BarChain:
     """lambda: identity on K_0, lambda(C^T) = h_B(lambda(d C^T)) on the
     C-monomial generators, extended as a bimodule map."""
-    out = BarChain(a.dim, a.m if a.m >= 0 else 0)
-    acc = None
-    for (k, p1, p2, T), c in a.terms.items():
-        gen = _lambda_gen(ctx, T)
-        piece = gen
-        if any(p1):
-            piece = bar_act_left(ctx, WSeries.monomial(ctx.dim, p1), piece)
-        if any(p2):
-            piece = bar_act_right(ctx, piece, WSeries.monomial(ctx.dim, p2))
-        piece = piece.scale(c)
-        piece = BarChain(piece.dim, piece.m,
-                         {(kk + k, ps): cc for (kk, ps), cc in piece.terms.items()})
-        acc = piece if acc is None else acc + piece
-    return acc if acc is not None else BarChain(ctx.dim, a.m, {})
+    return _bimodule_map(ctx, BarChain(ctx.dim, a.m), _lambda_gen, bar_act_left,
+                         bar_act_right, ((k, p1, T, p2, c)
+                                         for (k, p1, p2, T), c in a.terms.items()))
 
 
 def _lambda_gen(ctx: WeylContext, T) -> BarChain:
@@ -626,23 +489,12 @@ def _lambda_gen(ctx: WeylContext, T) -> BarChain:
 def bar_to_koszul(ctx: WeylContext, b: BarChain) -> KoszulChain:
     """nu: identity on B_0, nu(g) = h_K(nu(bar_d g)) on interior monomial
     generators (unit first and last slots), extended as a bimodule map."""
-    acc = None
-    for (k, ps), c in b.terms.items():
-        if b.m == 0:
-            piece = KoszulChain(b.dim, 0, {(0, ps[0], ps[1], ()): Fraction(1)})
-        else:
-            gen = _nu_gen(ctx, ps[1:-1])
-            piece = gen
-            if any(ps[0]):
-                piece = koszul_act_left(ctx, WSeries.monomial(ctx.dim, ps[0]), piece)
-            if any(ps[-1]):
-                piece = koszul_act_right(ctx, piece, WSeries.monomial(ctx.dim, ps[-1]))
-        piece = piece.scale(c)
-        piece = KoszulChain(piece.dim, piece.m,
-                            {(kk + k, p1, p2, T): cc
-                             for (kk, p1, p2, T), cc in piece.terms.items()})
-        acc = piece if acc is None else acc + piece
-    return acc if acc is not None else KoszulChain(ctx.dim, b.m, {})
+    if b.m == 0:
+        return KoszulChain(b.dim, 0, {(k, ps[0], ps[1], ()): c
+                                      for (k, ps), c in b.terms.items()})
+    return _bimodule_map(ctx, KoszulChain(ctx.dim, b.m), _nu_gen, koszul_act_left,
+                         koszul_act_right, ((k, ps[0], ps[1:-1], ps[-1], c)
+                                            for (k, ps), c in b.terms.items()))
 
 
 def _nu_gen(ctx: WeylContext, betas) -> KoszulChain:
@@ -661,19 +513,9 @@ def bar_homotopy(ctx: WeylContext, b: BarChain) -> BarChain:
     b - lambda(nu(b)) = bar_d(rho(b)) + rho(bar_d(b))."""
     if b.m == 0:
         return BarChain(b.dim, 1, {})
-    acc = None
-    for (k, ps), c in b.terms.items():
-        gen = _rho_gen(ctx, ps[1:-1])
-        piece = gen
-        if any(ps[0]):
-            piece = bar_act_left(ctx, WSeries.monomial(ctx.dim, ps[0]), piece)
-        if any(ps[-1]):
-            piece = bar_act_right(ctx, piece, WSeries.monomial(ctx.dim, ps[-1]))
-        piece = piece.scale(c)
-        piece = BarChain(piece.dim, piece.m,
-                         {(kk + k, pss): cc for (kk, pss), cc in piece.terms.items()})
-        acc = piece if acc is None else acc + piece
-    return acc if acc is not None else BarChain(ctx.dim, b.m + 1, {})
+    return _bimodule_map(ctx, BarChain(ctx.dim, b.m + 1), _rho_gen, bar_act_left,
+                         bar_act_right, ((k, ps[0], ps[1:-1], ps[-1], c)
+                                         for (k, ps), c in b.terms.items()))
 
 
 def _rho_gen(ctx: WeylContext, betas) -> BarChain:
@@ -691,7 +533,7 @@ def _rho_gen(ctx: WeylContext, betas) -> BarChain:
 # the reduced complex W[psi]
 
 
-class PsiElement:
+class PsiElement(SparseTerms):
     """Element of W[psi_1..psi_{2n}]: {(hbar_exp, p, psi_subset): Fraction}."""
 
     __slots__ = ("dim", "terms")
@@ -704,24 +546,8 @@ class PsiElement:
                 clean[(k, tuple(p), tuple(T))] = c
         self.terms = clean
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        out = PsiElement(self.dim)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = PsiElement(self.dim)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def is_zero(self):
-        return not self.terms
+    def _empty(self):
+        return PsiElement(self.dim)
 
     def psi_degrees(self):
         return sorted({len(T) for (_, _, T) in self.terms})
@@ -746,7 +572,7 @@ def psi_d(ctx: WeylContext, a: PsiElement) -> PsiElement:
     out = {}
     for (k, p, T), c in a.terms.items():
         for i in range(dim):
-            ins = subset_insert_left(i + 1, T)
+            ins = prepend_index(i + 1, T)
             if ins is None:
                 continue
             sign, T2 = ins
@@ -754,7 +580,7 @@ def psi_d(ctx: WeylContext, a: PsiElement) -> PsiElement:
                 th = ctx.theta[i][j]
                 if not th or not p[j]:
                     continue
-                _acc(out, (k + 1, vec_sub(p, unit(dim, j)), T2),
+                _acc(out, (k + 1, vec_sub(p, unit_vec(dim, j + 1)), T2),
                      c * sign * th * p[j])
     return PsiElement(dim, out)
 
@@ -768,12 +594,12 @@ def psi_h(ctx: WeylContext, a: PsiElement) -> PsiElement:
     for (k, p, T), c in a.terms.items():
         deg = sum(p) + len(T)  # t-degree after removing one psi and adding one y
         for j in T:
-            sign, T2 = subset_remove_left(j, T)
+            sign, T2 = contract_index(j, T)
             for i in range(dim):
                 om = ctx.theta_lower[i][j - 1]
                 if not om:
                     continue
-                _acc(out, (k - 1, vec_add(p, unit(dim, i)), T2),
+                _acc(out, (k - 1, vec_add(p, unit_vec(dim, i + 1)), T2),
                      c * sign * om * Fraction(1, deg))
     return PsiElement(dim, out)
 
@@ -782,7 +608,7 @@ def psi_h(ctx: WeylContext, a: PsiElement) -> PsiElement:
 # Weyl cochains
 
 
-class WeylCochain:
+class WeylCochain(SparseTerms):
     """Arity-q continuous cochain of W in its unique polydifferential form:
     {(hbar_exp, y_multidegree, (alpha_1..alpha_q)): Fraction}; evaluation is
     c y^p (d^{alpha_1} a_1) ... (d^{alpha_q} a_q) with commutative products
@@ -815,31 +641,8 @@ class WeylCochain:
             raise ValueError("not an arity-0 cochain")
         return WSeries(self.dim, {(k, p): c for (k, p, _), c in self.terms.items()})
 
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        out = WeylCochain(self.dim, self.arity)
-        out.terms = terms
-        return out
-
-    def __neg__(self):
-        out = WeylCochain(self.dim, self.arity)
-        out.terms = {k: -c for k, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        out = WeylCochain(self.dim, self.arity)
-        if c:
-            out.terms = {k: c * v for k, v in self.terms.items()}
-        return out
-
-    def is_zero(self):
-        return not self.terms
+    def _empty(self):
+        return WeylCochain(self.dim, self.arity)
 
     def normalize(self, order, cap=None):
         return WeylCochain(self.dim, self.arity, self.terms, order, cap)
@@ -855,26 +658,7 @@ class WeylCochain:
         """Evaluate on WSeries arguments."""
         if len(args) != self.arity:
             raise ValueError("arity mismatch")
-        out = {}
-        for (k, p, alphas), c in self.terms.items():
-            partial = {(k, p): c}
-            for al, arg in zip(alphas, args):
-                nxt = {}
-                for (ka, pa), ca in arg.terms.items():
-                    if not vec_le(al, pa):
-                        continue
-                    f = 1
-                    for n_, k_ in zip(pa, al):
-                        f *= falling(n_, k_)
-                    for (kk, pp), cc in partial.items():
-                        _acc(nxt, (kk + ka, vec_add(pp, vec_sub(pa, al))),
-                             cc * ca * f)
-                partial = nxt
-                if not partial:
-                    break
-            for key, cc in partial.items():
-                _acc(out, key, cc)
-        return WSeries(self.dim, out, order)
+        return WSeries(self.dim, _eval_terms(self.terms, [a.terms for a in args]), order)
 
     def __eq__(self, other):
         return (isinstance(other, WeylCochain) and self.arity == other.arity
@@ -891,27 +675,7 @@ def product_cochain(ctx: WeylContext, t_max: int) -> WeylCochain:
     hit = ctx._product_cochain.get(t_max)
     if hit is not None:
         return hit
-    dim = ctx.dim
-    terms = {}
-    state = {(_zero(dim), _zero(dim)): Fraction(1)}
-    t = 0
-    while True:
-        for (al, be), c in state.items():
-            terms[(t, _zero(dim), (al, be))] = c
-        if t == t_max:
-            break
-        t += 1
-        nxt = {}
-        for (al, be), c in state.items():
-            for i in range(dim):
-                for j in range(dim):
-                    th = ctx.theta[i][j]
-                    if not th:
-                        continue
-                    _acc(nxt, (vec_add(al, unit(dim, i)), vec_add(be, unit(dim, j))),
-                         c * th / (2 * t))
-        state = nxt
-    out = WeylCochain(dim, 2, terms)
+    out = WeylCochain(ctx.dim, 2, _product_terms(ctx.theta, Fraction(1), t_max))
     ctx._product_cochain[t_max] = out
     return out
 
@@ -919,61 +683,8 @@ def product_cochain(ctx: WeylContext, t_max: int) -> WeylCochain:
 def cochain_insert(P1: WeylCochain, i: int, P2: WeylCochain) -> WeylCochain:
     """Insert P2 into slot i (0-based) of P1: the slot derivative
     distributes multinomially over P2's y-part and slots."""
-    dim = P1.dim
-    out = {}
-    for (k1, p1, al1), c1 in P1.terms.items():
-        alpha = al1[i]
-        for (k2, p2, al2), c2 in P2.terms.items():
-            # split alpha into gamma_0 (hits y^{p2}) + gamma_1..gamma_{k2}
-            splits = [((), Fraction(c1 * c2))]
-            nslots = len(al2)
-            for coord in range(dim):
-                a = alpha[coord]
-                nxt = []
-                for parts, cf in splits:
-                    for comp in _compositions(a, nslots + 1):
-                        m = _multinomial(a, comp)
-                        nxt.append((parts + (comp,), cf * m))
-                splits = nxt
-            for parts, cf in splits:
-                # parts[coord] = (g0, g1.., g_{nslots}) for that coordinate
-                g0 = tuple(parts[c][0] for c in range(dim))
-                if not vec_le(g0, p2):
-                    continue
-                f = 1
-                for n_, k_ in zip(p2, g0):
-                    f *= falling(n_, k_)
-                if not f:
-                    continue
-                new_alphas = []
-                ok = True
-                for s in range(nslots):
-                    gs = tuple(parts[c][s + 1] for c in range(dim))
-                    new_alphas.append(vec_add(al2[s], gs))
-                newp = vec_add(p1, vec_sub(p2, g0))
-                key = (k1 + k2, newp,
-                       al1[:i] + tuple(new_alphas) + al1[i + 1:])
-                _acc(out, key, cf * f)
-    return WeylCochain(dim, P1.arity + P2.arity - 1, out)
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
-
-
-def _multinomial(total, comp):
-    out = 1
-    rem = total
-    for c in comp:
-        out *= comb(rem, c)
-        rem -= c
-    return out
+    return WeylCochain(P1.dim, P1.arity + P2.arity - 1,
+                       _insert_terms(P1.terms, i, P2.terms, inf))
 
 
 def cochain_cup(ctx: WeylContext, P1: WeylCochain, P2: WeylCochain,
@@ -981,49 +692,10 @@ def cochain_cup(ctx: WeylContext, P1: WeylCochain, P2: WeylCochain,
     """(P1 cup P2)(a..) = P1(first) o P2(rest): Weyl-pair the y-parts and
     slots of the two factors.  Pairing steps that can only produce terms
     beyond the order or slot cap are dropped (that is exact at the order)."""
-    dim = ctx.dim
     order = ctx.order if order is None else order
     cap = ctx.cap if cap is None else cap
-    out = {}
-    for (k1, p1, al1), c1 in P1.terms.items():
-        for (k2, p2, al2), c2 in P2.terms.items():
-            kk = k1 + k2
-            state = {(p1, al1, p2, al2): c1 * c2}
-            t = 0
-            while state:
-                for (q1, b1, q2, b2), c in state.items():
-                    _acc(out, (kk + t, vec_add(q1, q2), b1 + b2), c)
-                t += 1
-                nxt = {}
-                for (q1, b1, q2, b2), c in state.items():
-                    for i in range(dim):
-                        for j in range(dim):
-                            th = ctx.theta[i][j]
-                            if not th:
-                                continue
-                            base = c * th / (2 * t)
-                            for q1n, b1n, cc1 in _derive_targets(q1, b1, i, base):
-                                for q2n, b2n, cc2 in _derive_targets(q2, b2, j, cc1):
-                                    if 2 * (kk + t) + sum(q1n) + sum(q2n) > order:
-                                        continue
-                                    if any(sum(al) > cap for al in b1n + b2n):
-                                        continue
-                                    _acc(nxt, (q1n, b1n, q2n, b2n), cc2)
-                state = nxt
-    return WeylCochain(dim, P1.arity + P2.arity, out, order, cap)
-
-
-def _derive_targets(p, alphas, i, coeff):
-    """All ways d/dy^i can hit the extended monomial y^p * slots(alphas):
-    either lower p (factor p_i) or bump one slot's alpha.  Yields
-    (p', alphas', coeff')."""
-    out = []
-    if p[i]:
-        out.append((tuple(p[:i] + (p[i] - 1,) + p[i + 1:]), alphas, coeff * p[i]))
-    for s, al in enumerate(alphas):
-        al2 = tuple(al[:i] + (al[i] + 1,) + al[i + 1:])
-        out.append((p, alphas[:s] + (al2,) + alphas[s + 1:], coeff))
-    return out
+    out = _cup_terms(P1.terms, P2.terms, ctx.theta, order, cap)
+    return WeylCochain(ctx.dim, P1.arity + P2.arity, out, order, cap)
 
 
 def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None, cap=None) -> WeylCochain:
@@ -1031,35 +703,18 @@ def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None, cap=None) -> W
     (dPhi)(a_1..a_{q+1}) = a_1 o Phi(a_2..) - Phi(a_1 o a_2, ..) + ...
     + (-)^q Phi(a_1, .., a_q o a_{q+1}) + (-)^{q+1} Phi(a_1..a_q) o a_{q+1}."""
     order = ctx.order if order is None else order
-    q = a.arity
     t_max = max(0, order - min(0, a.min_term_weight()) + 1)
-    mu = product_cochain(ctx, t_max)
-    out = cochain_insert(mu, 1, a)  # a_1 o Phi(...)
-    last = cochain_insert(mu, 0, a)  # Phi(...) o a_{q+1}
-    out = out + (last if (q + 1) % 2 == 0 else -last)
-    for j in range(q):
-        mid = cochain_insert(a, j, mu)
-        out = out + (mid if (j + 1) % 2 == 0 else -mid)
-    return out.normalize(order, cap if cap is not None else ctx.cap)
+    out = _hochschild_terms(a.terms, a.arity, product_cochain(ctx, t_max).terms, order)
+    return WeylCochain(ctx.dim, a.arity + 1, out, order,
+                       cap if cap is not None else ctx.cap)
 
 
 def gerstenhaber_w(P1: WeylCochain, P2: WeylCochain,
                    order=None, cap=None) -> WeylCochain:
     """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2)
     with k' = arity - 1."""
-    k1, k2 = P1.arity - 1, P2.arity - 1
-    out = None
-    for i in range(P1.arity):
-        term = cochain_insert(P1, i, P2)
-        if (i * k2) % 2:
-            term = -term
-        out = term if out is None else out + term
-    if out is None:
-        out = WeylCochain(P1.dim, P1.arity + P2.arity - 1)
-    for j in range(P2.arity):
-        term = cochain_insert(P2, j, P1)
-        sign = (k1 * k2 + j * k1) % 2
-        out = out - term if sign == 0 else out + term
+    out = _bracket(cochain_insert, P1, P2,
+                   WeylCochain(P1.dim, P1.arity + P2.arity - 1))
     if order is not None or cap is not None:
         out = out.normalize(order, cap)
     return out
@@ -1075,15 +730,19 @@ def eval_on_bar(ctx: WeylContext, a: WeylCochain, b: BarChain,
     hbar^k y^{p_1} o a(middle slots) o y^{p_{q+2}}."""
     if b.m != a.arity:
         raise ValueError("bar degree must match cochain arity")
+    return _sandwiches(ctx, ((k, ps[0], a.eval([WSeries.monomial(ctx.dim, p)
+                                                for p in ps[1:-1]]), ps[-1], c)
+                             for (k, ps), c in b.terms.items()), order)
+
+
+def _sandwiches(ctx: WeylContext, items, order=None) -> WSeries:
+    """The sum of hbar^k c  y^left o val o y^right over items
+    (k, left, val, right, c), truncated at the order."""
     order = ctx.order if order is None else order
     total = {}
-    for (k, ps), c in b.terms.items():
-        mid = [WSeries.monomial(ctx.dim, p) for p in ps[1:-1]]
-        val = a.eval(mid)
-        if val.is_zero():
-            continue
-        val = WSeries.monomial(ctx.dim, ps[0]).weyl_mul(val, ctx)
-        val = val.weyl_mul(WSeries.monomial(ctx.dim, ps[-1]), ctx)
+    for k, left, val, right, c in items:
+        val = WSeries.monomial(ctx.dim, left).weyl_mul(val, ctx)
+        val = val.weyl_mul(WSeries.monomial(ctx.dim, right), ctx)
         for (kk, pp), cc in val.terms.items():
             _acc(total, (kk + k, pp), cc * c)
     return WSeries(ctx.dim, total, order)
@@ -1093,22 +752,12 @@ def eval_psi_on_koszul(ctx: WeylContext, f: PsiElement, kappa: KoszulChain,
                        order=None) -> WSeries:
     """Evaluate f in W[psi] = Hom(K, W) on a Koszul chain:
     f(hbar^k y^{p1} y^{p2} C^T) = hbar^k y^{p1} o w_T o y^{p2}."""
-    order = ctx.order if order is None else order
     coeffs = {}
     for (k, p, T), c in f.terms.items():
-        w = coeffs.setdefault(T, {})
-        _acc(w, (k, p), c)
-    out = WSeries(ctx.dim, {})
-    for (k, p1, p2, T), c in kappa.terms.items():
-        w = coeffs.get(T)
-        if not w:
-            continue
-        val = WSeries(ctx.dim, w)
-        val = WSeries.monomial(ctx.dim, p1).weyl_mul(val, ctx)
-        val = val.weyl_mul(WSeries.monomial(ctx.dim, p2), ctx)
-        val = WSeries(ctx.dim, {(kk + k, pp): cc for (kk, pp), cc in val.terms.items()})
-        out = out + val.scale(c)
-    return out.truncate(order)
+        coeffs.setdefault(T, {})[(k, p)] = c
+    return _sandwiches(ctx, ((k, p1, WSeries(ctx.dim, coeffs[T]), p2, c)
+                             for (k, p1, p2, T), c in kappa.terms.items()
+                             if T in coeffs), order)
 
 
 def lambda_hat(ctx: WeylContext, a: WeylCochain, order=None) -> PsiElement:
@@ -1134,37 +783,13 @@ def cochain_from_values(ctx: WeylContext, fn, arity, rec_cap, order=None) -> Wey
     its values on monomial argument tuples, triangularly by total slot
     degree; exact for slot multidegrees within rec_cap."""
     order = ctx.order if order is None else order
-    degs = multidegrees(ctx.dim, rec_cap)
-    tuples = [()]
-    for _ in range(arity):
-        tuples = [t + (d,) for t in tuples for d in degs]
-    tuples.sort(key=lambda bt: (sum(sum(b) for b in bt), bt))
-    data = {}
-    for bt in tuples:
-        val = dict(fn(bt).terms)
-        # subtract contributions of already-known data with gamma <= beta
-        for (k, p, gammas), c in data.items():
-            if not all(vec_le(g, b) for g, b in zip(gammas, bt)):
-                continue
-            f = 1
-            extra = _zero(ctx.dim)
-            for g, b in zip(gammas, bt):
-                for n_, k_ in zip(b, g):
-                    f *= falling(n_, k_)
-                extra = vec_add(extra, vec_sub(b, g))
-            if gammas == bt:
-                continue
-            _acc(val, (k, vec_add(p, extra)), -c * f)
-        fact = 1
-        for b in bt:
-            for e in b:
-                for ii in range(1, e + 1):
-                    fact *= ii
-        for (k, p), c in val.items():
-            if 2 * k + sum(p) > order:
-                continue
-            data[(k, p, bt)] = c / fact
-    return WeylCochain(ctx.dim, arity, data)
+
+    def shift(key, c, e, f):
+        return (key[0], vec_add(key[1], e)), c * f
+
+    data = _reconstruct(ctx.dim, arity, rec_cap, order, lambda bt: fn(bt).terms, shift)
+    return WeylCochain(ctx.dim, arity, {(k, p, bt): c for bt, entry in data.items()
+                                        for (k, p), c in entry.items()})
 
 
 def nu_hat(ctx: WeylContext, f: PsiElement, arity, rec_cap, order=None) -> WeylCochain:
@@ -1233,65 +858,6 @@ def gl_transport_context(ctx: WeylContext, g) -> WeylContext:
     return WeylContext(gl_push_theta(g, ctx.theta), ctx.order, ctx.cap)
 
 
-def _matrix_inverse(g):
-    n = len(g)
-    a = [[as_fraction(v) for v in row] for row in g]
-    inv = [[Fraction(1) if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        inv[col] = [v / d for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return inv
-
-
-def _subst_monomial(p, M):
-    """Expand prod_i (sum_j M[i][j] y_j)^{p_i} -> {multidegree: Fraction}."""
-    dim = len(p)
-    acc = {_zero(dim): Fraction(1)}
-    for i in range(dim):
-        for _ in range(p[i]):
-            nxt = {}
-            for mono, c in acc.items():
-                for j in range(dim):
-                    if not M[i][j]:
-                        continue
-                    _acc(nxt, vec_add(mono, unit(dim, j)), c * M[i][j])
-            acc = nxt
-    return acc
-
-
-def _subst_exterior(T, M):
-    """Expand prod_{i in T} (sum_j M[i][j] e_j) in an anticommuting algebra:
-    {subset: Fraction} including the ordering signs."""
-    dim = len(M)
-    acc = {(): Fraction(1)}
-    for i in T:
-        nxt = {}
-        for mono, c in acc.items():
-            for j in range(1, dim + 1):
-                coeff = M[i - 1][j - 1]
-                if not coeff:
-                    continue
-                # multiply e_j from the RIGHT of mono
-                if j in mono:
-                    continue
-                after = sum(1 for t in mono if t > j)
-                sign = -1 if after % 2 else 1
-                _acc(nxt, tuple(sorted(mono + (j,))), c * coeff * sign)
-        acc = nxt
-    return acc
-
-
 def gl_transport(ctx: WeylContext, g, obj):
     """Push an object of W_theta along g in GL(2n, Q) to W_{g theta g^T}:
     y-variables substitute by g^{-1} in every copy, anticommuting indices
@@ -1300,29 +866,21 @@ def gl_transport(ctx: WeylContext, g, obj):
     if isinstance(obj, WSeries):
         out = {}
         for (k, p), c in obj.terms.items():
-            for mono, cf in _subst_monomial(p, ginv).items():
+            for mono, cf in _subst_multidegree(p, ginv).items():
                 _acc(out, (k, mono), c * cf)
         return WSeries(obj.dim, out)
     if isinstance(obj, BarChain):
         out = {}
         for (k, ps), c in obj.terms.items():
-            partial = {(): Fraction(1)}
-            for p in ps:
-                nxt = {}
-                for done, cf in partial.items():
-                    for mono, cf2 in _subst_monomial(p, ginv).items():
-                        _acc(nxt, done + (mono,), cf * cf2)
-                partial = nxt
-            for done, cf in partial.items():
+            for done, cf in _subst_multidegrees(ps, ginv).items():
                 _acc(out, (k, done), c * cf)
         return BarChain(obj.dim, obj.m, out)
     if isinstance(obj, KoszulChain):
         out = {}
         for (k, p1, p2, T), c in obj.terms.items():
-            for m1, c1 in _subst_monomial(p1, ginv).items():
-                for m2, c2 in _subst_monomial(p2, ginv).items():
-                    for T2, c3 in _subst_exterior(T, ginv).items():
-                        _acc(out, (k, m1, m2, T2), c * c1 * c2 * c3)
+            for (m1, m2), c12 in _subst_multidegrees((p1, p2), ginv).items():
+                for T2, c3 in _subst_subset(T, ginv).items():
+                    _acc(out, (k, m1, m2, T2), c * c12 * c3)
         return KoszulChain(obj.dim, obj.m, out)
     if isinstance(obj, PsiElement):
         # psi_i are dual to C^i: (g_* f)(C'^T) = g_*(f(g^{-1}_* C'^T)),
@@ -1330,8 +888,8 @@ def gl_transport(ctx: WeylContext, g, obj):
         gmat = [[as_fraction(v) for v in row] for row in g]
         out = {}
         for (k, p, T), c in obj.terms.items():
-            for mono, cf in _subst_monomial(p, ginv).items():
-                for T2, cf2 in _subst_exterior(T, _transpose(gmat)).items():
+            for mono, cf in _subst_multidegree(p, ginv).items():
+                for T2, cf2 in _subst_subset(T, _transpose(gmat)).items():
                     _acc(out, (k, mono, T2), c * cf * cf2)
         return PsiElement(obj.dim, out)
     if isinstance(obj, WeylCochain):

@@ -153,3 +153,16 @@ def test_verify_guards_invalid_data_before_checks(tmp_path, capsys):
     path = tmp_path / "invalid.json"
     path.write_text(json.dumps(doc))
     assert main(["verify", "assoc", "--data", str(path)]) == 2
+
+
+def test_negative_order_exits_2(flat_file, capsys):
+    assert main(["--order", "-3", "star", flat_file, "x1", "x2"]) == 2
+    err = capsys.readouterr().err
+    assert "--order" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("dim", ["3", "0"])
+def test_verify_rejects_bad_dim(dim, capsys):
+    assert main(["verify", "hodge", "--dim", dim]) == 2
+    err = capsys.readouterr().err
+    assert "--dim" in err and len(err.strip().splitlines()) == 1

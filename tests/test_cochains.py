@@ -491,3 +491,41 @@ def test_fiberwise_acyclicity_via_constant_theta_homotopy():
         got = hochschild_d(witness, FLAT).restrict_slots(2).truncate(N)
         want = a.restrict_slots(2).truncate(N)
         assert got == want
+
+
+def test_constant_theta_kernels_agree():
+    """On dx-free cochains with constant coefficients the fiberwise cochain
+    algebra over a constant theta is the Weyl-algebra cochain algebra."""
+    from fedosov.cochains import insert
+    from fedosov.verify import rand_wcochain
+    from fedosov.weylhh import (WeylContext, cochain_cup, cochain_insert,
+                                gerstenhaber_w, hh_hochschild_d)
+
+    ctx = WeylContext.standard(DIM, N)
+
+    def fiberwise(terms):
+        return {((),) + k: XPoly.const(DIM, c) for k, c in terms.items()}
+
+    def same(P, a):
+        return P.terms == fiberwise(a.normalize(N, N).terms)
+
+    rng = random.Random(11)
+    for _ in range(15):
+        a = rand_wcochain(rng, ctx, rng.choice([1, 2]), nterms=3)
+        b = rand_wcochain(rng, ctx, rng.choice([1, 2]), nterms=3)
+        A = FiberwiseCochain(DIM, N, a.arity, fiberwise(a.terms))
+        B = FiberwiseCochain(DIM, N, b.arity, fiberwise(b.terms))
+        assert same(cup(A, B, ctx.theta), cochain_cup(ctx, a, b))
+        for i in range(a.arity):
+            assert same(insert(A, i, B), cochain_insert(a, i, b))
+        assert same(gerstenhaber(A, B), gerstenhaber_w(a, b))
+        assert same(hochschild_d(A, ctx.theta), hh_hochschild_d(ctx, a))
+        args = [rand_wcochain(rng, ctx, 0, nterms=4).as_wseries()
+                for _ in range(a.arity)]
+        got = cochain_eval(A, [WeylElement(DIM, N, {k: XPoly.const(DIM, c)
+                                                    for k, c in w.terms.items()})
+                               for w in args])
+        want = a.eval(args, N)
+        assert got.component(()).terms == {k: XPoly.const(DIM, c)
+                                           for k, c in want.terms.items()}
+        assert set(got.components) <= {()}

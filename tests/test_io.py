@@ -154,3 +154,18 @@ def test_star_golden_bytes(tmp_path):
               '[{"coeff":"1","exps":[1,1]}],"ydeg":[0,0]},{"hbar":1,"poly":'
               '[{"coeff":"1/2","exps":[0,0]}],"ydeg":[0,0]}]}}')
     assert buf.getvalue().strip() == golden
+
+
+def test_parse_poly_rejects_dangling_exponent_sign():
+    with pytest.raises(fio.ParseError):
+        fio.parse_poly("hbar^-", 2, 6)
+
+
+def test_parse_poly_rejects_zero_denominator():
+    with pytest.raises(fio.ParseError):
+        fio.parse_poly("1/0", 2, 6)
+
+
+def test_parse_poly_rejects_negative_x_exponent():
+    with pytest.raises(fio.ParseError):
+        fio.parse_poly("x1^-1", 2, 6)
