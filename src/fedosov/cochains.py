@@ -265,10 +265,16 @@ def _product_terms(omega, one, t_max):
     return terms
 
 
-def _cup_terms(terms1, terms2, omega, order, cap):
+def _cup_terms(terms1, terms2, omega, order, cap, odd_only=False):
     """P1(first) o P2(rest): the fiberwise product pairs the y-parts and
     slots of both factors.  Pairing steps that can only produce terms beyond
-    the order or slot cap are dropped (that is exact at the order)."""
+    the order or slot cap are dropped (that is exact at the order).
+
+    With odd_only, only the odd pairing orders are kept, doubled: for an
+    arity-0 factor on either side that is P1(first) o P2(rest) minus the
+    product in the other order, since the order-t part changes by (-1)^t
+    when the factors swap (omega is antisymmetric, coefficients commute, and
+    the slots keep their order)."""
     dim = len(omega)
     out = {}
     for (m1, p1, al1), c1 in terms1.items():
@@ -277,9 +283,12 @@ def _cup_terms(terms1, terms2, omega, order, cap):
             state = {(p1, al1, p2, al2): c1 * c2}
             t = 0
             while state:
-                for (q1, b1, q2, b2), c in state.items():
-                    _acc(out, (kk + t, vec_add(q1, q2), b1 + b2), c)
+                if not odd_only or t % 2:
+                    for (q1, b1, q2, b2), c in state.items():
+                        _acc(out, (kk + t, vec_add(q1, q2), b1 + b2), c)
                 t += 1
+                # the commutator's factor 2 rides on the first pairing step
+                half = Fraction(1, t if odd_only and t == 1 else 2 * t)
                 nxt = {}
                 for (q1, b1, q2, b2), c in state.items():
                     for i in range(dim):
@@ -287,7 +296,7 @@ def _cup_terms(terms1, terms2, omega, order, cap):
                             om = omega[i][j]
                             if not om:
                                 continue
-                            base = om * c * Fraction(1, 2 * t)
+                            base = om * c * half
                             for q1n, b1n, f1 in _derive_targets(q1, b1, i):
                                 for q2n, b2n, f2 in _derive_targets(q2, b2, j):
                                     if 2 * (kk + t) + sum(q1n) + sum(q2n) > order:
@@ -551,7 +560,10 @@ def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
     """Fiberwise Hochschild differential with the (-1)^q exterior-degree
     prefactor; equals (-1)^{q+k+1} [mult, P]_G on each exterior component."""
     t_max = max(0, P.order - min(0, P.min_term_weight()) + 1)
-    mu = _blocks(product_cochain(chart_or_theta, P.dim, P.order, t_max, P.cap))
+    # an hbar^m term with m < 0 meets pairings of mu up to weight order - 2m
+    lowest = min((m for (_, m, _, _) in P.terms), default=0)
+    mu = _blocks(product_cochain(chart_or_theta, P.dim,
+                                 P.order - 2 * min(0, lowest), t_max, P.cap))
     out = {}
     for S, block in _blocks(P).items():
         _add_terms(out, _hochschild_terms(block, P.arity, mu.get((), {}), P.order),
@@ -643,32 +655,47 @@ def nabla_cochain(P: FiberwiseCochain, chart: SymplecticChart) -> FiberwiseCocha
     return FiberwiseCochain(dim, P.order, P.arity, out, P.cap)
 
 
+def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
+                      order) -> FiberwiseCochain:
+    """r cup X - (-)^q X cup r for the 1-form r (as the 0-cochain rc) and X
+    of exterior degree q.  dx^{S_X} dx^{S_r} = (-)^q dx^{S_r} dx^{S_X}, so
+    each block pair is a plain commutator of r with X's values: the odd
+    pairing orders of r cup X, doubled, in one pass (see _cup_terms)."""
+    omega = omega_matrix(chart, X.dim)
+    cap = max(rc.cap, X.cap)
+    terms = _pairwise(rc, X, lambda b1, b2: _cup_terms(b1, b2, omega, order, cap,
+                                                       odd_only=True))
+    return FiberwiseCochain(X.dim, order, X.arity, terms, cap)
+
+
 def _r_mult_parts(chart, r: FormWeyl, order, cap):
-    """(r as 0-cochain, the left-mult 1-cochain a -> r o a, the right-mult
-    1-cochain a -> a o r), with r's dx index kept, carried two levels above
-    the target order for the hbar division."""
+    """(r as 0-cochain, ad_r = L_r - R_r) with L_r / R_r the left/right
+    multiplication 1-cochains a -> r o a and a -> a o r, r's dx index kept,
+    carried two levels above the target order for the hbar division.
+    L_r = r cup id and R_r = id cup r, so ad_r is a commutator with r."""
+    if r.exterior_degrees() not in ([], [1]):
+        raise ValueError("r must be a 1-form")
     work = order + 2
     rc = FiberwiseCochain.from_form(r.truncate(work), cap)
     ident = FiberwiseCochain.identity(r.dim, work, cap)
-    return rc, cup(rc, ident, chart), cup(ident, rc, chart)
+    return rc, _r_cup_commutator(rc, ident, chart, work)
 
 
 def _commutator_action(P: FiberwiseCochain, chart, parts) -> FiberwiseCochain:
     """(1/hbar) K_r(P) with
-    K_r(P) = r cup P - (-)^q P cup r - (-)^q sum_s (P o_s L_r - P o_s R_r).
+    K_r(P) = r cup P - (-)^q P cup r - (-)^q sum_s P o_s ad_r;
+    insertion is linear, so P o_s L_r - P o_s R_r = P o_s ad_r.
 
     The cup/insertion products are taken two filtration levels above P's
     order so the hbar division is exact at P's order."""
-    rc, L, R = parts
+    rc, ad = parts
     work = P.order + 2
     out = FiberwiseCochain.zero(P.dim, P.order, P.arity, P.cap)
     for q in P.exterior_degrees():
         Pq = P.homogeneous_q(q).truncate(work)
-        K = cup(rc, Pq, chart)
-        second = cup(Pq, rc, chart)
-        K = K + (-second if q % 2 == 0 else second)
+        K = _r_cup_commutator(rc, Pq, chart, work)
         for s in range(P.arity):
-            slot_term = insert(Pq, s, L) - insert(Pq, s, R)
+            slot_term = insert(Pq, s, ad)
             K = K + (-slot_term if q % 2 == 0 else slot_term)
         out = out + K.hbar_shift(-1).truncate(P.order, P.cap)
     return out
@@ -682,7 +709,9 @@ def fedosov_d_cochain(P: FiberwiseCochain, chart: SymplecticChart,
 
     K_r(P) = r cup P - (-)^q P cup r - (-)^q sum_s (P o_s L_r - P o_s R_r),
 
-    L_r / R_r the left/right fiberwise multiplications by r."""
+    L_r / R_r the left/right fiberwise multiplications by the 1-form r.
+    Both differences are commutators with r, so they keep only the odd
+    pairing orders of one product, doubled (see _r_cup_commutator)."""
     out = nabla_cochain(P, chart) - delta_cochain(P)
     if r.is_zero():
         return out
@@ -762,7 +791,9 @@ class LocalCochainEvaluator:
         from .weyl import sigma_project
 
         lifted = [self.star_product.tau(a) for a in args]
-        val = cochain_eval(self.cochain, lifted)
+        # sigma keeps only the dx- and y-free part of the value, and only
+        # the dx- and y-free terms of the cochain reach it
+        val = cochain_eval(sigma_cochain(self.cochain), lifted)
         return sigma_project(val).truncate(self.star_product.order)
 
     def cup(self, other: "LocalCochainEvaluator"):

@@ -807,14 +807,16 @@ SUITES = {
     "cochain": lambda data, dim, order, seed, caps: suite_cochain(
         dim, order, seed, ydeg=caps.get("y", 3), acap=caps.get("a", 2)),
     "beta": lambda data, dim, order, seed, caps: suite_beta(data, seed),
+    "transfer": lambda data, dim, order, seed, caps: suite_transfer(data, seed),
     "barkoszul": lambda data, dim, order, seed, caps: suite_barkoszul(dim, order, seed),
+    "psi": lambda data, dim, order, seed, caps: suite_psi(dim, order, seed),
     "chi": lambda data, dim, order, seed, caps: suite_chi(
         dim, order, seed, window=caps.get("a", 2), ydeg=caps.get("y", 3)),
     "equivariance": lambda data, dim, order, seed, caps: suite_equivariance(
         dim, order, seed),
 }
 
-DATA_SUITES = {"dsquare", "assoc", "beta"}
+DATA_SUITES = {"dsquare", "assoc", "beta", "transfer"}
 
 
 def parse_caps(text):

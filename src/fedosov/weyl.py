@@ -471,13 +471,19 @@ def _check_antisymmetric(omega, dim):
                 raise ValueError("Poisson tensor must be antisymmetric")
 
 
-def _moyal_weyl(a: WeylElement, b: WeylElement, omega, x_cap=None) -> WeylElement:
+def _moyal_weyl(a: WeylElement, b: WeylElement, omega, x_cap=None,
+                odd_only=False) -> WeylElement:
     """Fiberwise product of plain Weyl sections.
 
     exp((hbar/2) omega^{ij} d/dy^i d/dz^j) a(y) b(z) |_{z=y}, expanded as a
     terminating series: each step consumes one y from each factor and adds
     one hbar, so the filtration weight of a contribution is the sum of the
     weights of its parents.
+
+    With odd_only, only the odd pairing orders are kept, doubled: that is the
+    commutator a o b - b o a.  Since omega^{ij} = -omega^{ji} and the
+    coefficients commute, the order-t part of b o a is (-1)^t times that of
+    a o b, so the even orders cancel and the odd ones add up.
     """
     dim, order = a.dim, a.order
     # state: {(hbar_exp, p_a, p_b): XPoly}
@@ -498,15 +504,18 @@ def _moyal_weyl(a: WeylElement, b: WeylElement, omega, x_cap=None) -> WeylElemen
     out_terms = {}
     t = 0
     while state:
-        for (k, pa, pb), c in state.items():
-            key = (k, vec_add(pa, pb))
-            prev = out_terms.get(key)
-            c2 = c if prev is None else prev + c
-            if c2.is_zero():
-                out_terms.pop(key, None)
-            else:
-                out_terms[key] = c2
+        if not odd_only or t % 2:
+            for (k, pa, pb), c in state.items():
+                key = (k, vec_add(pa, pb))
+                prev = out_terms.get(key)
+                c2 = c if prev is None else prev + c
+                if c2.is_zero():
+                    out_terms.pop(key, None)
+                else:
+                    out_terms[key] = c2
         t += 1
+        # the commutator's factor 2 rides on the first pairing step
+        den = t if odd_only and t == 1 else 2 * t
         new_state = {}
         for (k, pa, pb), c in state.items():
             for i in range(dim):
@@ -518,7 +527,7 @@ def _moyal_weyl(a: WeylElement, b: WeylElement, omega, x_cap=None) -> WeylElemen
                     om = omega[i][j]
                     if om.is_zero():
                         continue
-                    coeff = Fraction(pa[i] * pb[j], 2 * t)
+                    coeff = Fraction(pa[i] * pb[j], den)
                     add = (om * c).scale(coeff)
                     if x_cap is not None:
                         add = add.truncate(x_cap)
@@ -537,11 +546,17 @@ def _moyal_weyl(a: WeylElement, b: WeylElement, omega, x_cap=None) -> WeylElemen
     return WeylElement(dim, order, out_terms)
 
 
-def moyal_product(a, b, chart_or_theta, x_cap=None):
+def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
     """Product of Weyl sections or form-valued Weyl sections.
 
     For forms, coefficients multiply fiberwise and dx blocks are wedged in
     factor order: (u dx^S) o (v dx^T) = (u o v) dx^S dx^T.
+
+    With commutator set, the result is the graded commutator
+    [a, b] = a o b - (-)^{q_a q_b} b o a instead, in one pairing pass per
+    pair of dx blocks: since dx^T dx^S = (-)^{|S||T|} dx^S dx^T, the block
+    pair (S, T) contributes (u o v - v o u) dx^S dx^T, the odd pairing orders
+    of u o v doubled (see _moyal_weyl).
     """
     if isinstance(a, WeylElement) and isinstance(b, WeylElement):
         if a.dim != b.dim or a.order != b.order:
@@ -550,7 +565,7 @@ def moyal_product(a, b, chart_or_theta, x_cap=None):
         _check_antisymmetric(omega, a.dim)
         if x_cap is None and isinstance(chart_or_theta, SymplecticChart):
             x_cap = chart_or_theta.x_cap
-        return _moyal_weyl(a, b, omega, x_cap)
+        return _moyal_weyl(a, b, omega, x_cap, commutator)
     fa, fb = as_form(a), as_form(b)
     if fa.dim != fb.dim or fa.order != fb.order:
         raise ValueError("operands must share dim and order")
@@ -565,7 +580,7 @@ def moyal_product(a, b, chart_or_theta, x_cap=None):
             if merged is None:
                 continue
             sign, ST = merged
-            w = _moyal_weyl(u, v, omega, x_cap)
+            w = _moyal_weyl(u, v, omega, x_cap, commutator)
             if sign < 0:
                 w = -w
             if not w.is_zero():
@@ -574,15 +589,10 @@ def moyal_product(a, b, chart_or_theta, x_cap=None):
 
 
 def graded_commutator(a, b, chart_or_theta, x_cap=None) -> FormWeyl:
-    """[a, b] = a o b - (-)^{q_a q_b} b o a, componentwise in exterior degree."""
-    fa, fb = as_form(a), as_form(b)
-    out = moyal_product(fa, fb, chart_or_theta, x_cap)
-    for qa in fa.exterior_degrees():
-        for qb in fb.exterior_degrees():
-            term = moyal_product(fb.homogeneous(qb), fa.homogeneous(qa),
-                                 chart_or_theta, x_cap)
-            out = out - term if (qa * qb) % 2 == 0 else out + term
-    return out
+    """[a, b] = a o b - (-)^{q_a q_b} b o a, componentwise in exterior degree,
+    computed from the odd pairing orders of a o b alone (see moyal_product)."""
+    return moyal_product(as_form(a), as_form(b), chart_or_theta, x_cap,
+                         commutator=True)
 
 
 def commutator_over_hbar(a, b, chart_or_theta, x_cap=None) -> FormWeyl:

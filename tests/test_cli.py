@@ -166,3 +166,20 @@ def test_verify_rejects_bad_dim(dim, capsys):
     assert main(["verify", "hodge", "--dim", dim]) == 2
     err = capsys.readouterr().err
     assert "--dim" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("suite", ["transfer", "psi"])
+def test_verify_transfer_and_psi_suites(suite, curved_file, capsys):
+    argv = ["--json", "verify", suite]
+    if suite == "transfer":
+        argv += ["--data", curved_file]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["suite"] == suite
+    assert payload["checks"]
+    assert all(c["status"] == "pass" for c in payload["checks"])
+
+
+def test_verify_requires_data_for_transfer(capsys):
+    assert main(["verify", "transfer"]) == 2
+    assert "requires" in capsys.readouterr().err

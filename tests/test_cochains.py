@@ -6,7 +6,7 @@ import pytest
 from fedosov.cochains import (FiberwiseCochain, cochain_eval, cup,
                               delta_cochain, delta_inv_cochain, embed_forms,
                               fedosov_d_cochain, gerstenhaber, hochschild_d,
-                              horizontal_lift_cochain, nabla_cochain,
+                              horizontal_lift_cochain, insert, nabla_cochain,
                               product_cochain, sigma_cochain,
                               to_local_operator, transfer_exactness,
                               transport_cochain, transport_weyl)
@@ -255,6 +255,44 @@ def test_extend_D_bracket_formula(solved_r):
         rhs = (nabla_cochain(P, CURVED) - delta_cochain(P)
                + gerstenhaber(dr, P).hbar_shift(-1))
         assert lhs.truncate(N - 1) == rhs.truncate(N - 1)
+
+
+
+def _K_r_by_cup_and_insert(P, chart, r):
+    """(1/hbar) K_r(P) written out with the public cup and insert:
+    K_r(P) = r cup P - (-)^q P cup r - (-)^q sum_s (P o_s L_r - P o_s R_r)."""
+    work = P.order + 2
+    rc = FiberwiseCochain.from_form(r.truncate(work), P.cap)
+    ident = FiberwiseCochain.identity(DIM, work, P.cap)
+    L, R = cup(rc, ident, chart), cup(ident, rc, chart)
+    out = FiberwiseCochain.zero(DIM, P.order, P.arity, P.cap)
+    for q in P.exterior_degrees():
+        Pq = P.homogeneous_q(q).truncate(work)
+        sign = 1 if q % 2 else -1
+        K = cup(rc, Pq, chart) + cup(Pq, rc, chart).scale(sign)
+        for s in range(P.arity):
+            K = K + (insert(Pq, s, L) - insert(Pq, s, R)).scale(sign)
+        out = out + K.hbar_shift(-1).truncate(P.order, P.cap)
+    return out
+
+
+def test_extend_D_is_cup_insert_formula(solved_r):
+    # the commutator action runs one odd pairing pass per product pair
+    rng = random.Random(14)
+    for k in (0, 1, 2):
+        for qs in ((0,), (1,), (0, 1)):
+            P = FiberwiseCochain.zero(DIM, WORK, k)
+            while P.is_zero():
+                P = rand_cochain(rng, DIM, N, k, qs=qs, nterms=3, work=WORK)
+            want = (nabla_cochain(P, CURVED) - delta_cochain(P)
+                    + _K_r_by_cup_and_insert(P, CURVED, solved_r))
+            assert fedosov_d_cochain(P, CURVED, solved_r) == want
+
+
+def test_extend_D_rejects_non_one_form_r(solved_r):
+    P = rand_cochain(random.Random(15), DIM, N, 1, work=WORK)
+    with pytest.raises(ValueError, match="1-form"):
+        fedosov_d_cochain(P, CURVED, solved_r + as_form(y_mono((2, 1))))
 
 
 # -- embedding of scalar forms ------------------------------------------------
@@ -529,3 +567,19 @@ def test_constant_theta_kernels_agree():
         assert got.component(()).terms == {k: XPoly.const(DIM, c)
                                            for k, c in want.terms.items()}
         assert set(got.components) <= {()}
+
+
+def test_hochschild_d_with_negative_hbar_powers():
+    """mu must keep the pairings an hbar^-1 term still needs at the order."""
+    from fedosov.verify import rand_wcochain
+    from fedosov.weylhh import WeylContext, hh_hochschild_d
+
+    ctx = WeylContext.standard(DIM, N)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = rand_wcochain(rng, ctx, rng.choice([1, 2]), hmin=-1, hmax=0)
+        A = FiberwiseCochain(DIM, N, a.arity, {((),) + k: XPoly.const(DIM, c)
+                                               for k, c in a.terms.items()})
+        want = hh_hochschild_d(ctx, a).normalize(N, N)
+        assert hochschild_d(A, ctx.theta).terms == {
+            ((),) + k: XPoly.const(DIM, c) for k, c in want.terms.items()}

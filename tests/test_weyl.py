@@ -269,6 +269,36 @@ def test_graded_commutator_sign():
     assert got == want
 
 
+def _two_product_commutator(a, b, chart, x_cap=None):
+    """a o b - (-)^{q_a q_b} b o a, written out with two products."""
+    out = moyal_product(a, b, chart, x_cap)
+    for qa in a.exterior_degrees():
+        for qb in b.exterior_degrees():
+            term = moyal_product(b.homogeneous(qb), a.homogeneous(qa), chart, x_cap)
+            out = out - term if (qa * qb) % 2 == 0 else out + term
+    return out
+
+
+X_OMEGA = [[XPoly.zero(DIM), XPoly.const(DIM, 1) + XPoly.variable(DIM, 1)],
+           [XPoly.const(DIM, -1) - XPoly.variable(DIM, 1), XPoly.zero(DIM)]]
+
+
+@pytest.mark.parametrize("chart", [CURVED, X_OMEGA], ids=["curved", "x-omega"])
+@pytest.mark.parametrize("x_cap", [None, 1, 2])
+def test_graded_commutator_is_two_products(chart, x_cap):
+    # the one-pass commutator keeps the odd pairing orders of a o b only
+    rng = random.Random(41)
+    for _ in range(8):
+        a, b = rand_form(rng, DIM, 6), rand_form(rng, DIM, 6)
+        assert (graded_commutator(a, b, chart, x_cap)
+                == _two_product_commutator(a, b, chart, x_cap))
+        odd = a.homogeneous(1)
+        if not odd.is_zero():
+            aa = graded_commutator(odd, odd, chart, x_cap)
+            assert aa == _two_product_commutator(odd, odd, chart, x_cap)
+            assert aa == moyal_product(odd, odd, chart, x_cap).scale(2)
+
+
 # -- chart validation -------------------------------------------------------
 
 def test_chart_validation_catches_torsion():
