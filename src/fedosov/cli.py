@@ -101,7 +101,7 @@ def cmd_gauge(args):
     with open(args.gauge, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CliError(f"invalid gauge JSON: {exc}") from exc
     try:
         terms = {}
@@ -111,7 +111,7 @@ def cmd_gauge(args):
             mu = tuple(int(v) for v in item["dx_multi_index"])
             ops[mu] = fio.xpoly_from_json(item["poly"], data.chart.dim)
         gauge = GaugeOperator(data.chart.dim, terms)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise CliError(f"malformed gauge operator: {exc}") from exc
     sp = StarProduct(data)
     gauged = apply_gauge(sp, gauge)
@@ -218,7 +218,7 @@ def main(argv=None):
     except (CliError, fio.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ dicts {(m, p, alphas): coeff}.  It touches coefficients only through *, +,
 unary - and truth value, so the same lines run with XPoly coefficients here
 and with Fraction coefficients for the constant-theta complex of `weylhh`.
 Cochain operations here group terms by dx subset, call the kernel per block
-or block pair, and wedge the dx blocks in front.
+or block pair, and wedge the dx blocks in front.  Cup and the product
+cochain (id cup id) run on the Moyal pairing kernel of `weyl`.
 
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
@@ -52,9 +53,9 @@ from itertools import product
 from math import comb, factorial
 
 from .poly import XPoly, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, _acc, as_form,
-                   contract_index, merge_subsets, omega_matrix, prepend_index,
-                   unit_vec, vec_add, vec_sub)
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _acc, _pair_terms,
+                   as_form, contract_index, merge_subsets, omega_matrix,
+                   prepend_index, unit_vec, vec_add, vec_sub)
 
 
 def _add_terms(out, terms, sign=1, prefix=()):
@@ -233,89 +234,6 @@ def _eval_terms(terms, args):
             if not partial:
                 break
         _add_terms(out, partial)
-    return out
-
-
-def _product_terms(omega, one, t_max):
-    """The fiberwise multiplication as a 2-cochain, with Poisson pairings up
-    to order t_max: sum_t (hbar/2)^t/t! omega^{i1 j1}..omega^{it jt}
-    d^t (x) d^t; one is the unit coefficient."""
-    dim = len(omega)
-    zero = (0,) * dim
-    terms = {}
-    state = {(zero, zero): one}
-    t = 0
-    while True:
-        for (al, be), c in state.items():
-            terms[(t, zero, (al, be))] = c
-        if t == t_max:
-            break
-        t += 1
-        nxt = {}
-        for (al, be), c in state.items():
-            for i in range(dim):
-                for j in range(dim):
-                    om = omega[i][j]
-                    if not om:
-                        continue
-                    _acc(nxt, (vec_add(al, unit_vec(dim, i + 1)),
-                               vec_add(be, unit_vec(dim, j + 1))),
-                         om * c * Fraction(1, 2 * t))
-        state = nxt
-    return terms
-
-
-def _cup_terms(terms1, terms2, omega, order, cap, odd_only=False):
-    """P1(first) o P2(rest): the fiberwise product pairs the y-parts and
-    slots of both factors.  Pairing steps that can only produce terms beyond
-    the order or slot cap are dropped (that is exact at the order).
-
-    With odd_only, only the odd pairing orders are kept, doubled: for an
-    arity-0 factor on either side that is P1(first) o P2(rest) minus the
-    product in the other order, since the order-t part changes by (-1)^t
-    when the factors swap (omega is antisymmetric, coefficients commute, and
-    the slots keep their order)."""
-    dim = len(omega)
-    out = {}
-    for (m1, p1, al1), c1 in terms1.items():
-        for (m2, p2, al2), c2 in terms2.items():
-            kk = m1 + m2
-            state = {(p1, al1, p2, al2): c1 * c2}
-            t = 0
-            while state:
-                if not odd_only or t % 2:
-                    for (q1, b1, q2, b2), c in state.items():
-                        _acc(out, (kk + t, vec_add(q1, q2), b1 + b2), c)
-                t += 1
-                # the commutator's factor 2 rides on the first pairing step
-                half = Fraction(1, t if odd_only and t == 1 else 2 * t)
-                nxt = {}
-                for (q1, b1, q2, b2), c in state.items():
-                    for i in range(dim):
-                        for j in range(dim):
-                            om = omega[i][j]
-                            if not om:
-                                continue
-                            base = om * c * half
-                            for q1n, b1n, f1 in _derive_targets(q1, b1, i):
-                                for q2n, b2n, f2 in _derive_targets(q2, b2, j):
-                                    if 2 * (kk + t) + sum(q1n) + sum(q2n) > order:
-                                        continue
-                                    if any(sum(al) > cap for al in b1n + b2n):
-                                        continue
-                                    _acc(nxt, (q1n, b1n, q2n, b2n), base * (f1 * f2))
-                state = nxt
-    return out
-
-
-def _derive_targets(p, alphas, i):
-    """Ways d/dy^{i+1} hits y^p * slots: (p', alphas', integer factor)."""
-    out = []
-    if p[i]:
-        out.append((p[:i] + (p[i] - 1,) + p[i + 1:], alphas, p[i]))
-    for s, al in enumerate(alphas):
-        al2 = al[:i] + (al[i] + 1,) + al[i + 1:]
-        out.append((p, alphas[:s] + (al2,) + alphas[s + 1:], 1))
     return out
 
 
@@ -525,8 +443,12 @@ def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
 
 def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCochain:
     """The fiberwise multiplication as a 2-cochain, with Poisson pairings up
-    to order t_max."""
-    terms = _product_terms(omega_matrix(chart_or_theta, dim), XPoly.const(dim, 1), t_max)
+    to order t_max: id cup id, that is sum_t (hbar/2)^t/t!
+    omega^{i1 j1}..omega^{it jt} d^t (x) d^t."""
+    zero = (0,) * dim
+    ident = {(0, zero, (zero,)): XPoly.const(dim, 1)}
+    terms = _pair_terms(ident, ident, omega_matrix(chart_or_theta, dim),
+                        min(order, 2 * t_max))
     return FiberwiseCochain(dim, order, 2, {((),) + k: c for k, c in terms.items()}, cap)
 
 
@@ -536,7 +458,7 @@ def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> Fiberwise
     wedged in factor order."""
     dim, order, cap = P1.dim, P1.order, max(P1.cap, P2.cap)
     omega = omega_matrix(chart_or_theta, dim)
-    out = _pairwise(P1, P2, lambda b1, b2: _cup_terms(b1, b2, omega, order, cap))
+    out = _pairwise(P1, P2, lambda b1, b2: _pair_terms(b1, b2, omega, order, cap))
     return FiberwiseCochain(dim, order, P1.arity + P2.arity, out, cap)
 
 
@@ -660,11 +582,12 @@ def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
     """r cup X - (-)^q X cup r for the 1-form r (as the 0-cochain rc) and X
     of exterior degree q.  dx^{S_X} dx^{S_r} = (-)^q dx^{S_r} dx^{S_X}, so
     each block pair is a plain commutator of r with X's values: the odd
-    pairing orders of r cup X, doubled, in one pass (see _cup_terms)."""
+    pairing orders of r cup X, doubled, in one pass (see
+    weyl._pairing_levels)."""
     omega = omega_matrix(chart, X.dim)
     cap = max(rc.cap, X.cap)
-    terms = _pairwise(rc, X, lambda b1, b2: _cup_terms(b1, b2, omega, order, cap,
-                                                       odd_only=True))
+    terms = _pairwise(rc, X, lambda b1, b2: _pair_terms(b1, b2, omega, order, cap,
+                                                        odd_only=True))
     return FiberwiseCochain(X.dim, order, X.arity, terms, cap)
 
 

@@ -132,7 +132,7 @@ def fedosov_data_from_json(doc) -> "FedosovData":
                     raise SchemaError("2-form indices must satisfy i < j")
                 p = xpoly_from_json(entry["poly"], n)
                 form[(i, j)] = form.get((i, j), XPoly.zero(n)) + p
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
         if isinstance(exc, SchemaError):
             raise
         raise SchemaError(f"malformed Fedosov data: {exc}") from exc
@@ -148,7 +148,7 @@ def load_fedosov_data(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
     return fedosov_data_from_json(doc)
 

@@ -19,6 +19,7 @@ import random
 import time
 from fractions import Fraction
 
+from . import io as fio
 from . import weylhh as hh
 from .cochains import (FiberwiseCochain, cochain_eval, cup,
                        fedosov_d_cochain, gerstenhaber, hochschild_d,
@@ -229,10 +230,30 @@ def builtin_curved_data(order=6) -> FedosovData:
     return FedosovData(chart, {}, order)
 
 
-def _witness_form(f: FormWeyl):
-    from .io import form_text
+def _serialized(x):
+    """The counterexample of a failing check, usually a difference lhs - rhs,
+    in the io formats: text for Weyl sections and forms, canonical JSON for
+    chains and cochains."""
+    if isinstance(x, WeylElement):
+        return fio.weyl_text(x)
+    if isinstance(x, FormWeyl):
+        return fio.form_text(x)
+    to_json = {FiberwiseCochain: fio.cochain_to_json,
+               hh.WeylCochain: fio.wcochain_to_json,
+               hh.BarChain: fio.barchain_to_json,
+               hh.KoszulChain: fio.koszulchain_to_json,
+               hh.PsiElement: fio.psi_to_json}[type(x)]
+    return fio.dumps_canonical(to_json(x))
 
-    return form_text(f)
+
+def _equal(lhs, rhs):
+    """None when lhs == rhs, else the serialized difference."""
+    return None if lhs == rhs else _serialized(lhs - rhs)
+
+
+def _vanishes(x):
+    """None when x is zero, else x serialized."""
+    return None if x.is_zero() else _serialized(x)
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +275,19 @@ def suite_hodge(dim=2, order=6, seed=0, samples=10):
         def hodge(a=a):
             got = (FormWeyl.from_weyl(sigma_project(a)) + delta(delta_inv(a))
                    + delta_inv(delta(a)))
-            return None if got == a else _witness_form(got - a)
+            return _equal(got, a)
 
         _run(checks, f"hodge-{i}", hodge)
-        _run(checks, f"delta-nilpotent-{i}",
-             lambda a=a: None if delta(delta(a)).is_zero()
-             else _witness_form(delta(delta(a))))
+        _run(checks, f"delta-nilpotent-{i}", lambda a=a: _vanishes(delta(delta(a))))
         _run(checks, f"delta-inv-nilpotent-{i}",
-             lambda a=a: None if delta_inv(delta_inv(a)).is_zero()
-             else _witness_form(delta_inv(delta_inv(a))))
+             lambda a=a: _vanishes(delta_inv(delta_inv(a))))
         _run(checks, f"nabla-delta-anticommute-{i}",
-             lambda a=a: None if (nabla(delta(a), chart)
-                                  + delta(nabla(a, chart))).is_zero()
-             else "nonzero anticommutator")
+             lambda a=a: _vanishes(nabla(delta(a), chart) + delta(nabla(a, chart))))
 
         def curv(a=a):
             lhs = nabla(nabla(a, chart), chart).truncate(order)
             rhs = graded_commutator(R, a, chart).hbar_shift(-1).truncate(order)
-            return None if lhs == rhs else _witness_form(lhs - rhs)
+            return _equal(lhs, rhs)
 
         _run(checks, f"curvature-{i}", curv)
     return checks
@@ -285,18 +301,14 @@ def suite_dsquare(data: FedosovData, seed=0, samples=20):
     data.validate()
     chart, order = data.chart, data.order
     r = solve_r(data, validate=False)
-    _run(checks, "residual-zero",
-         lambda: None if curvature_residual(data, r).is_zero()
-         else _witness_form(curvature_residual(data, r)))
-    _run(checks, "delta-inv-r-zero",
-         lambda: None if delta_inv(r).is_zero() else _witness_form(delta_inv(r)))
+    _run(checks, "residual-zero", lambda: _vanishes(curvature_residual(data, r)))
+    _run(checks, "delta-inv-r-zero", lambda: _vanishes(delta_inv(r)))
     work = order + 2
     for i in range(samples):
         a = rand_form(rng, data.chart.dim, order, nterms=5).truncate(work)
 
         def dsq(a=a):
-            dd = fedosov_D(fedosov_D(a, chart, r), chart, r).truncate(order)
-            return None if dd.is_zero() else _witness_form(dd)
+            return _vanishes(fedosov_D(fedosov_D(a, chart, r), chart, r).truncate(order))
 
         _run(checks, f"D-squared-{i}", dsq)
     for i in range(3):
@@ -304,10 +316,8 @@ def suite_dsquare(data: FedosovData, seed=0, samples=20):
 
         def horiz(f=f):
             t = tau(f, data, r)
-            if sigma_project(t) != f:
-                return "sigma(tau(f)) != f"
-            dt = fedosov_D(t, chart, r).truncate(order)
-            return None if dt.is_zero() else _witness_form(dt)
+            return (_equal(sigma_project(t), f)
+                    or _vanishes(fedosov_D(t, chart, r).truncate(order)))
 
         _run(checks, f"tau-horizontal-{i}", horiz)
     return checks
@@ -327,14 +337,12 @@ def suite_assoc(data: FedosovData, seed=0, samples=20, deg=3):
         c = rand_poly_in_x(rng, dim, order, deg)
 
         def assoc(a=a, b=b, c=c):
-            lhs = sp(sp(a, b), c)
-            rhs = sp(a, sp(b, c))
-            return None if lhs == rhs else repr(lhs - rhs)
+            return _equal(sp(sp(a, b), c), sp(a, sp(b, c)))
 
         _run(checks, f"assoc-{i}", assoc)
         _run(checks, f"unital-{i}",
-             lambda a=a: None if sp(a, one) == a.truncate(order)
-             and sp(one, a) == a.truncate(order) else "unit failure")
+             lambda a=a: _equal(sp(a, one), a.truncate(order))
+             or _equal(sp(one, a), a.truncate(order)))
     return checks
 
 
@@ -352,10 +360,8 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
     for i in range(samples):
         k = rng.choice([0, 1, 2])
         P = rand_cochain(rng, dim, order, k, ydeg=ydeg, acap=acap, work=work)
-        _run(checks, f"dd-zero-{i}",
-             lambda P=P: None
-             if hochschild_d(hochschild_d(P, chart), chart).truncate(order).is_zero()
-             else "d^2 != 0")
+        _run(checks, f"dd-zero-{i}", lambda P=P: _vanishes(
+            hochschild_d(hochschild_d(P, chart), chart).truncate(order)))
 
         def pa(P=P, k=k):
             lhs = hochschild_d(P, chart)
@@ -363,8 +369,7 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
             for q in P.exterior_degrees():
                 br = gerstenhaber(mu, P.homogeneous_q(q))
                 rhs = rhs + (br if (q + k + 1) % 2 == 0 else -br)
-            return None if lhs.truncate(order) == rhs.truncate(order) \
-                else "d != +-[mult, .]_G"
+            return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"pa-consistency-{i}", pa)
     for i in range(max(3, samples // 4)):
@@ -375,10 +380,9 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
                          nterms=3, work=work)
         C = rand_cochain(rng, dim, order, 1, ydeg=2, acap=acap, nterms=2, work=work)
         _run(checks, f"cup-assoc-{i}",
-             lambda A=A, B=B, C=C: None
-             if cup(cup(A, B, chart), C, chart).truncate(order)
-             == cup(A, cup(B, C, chart), chart).truncate(order)
-             else "cup not associative")
+             lambda A=A, B=B, C=C: _equal(
+                 cup(cup(A, B, chart), C, chart).truncate(order),
+                 cup(A, cup(B, C, chart), chart).truncate(order)))
 
         def cup_der(A=A, B=B, qa=qa, qb=qb):
             # d(A cup B) = (-)^{q_B} dA cup B + (-)^{k_A + q_A} A cup dB
@@ -387,8 +391,7 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
             t = cup(A, hochschild_d(B, chart), chart)
             rhs = (s if qb % 2 == 0 else -s) \
                 + (t if (A.arity + qa) % 2 == 0 else -t)
-            return None if lhs.truncate(order) == rhs.truncate(order) \
-                else "cup derivation rule fails"
+            return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"cup-derivation-{i}", cup_der)
 
@@ -406,8 +409,7 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
             s = gerstenhaber(hochschild_d(A, chart), B)
             rhs = (s if (B.arity - 1) % 2 == 0 else -s) \
                 + gerstenhaber(A, hochschild_d(B, chart))
-            return None if lhs.truncate(order) == rhs.truncate(order) \
-                else "bracket derivation rule fails"
+            return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"bracket-derivation-{i}", g_der)
 
@@ -415,7 +417,7 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
             k1, k2 = A.arity - 1, B.arity - 1
             rhs = gerstenhaber(B, A)
             rhs = rhs if (k1 * k2) % 2 else -rhs
-            return None if gerstenhaber(A, B) == rhs else "antisymmetry fails"
+            return _equal(gerstenhaber(A, B), rhs)
 
         _run(checks, f"antisymmetry-{i}", antisym)
 
@@ -425,7 +427,7 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
             t = gerstenhaber(B, gerstenhaber(A, C))
             rhs = gerstenhaber(gerstenhaber(A, B), C) \
                 + (t if (e1 * e2) % 2 == 0 else -t)
-            return None if lhs == rhs else "Jacobi fails"
+            return _equal(lhs, rhs)
 
         _run(checks, f"jacobi-{i}", jacobi)
     return checks
@@ -454,8 +456,9 @@ def suite_beta(data: FedosovData, seed=0, samples=10):
             for e2 in range(0, 3):
                 a = WeylElement.from_xpoly(XPoly.monomial(dim, (e1, e2) + (0,) * (dim - 2), 1), order)
                 b = WeylElement.from_xpoly(XPoly.monomial(dim, (0,) * (dim - 2) + (e2, e1), 1), order)
-                if E_mu(a, b) != sp(a, b):
-                    return f"mismatch on monomials {(e1, e2)}"
+                diff = _equal(E_mu(a, b), sp(a, b))
+                if diff:
+                    return diff
         return None
 
     _run(checks, "mult-maps-to-star", mu_is_star)
@@ -475,8 +478,7 @@ def suite_beta(data: FedosovData, seed=0, samples=10):
             args = [rand_poly_in_x(rng, dim, order, 2, nterms=2) for _ in range(k)]
             lhs = sp.tau(Ev(*args))
             rhs = cochain_eval(A, [sp.tau(x) for x in args]).component(())
-            return None if lhs.truncate(order) == rhs.truncate(order) \
-                else "tau-intertwining fails"
+            return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"ogo-{i}", ogo)
     for i in range(len(lifted) - 1):
@@ -492,8 +494,9 @@ def suite_beta(data: FedosovData, seed=0, samples=10):
             for _ in range(3):
                 args = [rand_poly_in_x(rng, dim, order, 1, nterms=2)
                         for _ in range(E12.arity)]
-                if E12(*args) != cupE(*args):
-                    return "beta(P1 cup P2) != beta P1 cup beta P2"
+                diff = _equal(E12(*args), cupE(*args))
+                if diff:
+                    return diff
             return None
 
         _run(checks, f"cup-morphism-{i}", cup_morphism)
@@ -524,7 +527,7 @@ def suite_leading_symbol(seed=0, order=6, kmax=2):
                                           {key: c.diff(j + 1)
                                            for key, c in rhs.terms.items()})
                 if lhs != rhs:
-                    return f"leading symbol fails at mu={mu}"
+                    return f"mu={mu}: {_serialized(lhs - rhs)}"
             return None
 
         _run(checks, f"leading-symbol-{i}", leading)
@@ -552,10 +555,8 @@ def suite_transfer(data: FedosovData, seed=0, samples=10):
         def roundtrip(P=P):
             Q = transfer_exactness(P, chart, r, validate=False)
             DQ = fedosov_d_cochain(Q, chart, r)
-            if DQ.truncate(order) != P.truncate(order):
-                return "D(transfer(P)) != P"
-            zero_at_y0 = all(any(p) for (_, _, p, _) in Q.terms)
-            return None if zero_at_y0 else "witness not vanishing at y=0"
+            at_y0 = Q._with({k: c for k, c in Q.terms.items() if not any(k[2])})
+            return _equal(DQ.truncate(order), P.truncate(order)) or _vanishes(at_y0)
 
         _run(checks, f"transfer-{i}", roundtrip)
     return checks
@@ -571,20 +572,17 @@ def suite_barkoszul(dim=2, order=6, seed=0, samples=10):
     for m in (2, 3):
         b = rand_bar(rng, ctx, m)
         _run(checks, f"bar-d-squared-m{m}",
-             lambda b=b: None if hh.bar_d(ctx, hh.bar_d(ctx, b)).is_zero()
-             else "bar differential does not square to zero")
+             lambda b=b: _vanishes(hh.bar_d(ctx, hh.bar_d(ctx, b))))
     for m in (2,) if dim == 2 else (2, 3):
         a = rand_koszul(rng, ctx, m)
         _run(checks, f"koszul-d-squared-m{m}",
-             lambda a=a: None if hh.koszul_d(ctx, hh.koszul_d(ctx, a)).is_zero()
-             else "Koszul differential does not square to zero")
+             lambda a=a: _vanishes(hh.koszul_d(ctx, hh.koszul_d(ctx, a))))
     for m in (0, 1, 2, 3):
         b = rand_bar(rng, ctx, m)
 
         def bar_contract(b=b, m=m):
             tail = hh.bar_aug(ctx, b) if m == 0 else hh.bar_d(ctx, b)
-            got = hh.bar_d(ctx, hh.bar_h(b)) + hh.bar_h(tail)
-            return None if got == b else "bar contracting identity fails"
+            return _equal(hh.bar_d(ctx, hh.bar_h(b)) + hh.bar_h(tail), b)
 
         _run(checks, f"bar-contracting-m{m}", bar_contract)
     for m in (0, 1, 2):
@@ -592,8 +590,8 @@ def suite_barkoszul(dim=2, order=6, seed=0, samples=10):
 
         def koszul_contract(a=a, m=m):
             tail = hh.koszul_aug(ctx, a) if m == 0 else hh.koszul_d(ctx, a)
-            got = hh.koszul_d(ctx, hh.koszul_h(ctx, a)) + hh.koszul_h(ctx, tail)
-            return None if got == a else "Koszul contracting identity fails"
+            return _equal(hh.koszul_d(ctx, hh.koszul_h(ctx, a))
+                          + hh.koszul_h(ctx, tail), a)
 
         _run(checks, f"koszul-contracting-m{m}", koszul_contract)
     for i in range(samples):
@@ -601,21 +599,17 @@ def suite_barkoszul(dim=2, order=6, seed=0, samples=10):
         a = rand_koszul(rng, ctx, m)
         b = rand_bar(rng, ctx, m)
         _run(checks, f"lambda-chain-map-{i}",
-             lambda a=a: None
-             if hh.bar_d(ctx, hh.koszul_to_bar(ctx, a))
-             == hh.koszul_to_bar(ctx, hh.koszul_d(ctx, a))
-             else "lambda is not a chain map")
+             lambda a=a: _equal(hh.bar_d(ctx, hh.koszul_to_bar(ctx, a)),
+                                hh.koszul_to_bar(ctx, hh.koszul_d(ctx, a))))
         _run(checks, f"nu-chain-map-{i}",
-             lambda b=b: None
-             if hh.koszul_d(ctx, hh.bar_to_koszul(ctx, b))
-             == hh.bar_to_koszul(ctx, hh.bar_d(ctx, b))
-             else "nu is not a chain map")
+             lambda b=b: _equal(hh.koszul_d(ctx, hh.bar_to_koszul(ctx, b)),
+                                hh.bar_to_koszul(ctx, hh.bar_d(ctx, b))))
 
         def rho_prop(b=b):
             lhs = b - hh.koszul_to_bar(ctx, hh.bar_to_koszul(ctx, b))
             rhs = hh.bar_d(ctx, hh.bar_homotopy(ctx, b)) \
                 + hh.bar_homotopy(ctx, hh.bar_d(ctx, b))
-            return None if lhs == rhs else "rho homotopy identity fails"
+            return _equal(lhs, rhs)
 
         _run(checks, f"rho-identity-{i}", rho_prop)
     for i in range(samples):
@@ -636,7 +630,7 @@ def suite_barkoszul(dim=2, order=6, seed=0, samples=10):
             d_rha = hh.hh_hochschild_d(ctx, hh.rho_hat(ctx, a, rec, order), order)
             lhs = (a - a_ln).restrict(window).normalize(order)
             rhs = (d_rha + rh_da).restrict(window).normalize(order)
-            return None if lhs == rhs else "dual rho identity fails"
+            return _equal(lhs, rhs)
 
         _run(checks, f"rho-hat-identity-{i}", rho_hat_prop)
     return checks
@@ -650,13 +644,10 @@ def suite_psi(dim=2, order=6, seed=0, samples=50):
     ctx = hh.WeylContext.standard(dim, order)
 
     def worked():
+        # psi_d(y^2/hbar) = psi_1 and psi_h(psi_1) = y^2/hbar
         a = hh.PsiElement(2, {(-1, (0, 1), ()): Fraction(1)})
-        if hh.psi_d(ctx, a).terms != {(0, (0, 0), (1,)): Fraction(1)}:
-            return "psi_d(y^2/hbar) != psi_1"
         b = hh.PsiElement(2, {(0, (0, 0), (1,)): Fraction(1)})
-        if hh.psi_h(ctx, b).terms != {(-1, (0, 1), ()): Fraction(1)}:
-            return "psi_h(psi_1) != y^2/hbar"
-        return None
+        return _equal(hh.psi_d(ctx, a), b) or _equal(hh.psi_h(ctx, b), a)
 
     _run(checks, "worked-example", worked)
     for i in range(samples):
@@ -668,12 +659,11 @@ def suite_psi(dim=2, order=6, seed=0, samples=50):
                               {(k, (0,) * ctx.dim, ()): c
                                for k, c in const.terms.items()})
             got = z + hh.psi_d(ctx, hh.psi_h(ctx, a)) + hh.psi_h(ctx, hh.psi_d(ctx, a))
-            return None if got == a else "partial homotopy identity fails"
+            return _equal(got, a)
 
         _run(checks, f"psi-homotopy-{i}", homot)
         _run(checks, f"psi-d-squared-{i}",
-             lambda a=a: None if hh.psi_d(ctx, hh.psi_d(ctx, a)).is_zero()
-             else "psi differential does not square to zero")
+             lambda a=a: _vanishes(hh.psi_d(ctx, hh.psi_d(ctx, a))))
     return checks
 
 
@@ -694,7 +684,7 @@ def suite_chi(dim=2, order=6, seed=0, samples=10, window=2, ydeg=3):
             chi_d = hh.cochain_homotopy(ctx, hh.hh_hochschild_d(ctx, a), window, order)
             got = (d_chi + chi_d).restrict(window).normalize(order)
             want = a.restrict(window).normalize(order)
-            return None if got == want else "chi homotopy identity fails"
+            return _equal(got, want)
 
         _run(checks, f"chi-identity-{i}", chi_identity)
 
@@ -703,14 +693,12 @@ def suite_chi(dim=2, order=6, seed=0, samples=10, window=2, ydeg=3):
             w = rand_wcochain(rng, ctx, 0)
             dw = hh.hh_hochschild_d(ctx, w)
             if dw.is_zero() and not w.as_wseries().is_y_free():
-                return "non-central closed 0-cochain found"
+                return f"closed but not central: {_serialized(w)}"
         y1 = hh.WeylCochain(ctx.dim, 0, {(0, (1,) + (0,) * (ctx.dim - 1), ()): Fraction(1)})
         if hh.hh_hochschild_d(ctx, y1).is_zero():
-            return "y^1 reported closed"
+            return f"closed but not central: {_serialized(y1)}"
         central = hh.WeylCochain(ctx.dim, 0, {(-1, (0,) * ctx.dim, ()): Fraction(2)})
-        if not hh.hh_hochschild_d(ctx, central).is_zero():
-            return "central element not closed"
-        return None
+        return _vanishes(hh.hh_hochschild_d(ctx, central))
 
     _run(checks, "zero-cocycles-central", zero_cocycles)
     return checks
@@ -732,8 +720,8 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
         def square(g=g, ctx2=ctx2, a=a):
             left = hh.gl_transport(ctx, g, hh.cochain_homotopy(ctx, a, 4, order))
             right = hh.cochain_homotopy(ctx2, hh.gl_transport(ctx, g, a), 4, order)
-            return None if left.restrict(2).normalize(order) \
-                == right.restrict(2).normalize(order) else "homotopy square fails"
+            return _equal(left.restrict(2).normalize(order),
+                          right.restrict(2).normalize(order))
 
         _run(checks, f"homotopy-square-{i}", square)
 
@@ -744,7 +732,7 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
             lhs = hh.gl_transport(hh.gl_transport_context(ctx, g), g2,
                                   hh.gl_transport(ctx, g, a))
             rhs = hh.gl_transport(ctx, comp, a)
-            return None if lhs == rhs else "transport not functorial"
+            return _equal(lhs, rhs)
 
         _run(checks, f"functorial-{i}", functorial)
 
@@ -762,8 +750,9 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
             b = rand_poly_in_x(rng2, 2, order, 2)
             lhs = transport_weyl(sp(a, b), ginv)
             rhs = sp(transport_weyl(a, ginv), transport_weyl(b, ginv))
-            if lhs != rhs:
-                return "star does not commute with symplectic push-forward"
+            diff = _equal(lhs, rhs)
+            if diff:
+                return diff
         return None
 
     _run(checks, "flat-star-equivariance", star_square)
@@ -792,8 +781,9 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
                 lhs = transport_weyl(E(transport_weyl(x, [[Fraction(g[i][j]) for j in range(2)] for i in range(2)])), ginv)
                 # push-forward of the operator applied to x:
                 # (g_* E)(x) = g_*(E(g^{-1}_* x));  g^{-1}_* substitutes by g
-                if lhs != Eg(x):
-                    return "projection does not commute with push-forward"
+                diff = _equal(lhs, Eg(x))
+                if diff:
+                    return diff
         return None
 
     _run(checks, "flat-beta-equivariance", beta_square)

@@ -7,6 +7,12 @@ carry strictly increasing dx-index subsets; a form component's coefficient is
 always written to the left of its dx block, and dx indices coming from an
 operator (delta, nabla, a 1-form r) are wedged in from the left.
 
+One pairing kernel (_pairing_levels, summed by _pair_terms) runs the
+fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
+dicts {(m, p, alphas): coeff} for every caller: moyal_product and the
+commutators here, cup and the product cochain of `cochains`, and the
+monomial product, cup, product cochain and Koszul homotopy of `weylhh`.
+
 Conventions fixed here and verified by the Hodge-identity tests:
   * delta = dx^i d/dy^i, delta_inv contracts with i(d/dx^k) from the left,
   * nabla delta + delta nabla = 0 (torsion-freeness),
@@ -157,10 +163,6 @@ class WeylElement:
             out.terms = {key: v.scale(c) for key, v in self.terms.items()}
         return out
 
-    def scale_xpoly(self, poly: XPoly) -> "WeylElement":
-        return WeylElement(self.dim, self.order,
-                           {key: v * poly for key, v in self.terms.items()})
-
     def hbar_shift(self, j: int) -> "WeylElement":
         """Multiply by hbar^j (j may be negative)."""
         return WeylElement(self.dim, self.order,
@@ -168,9 +170,6 @@ class WeylElement:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def y_degree(self) -> int:
-        return max((sum(p) for (_, p) in self.terms), default=-1)
 
     def is_y_free(self) -> bool:
         return all(not any(p) for (_, p) in self.terms)
@@ -211,12 +210,6 @@ class WeylElement:
 
     def truncate(self, order: int) -> "WeylElement":
         return WeylElement(self.dim, order, self.terms)
-
-    def truncate_x(self, max_deg) -> "WeylElement":
-        if max_deg is None:
-            return self
-        return WeylElement(self.dim, self.order,
-                           {key: c.truncate(max_deg) for key, c in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement) and self.dim == other.dim
@@ -300,9 +293,6 @@ class FormWeyl:
         out.components = {S: w for S, w in self.components.items() if len(S) == q}
         return out
 
-    def max_degree(self) -> int:
-        return max((len(S) for S in self.components), default=0)
-
     def filtration_degree(self):
         return min((w.filtration_degree() for w in self.components.values()),
                    default=math.inf)
@@ -377,11 +367,6 @@ class SymplecticChart:
     def gamma(self, j: int, i: int, k: int) -> XPoly:
         return self.christoffel.get((j, i, k), XPoly.zero(self.dim))
 
-    def is_flat_constant(self) -> bool:
-        return not self.christoffel and all(
-            self.omega_upper[i][j].is_constant()
-            for i in range(self.dim) for j in range(self.dim))
-
     def validate(self):
         """Raise ChartValidationError with index-level diagnostics on any
         violated invariant."""
@@ -406,6 +391,9 @@ class SymplecticChart:
                     raise ChartValidationError(
                         f"omega^ik omega_kj != delta at ({i + 1},{j + 1})")
         for (j, i, k), g in self.christoffel.items():
+            if not all(1 <= v <= n for v in (j, i, k)):
+                raise ChartValidationError(
+                    f"Christoffel index ({j},{i},{k}) outside 1..{n}")
             if self.gamma(j, k, i) != g:
                 raise ChartValidationError(
                     f"torsion: Gamma^{j}_{{{i},{k}}} != Gamma^{j}_{{{k},{i}}}")
@@ -471,101 +459,113 @@ def _check_antisymmetric(omega, dim):
                 raise ValueError("Poisson tensor must be antisymmetric")
 
 
-def _moyal_weyl(a: WeylElement, b: WeylElement, omega, x_cap=None,
-                odd_only=False) -> WeylElement:
-    """Fiberwise product of plain Weyl sections.
+def _derive_targets(seen, p, alphas, slots_ok, cap):
+    """Per coordinate i, the ways d/dy^{i+1} hits y^p * slots, memoized in
+    seen: (p', alphas', integer factor, lift).  A slot hit raises the weight
+    of the pairing step by one (lift 1), so it needs slots_ok (room below
+    the order) and a slot below the cap."""
+    key = (p, alphas, slots_ok)
+    hit = seen.get(key)
+    if hit is not None:
+        return hit
+    hit = seen[key] = []
+    for i, n in enumerate(p):
+        out = [(p[:i] + (n - 1,) + p[i + 1:], alphas, n, 0)] if n else []
+        if slots_ok:
+            for s, al in enumerate(alphas):
+                if sum(al) < cap:
+                    al2 = al[:i] + (al[i] + 1,) + al[i + 1:]
+                    out.append((p, alphas[:s] + (al2,) + alphas[s + 1:], 1, 1))
+        hit.append(out)
+    return hit
 
-    exp((hbar/2) omega^{ij} d/dy^i d/dz^j) a(y) b(z) |_{z=y}, expanded as a
-    terminating series: each step consumes one y from each factor and adds
-    one hbar, so the filtration weight of a contribution is the sum of the
-    weights of its parents.
 
-    With odd_only, only the odd pairing orders are kept, doubled: that is the
-    commutator a o b - b o a.  Since omega^{ij} = -omega^{ji} and the
-    coefficients commute, the order-t part of b o a is (-1)^t times that of
-    a o b, so the even orders cancel and the odd ones add up.
+def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
+                    x_cap=None):
+    """The Moyal pairing exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) of two
+    dx-free term dicts {(m, p, alphas): coeff}, one pairing order t at a
+    time: yields (t, {(m, p1, alphas1, p2, alphas2): coeff}), the state
+    before the two factors merge, m including the t new hbar powers.
+
+    Each d/dy lands on the y-part or on a slot of its factor.  A step never
+    lowers the weight 2m + |p1| + |p2|, and raises it by one per slot hit,
+    so pairs beyond the order are dropped up front and only slot hits are
+    checked against the order and the cap (exact once the caller drops the
+    t = 0 terms with slots beyond the cap).  With odd_only, only the odd
+    orders are yielded, doubled: with an arity-0 factor that is the
+    commutator, as omega is antisymmetric and the order-t part of the
+    swapped product is (-1)^t times this one.  x_cap truncates the pairing
+    contributions, not the t = 0 products.  Coefficients are touched only
+    through *, + and truth value, so XPoly and Fraction run the same lines.
     """
-    dim, order = a.dim, a.order
-    # state: {(hbar_exp, p_a, p_b): XPoly}
+    dim = len(omega)
+    pairs = [(i, j, omega[i][j]) for i in range(dim) for j in range(dim)
+             if omega[i][j]]
     state = {}
-    for (k1, p1), c1 in a.terms.items():
-        w1 = 2 * k1 + sum(p1)
-        for (k2, p2), c2 in b.terms.items():
-            if w1 + 2 * k2 + sum(p2) > order:
-                continue
-            key = (k1 + k2, p1, p2)
-            c = c1 * c2
-            prev = state.get(key)
-            c = c if prev is None else prev + c
-            if c.is_zero():
-                state.pop(key, None)
-            else:
-                state[key] = c
-    out_terms = {}
+    for (m1, p1, al1), c1 in terms1.items():
+        w1 = 2 * m1 + sum(p1)
+        for (m2, p2, al2), c2 in terms2.items():
+            if w1 + 2 * m2 + sum(p2) <= order:
+                _acc(state, (m1 + m2, p1, al1, p2, al2), c1 * c2)
+    seen = {}
     t = 0
     while state:
-        if not odd_only or t % 2:
-            for (k, pa, pb), c in state.items():
-                key = (k, vec_add(pa, pb))
-                prev = out_terms.get(key)
-                c2 = c if prev is None else prev + c
-                if c2.is_zero():
-                    out_terms.pop(key, None)
-                else:
-                    out_terms[key] = c2
+        if t % 2 or not odd_only:
+            yield t, state
         t += 1
         # the commutator's factor 2 rides on the first pairing step
         den = t if odd_only and t == 1 else 2 * t
-        new_state = {}
-        for (k, pa, pb), c in state.items():
-            for i in range(dim):
-                if not pa[i]:
-                    continue
-                for j in range(dim):
-                    if not pb[j]:
-                        continue
-                    om = omega[i][j]
-                    if om.is_zero():
-                        continue
-                    coeff = Fraction(pa[i] * pb[j], den)
-                    add = (om * c).scale(coeff)
-                    if x_cap is not None:
-                        add = add.truncate(x_cap)
-                    if add.is_zero():
-                        continue
-                    key = (k + 1,
-                           pa[:i] + (pa[i] - 1,) + pa[i + 1:],
-                           pb[:j] + (pb[j] - 1,) + pb[j + 1:])
-                    prev = new_state.get(key)
-                    add = add if prev is None else prev + add
-                    if add.is_zero():
-                        new_state.pop(key, None)
-                    else:
-                        new_state[key] = add
-        state = new_state
-    return WeylElement(dim, order, out_terms)
+        weights = {}  # (i, j, integer factor) -> omega^{ij} factor / den
+        nxt = {}
+        for (m, q1, b1, q2, b2), c in state.items():
+            room = order - 2 * m - sum(q1) - sum(q2)
+            left = _derive_targets(seen, q1, b1, room > 0, cap)
+            right = _derive_targets(seen, q2, b2, room > 0, cap)
+            for i, j, om in pairs:
+                for q1n, b1n, f1, l1 in left[i]:
+                    for q2n, b2n, f2, l2 in right[j]:
+                        if l1 + l2 > room:
+                            continue
+                        wkey = (i, j, f1 * f2)
+                        wt = weights.get(wkey)
+                        if wt is None:
+                            wt = weights[wkey] = om * Fraction(f1 * f2, den)
+                        add = wt * c
+                        if x_cap is not None:
+                            add = add.truncate(x_cap)
+                        _acc(nxt, (m + 1, q1n, b1n, q2n, b2n), add)
+        state = nxt
+
+
+def _pair_terms(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
+                x_cap=None):
+    """(first factor) o (second factor) on dx-free term dicts, the slots of
+    the first before those of the second."""
+    out = {}
+    for _, state in _pairing_levels(terms1, terms2, omega, order, cap,
+                                    odd_only, x_cap):
+        for (m, q1, b1, q2, b2), c in state.items():
+            _acc(out, (m, vec_add(q1, q2), b1 + b2), c)
+    return out
 
 
 def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
     """Product of Weyl sections or form-valued Weyl sections.
 
-    For forms, coefficients multiply fiberwise and dx blocks are wedged in
-    factor order: (u dx^S) o (v dx^T) = (u o v) dx^S dx^T.
+    exp((hbar/2) omega^{ij} d/dy^i d/dz^j) a(y) b(z) |_{z=y}, expanded as a
+    terminating series: each step consumes one y from each factor and adds
+    one hbar, so the filtration weight of a contribution is the sum of the
+    weights of its parents.  For forms, coefficients multiply fiberwise and
+    dx blocks are wedged in factor order: (u dx^S) o (v dx^T) =
+    (u o v) dx^S dx^T.
 
     With commutator set, the result is the graded commutator
     [a, b] = a o b - (-)^{q_a q_b} b o a instead, in one pairing pass per
     pair of dx blocks: since dx^T dx^S = (-)^{|S||T|} dx^S dx^T, the block
     pair (S, T) contributes (u o v - v o u) dx^S dx^T, the odd pairing orders
-    of u o v doubled (see _moyal_weyl).
+    of u o v doubled (see _pairing_levels).
     """
-    if isinstance(a, WeylElement) and isinstance(b, WeylElement):
-        if a.dim != b.dim or a.order != b.order:
-            raise ValueError("operands must share dim and order")
-        omega = omega_matrix(chart_or_theta, a.dim)
-        _check_antisymmetric(omega, a.dim)
-        if x_cap is None and isinstance(chart_or_theta, SymplecticChart):
-            x_cap = chart_or_theta.x_cap
-        return _moyal_weyl(a, b, omega, x_cap, commutator)
+    plain = isinstance(a, WeylElement) and isinstance(b, WeylElement)
     fa, fb = as_form(a), as_form(b)
     if fa.dim != fb.dim or fa.order != fb.order:
         raise ValueError("operands must share dim and order")
@@ -573,19 +573,24 @@ def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
     _check_antisymmetric(omega, fa.dim)
     if x_cap is None and isinstance(chart_or_theta, SymplecticChart):
         x_cap = chart_or_theta.x_cap
-    out = FormWeyl.zero(fa.dim, fa.order)
+    comps = {}
+    blocks2 = {T: {(k, p, ()): c for (k, p), c in v.terms.items()}
+               for T, v in fb.components.items()}
     for S, u in fa.components.items():
-        for T, v in fb.components.items():
+        tu = {(k, p, ()): c for (k, p), c in u.terms.items()}
+        for T, tv in blocks2.items():
             merged = merge_subsets(S, T)
             if merged is None:
                 continue
             sign, ST = merged
-            w = _moyal_weyl(u, v, omega, x_cap, commutator)
-            if sign < 0:
-                w = -w
-            if not w.is_zero():
-                out = out + FormWeyl.from_component(ST, w)
-    return out
+            comp = comps.setdefault(ST, {})
+            for (m, p, _), c in _pair_terms(tu, tv, omega, fa.order,
+                                            odd_only=commutator,
+                                            x_cap=x_cap).items():
+                _acc(comp, (m, p), c if sign > 0 else -c)
+    out = FormWeyl(fa.dim, fa.order, {S: WeylElement(fa.dim, fa.order, t)
+                                      for S, t in comps.items()})
+    return out.component(()) if plain else out
 
 
 def graded_commutator(a, b, chart_or_theta, x_cap=None) -> FormWeyl:

@@ -24,7 +24,9 @@ every evaluation at that order.
 The cochain operations (insertion, cup, bracket, Hochschild d, product
 cochain, evaluation, reconstruction from values) run on the kernel of
 `cochains` with Fraction coefficients: a WeylCochain is a fiberwise cochain
-with no dx part and constant coefficients.
+with no dx part and constant coefficients.  The monomial product, cup,
+product cochain and the Koszul homotopy run on the Moyal pairing kernel of
+`weyl`.
 """
 
 from __future__ import annotations
@@ -32,13 +34,12 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from .cochains import (SparseTerms, _bracket, _cup_terms, _eval_terms,
-                       _hochschild_terms, _insert_terms, _product_terms,
-                       _reconstruct, _subst_multidegree,
+from .cochains import (SparseTerms, _bracket, _eval_terms, _hochschild_terms,
+                       _insert_terms, _reconstruct, _subst_multidegree,
                        _subst_multidegrees, _subst_subset)
 from .poly import HbarScalar, as_fraction
-from .weyl import (_acc, _matrix_inverse, contract_index, prepend_index,
-                   unit_vec, vec_add, vec_sub)
+from .weyl import (_acc, _matrix_inverse, _pair_terms, _pairing_levels,
+                   contract_index, prepend_index, unit_vec, vec_add, vec_sub)
 
 ZERO = Fraction(0)
 
@@ -83,25 +84,9 @@ class WeylContext:
         hit = self._mono_cache.get(key)
         if hit is not None:
             return hit
-        out = {}
-        state = {(p, q): Fraction(1)}
-        t = 0
-        while state:
-            for (pa, pb), c in state.items():
-                _acc(out, (t, vec_add(pa, pb)), c)
-            t += 1
-            nxt = {}
-            for (pa, pb), c in state.items():
-                for i in range(self.dim):
-                    if not pa[i]:
-                        continue
-                    for j in range(self.dim):
-                        if not pb[j] or not self.theta[i][j]:
-                            continue
-                        coeff = c * self.theta[i][j] * Fraction(pa[i] * pb[j], 2 * t)
-                        _acc(nxt, (tuple(pa[:i] + (pa[i] - 1,) + pa[i + 1:]),
-                                   tuple(pb[:j] + (pb[j] - 1,) + pb[j + 1:])), coeff)
-            state = nxt
+        one = Fraction(1)
+        terms = _pair_terms({(0, p, ()): one}, {(0, q, ()): one}, self.theta, inf)
+        out = {(t, pq): c for (t, pq, _), c in terms.items()}
         self._mono_cache[key] = out
         return out
 
@@ -143,14 +128,6 @@ class WSeries(SparseTerms):
     def truncate(self, order):
         return WSeries(self.dim, self.terms, order)
 
-    def poly_mul(self, other):
-        """Commutative product of the underlying power series."""
-        terms = {}
-        for (k1, p1), c1 in self.terms.items():
-            for (k2, p2), c2 in other.terms.items():
-                _acc(terms, (k1 + k2, vec_add(p1, p2)), c1 * c2)
-        return self._with(terms)
-
     def weyl_mul(self, other, ctx: WeylContext, order=None):
         """Moyal-type product in W_theta."""
         terms = {}
@@ -171,10 +148,6 @@ class WSeries(SparseTerms):
 
     def __repr__(self):
         return f"WSeries({self.terms})"
-
-
-def w_commutator(a: WSeries, b: WSeries, ctx: WeylContext) -> WSeries:
-    return a.weyl_mul(b, ctx) - b.weyl_mul(a, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -379,30 +352,14 @@ def koszul_h(ctx: WeylContext, a) -> KoszulChain:
             csign, T2 = ins
             c0 = c * csign * p1[kc]
             p1a = vec_sub(p1, unit_vec(dim, kc + 1))
-            # D_{-t} D = exp((hbar (1-t)/2) theta^{ij} d/dy1^i d/dy2^j);
-            # s pairings carry (1-t)^s and hbar^s
-            states = {(p1a, p2): c0}
-            s = 0
-            while states:
-                for (pb1, pb2), cs in states.items():
-                    # (1-t)^s = sum_w C(s,w) (-t)^w
+            # D_{-t} D = exp((hbar (1-t)/2) theta^{ij} d/dy1^i d/dy2^j):
+            # the s-th pairing order carries (1-t)^s = sum_w C(s,w) (-t)^w
+            for s, state in _pairing_levels({(k, p1a, ()): c0}, {(0, p2, ()): 1},
+                                            ctx.theta, inf):
+                for (ks, pb1, _, pb2, _), cs in state.items():
                     for w in range(s + 1):
                         cw = cs * comb(s, w) * (-1 if w % 2 else 1)
-                        _collect_subst(out, dim, k + s, pb1, pb2, T2,
-                                       cw, w + tpow_T)
-                s += 1
-                nxt = {}
-                for (pb1, pb2), cs in states.items():
-                    for i in range(dim):
-                        if not pb1[i]:
-                            continue
-                        for j in range(dim):
-                            if not pb2[j] or not ctx.theta[i][j]:
-                                continue
-                            coeff = cs * ctx.theta[i][j] * Fraction(pb1[i] * pb2[j], 2 * s)
-                            _acc(nxt, (vec_sub(pb1, unit_vec(dim, i + 1)),
-                                       vec_sub(pb2, unit_vec(dim, j + 1))), coeff)
-                states = nxt
+                        _collect_subst(out, dim, ks, pb1, pb2, T2, cw, w + tpow_T)
     return KoszulChain(dim, a.m + 1, out)
 
 
@@ -549,9 +506,6 @@ class PsiElement(SparseTerms):
     def _empty(self):
         return PsiElement(self.dim)
 
-    def psi_degrees(self):
-        return sorted({len(T) for (_, _, T) in self.terms})
-
     def constant_part(self) -> HbarScalar:
         """Terms with y = psi = 0."""
         z = _zero(self.dim)
@@ -632,10 +586,6 @@ class WeylCochain(SparseTerms):
             clean[(k, tuple(p), tuple(tuple(al) for al in alphas))] = c
         self.terms = clean
 
-    @classmethod
-    def from_wseries(cls, w: WSeries) -> "WeylCochain":
-        return cls(w.dim, 0, {(k, p, ()): c for (k, p), c in w.terms.items()})
-
     def as_wseries(self) -> WSeries:
         if self.arity != 0:
             raise ValueError("not an arity-0 cochain")
@@ -670,12 +620,14 @@ class WeylCochain(SparseTerms):
 
 def product_cochain(ctx: WeylContext, t_max: int) -> WeylCochain:
     """The multiplication of W_theta as a 2-cochain, with pairing order up
-    to t_max: sum_t (hbar/2)^t/t! theta^{i1 j1}..theta^{it jt}
-    d^t (x) d^t."""
+    to t_max: id cup id, that is sum_t (hbar/2)^t/t!
+    theta^{i1 j1}..theta^{it jt} d^t (x) d^t."""
     hit = ctx._product_cochain.get(t_max)
     if hit is not None:
         return hit
-    out = WeylCochain(ctx.dim, 2, _product_terms(ctx.theta, Fraction(1), t_max))
+    zero = _zero(ctx.dim)
+    ident = {(0, zero, (zero,)): Fraction(1)}
+    out = WeylCochain(ctx.dim, 2, _pair_terms(ident, ident, ctx.theta, 2 * t_max))
     ctx._product_cochain[t_max] = out
     return out
 
@@ -694,7 +646,7 @@ def cochain_cup(ctx: WeylContext, P1: WeylCochain, P2: WeylCochain,
     beyond the order or slot cap are dropped (that is exact at the order)."""
     order = ctx.order if order is None else order
     cap = ctx.cap if cap is None else cap
-    out = _cup_terms(P1.terms, P2.terms, ctx.theta, order, cap)
+    out = _pair_terms(P1.terms, P2.terms, ctx.theta, order, cap)
     return WeylCochain(ctx.dim, P1.arity + P2.arity, out, order, cap)
 
 

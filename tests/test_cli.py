@@ -183,3 +183,72 @@ def test_verify_transfer_and_psi_suites(suite, curved_file, capsys):
 def test_verify_requires_data_for_transfer(capsys):
     assert main(["verify", "transfer"]) == 2
     assert "requires" in capsys.readouterr().err
+
+
+def _bad_data_files(tmp_path):
+    """Data files that must be refused: name -> path."""
+    good = fio.fedosov_data_to_json(builtin_curved_data(6))
+    one = [{"coeff": "1", "exps": [0, 0]}]
+    edits = {
+        "no-dim": lambda d: d.pop("dim"),
+        "no-omega-upper": lambda d: d.pop("omega_upper"),
+        "dim-3": lambda d: d.update(dim=3),
+        "dim-4": lambda d: d.update(dim=4),
+        "dim-text": lambda d: d.update(dim="two"),
+        "non-antisymmetric": lambda d: d["omega_upper"][1].__setitem__(0, one),
+        "short-exponents": lambda d: d["omega_upper"][0].__setitem__(
+            1, [{"coeff": "1", "exps": [0]}]),
+        "zero-denominator": lambda d: d["omega_upper"][0].__setitem__(
+            1, [{"coeff": "1/0", "exps": [0, 0]}]),
+        "christoffel-index": lambda d: d.update(christoffel=[
+            {"upper": 9, "lower": [1, 1], "poly": one}]),
+        "christoffel-index-0": lambda d: d.update(christoffel=[
+            {"upper": 0, "lower": [0, 1], "poly": one}]),
+        "omega-indices": lambda d: d.update(Omega=[
+            {"hbar_power": 1, "form": [{"indices": [1, 7], "poly": one}]}]),
+        "poly-null": lambda d: d["omega_upper"][0].__setitem__(1, None),
+    }
+    paths = {}
+    for name, edit in edits.items():
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    paths["top-level-list"] = tmp_path / "list.json"
+    paths["top-level-list"].write_text("[1, 2]")
+    paths["truncated"] = tmp_path / "truncated.json"
+    paths["truncated"].write_text('{"dim": 2,')
+    paths["not-utf8"] = tmp_path / "binary.json"
+    paths["not-utf8"].write_bytes(b"\xff\xfe garbage")
+    return paths
+
+
+def test_cli_fuzz_bad_invocations_exit_cleanly(tmp_path, curved_file):
+    import os
+    import subprocess
+    import sys
+
+    bad_gauge = tmp_path / "gauge.json"
+    bad_gauge.write_text(json.dumps({"terms": [
+        {"hbar_power": 1, "dx_multi_index": [1, 0],
+         "poly": [{"coeff": "1/0", "exps": [0, 0]}]}]}))
+    # refused: exit 2 with an error line; the rest may also be valid input
+    refused = [["star", str(p), "x1", "x2"] for p in _bad_data_files(tmp_path).values()]
+    refused += [["verify", "nosuch"], ["verify", "ALL"], ["star", str(tmp_path), "x1", "x2"],
+                ["gauge", curved_file, str(bad_gauge), "x1", "x2"],
+                ["gauge", curved_file, curved_file, "x1", "x2"]]
+    refused += [["--caps", caps, "--order", "2", "verify", "psi"] for caps in
+                ["y", "y:", "y:x", "z:3", ",,", "y:3:4", "y:-1", ":"]]
+    others = [["star", curved_file, text, "x2"] for text in
+              ["x1^", "1/", "x1**2", "hbar^x", "x0", "", "+", "x1^-", "hbar^-",
+               "(x1)", "x1^2^3", "y1", "1.5", "0/0", "x-1", "--x1"]]
+    others += [["--caps", "y:\u0663", "--order", "2", "verify", "psi"]]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for argv in refused + others:
+        proc = subprocess.run([sys.executable, "-m", "fedosov.cli"] + argv,
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode in ((2,) if argv in refused else (0, 1, 2)), argv
+        assert "Traceback" not in proc.stderr, argv
+        if proc.returncode == 2:
+            assert "error:" in proc.stderr.strip().splitlines()[-1], argv

@@ -1,0 +1,74 @@
+"""Property tests of identities the seeded suites sample: star
+associativity on the built-in curved chart, cup associativity, and the Hodge
+identity, at orders <= 4.  Examples are derandomized so every run draws the
+same inputs."""
+
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fedosov.cochains import FiberwiseCochain, cup
+from fedosov.poly import XPoly
+from fedosov.quantize import StarProduct
+from fedosov.verify import builtin_curved_data
+from fedosov.weyl import (FormWeyl, WeylElement, delta, delta_inv,
+                          sigma_project)
+
+DIM = 2
+ORDER = 4
+CURVED = builtin_curved_data(ORDER)
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+fractions = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))
+exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+xpolys = st.dictionaries(exps, fractions, min_size=1, max_size=2).map(
+    lambda terms: XPoly(DIM, terms))
+subsets = st.sampled_from([(), (1,), (2,), (1, 2)])
+
+
+def _x_polys(max_hbar):
+    """y-free Weyl elements: hbar-polynomials in x."""
+    keys = st.tuples(st.integers(0, max_hbar), st.just((0, 0)))
+    return st.dictionaries(keys, xpolys, max_size=2).map(
+        lambda terms: WeylElement(DIM, ORDER, terms))
+
+
+def _forms(order):
+    keys = st.tuples(st.integers(0, 1), exps)
+    weyls = st.dictionaries(keys, xpolys, min_size=1, max_size=3).map(
+        lambda terms: WeylElement(DIM, order, terms))
+    return st.dictionaries(subsets, weyls, max_size=3).map(
+        lambda comps: FormWeyl(DIM, order, comps))
+
+
+def _cochains(arity, work):
+    alphas = st.tuples(*[exps] * arity)
+    keys = st.tuples(subsets, st.integers(0, 1), exps, alphas)
+    return st.dictionaries(keys, xpolys, min_size=1, max_size=2).map(
+        lambda terms: FiberwiseCochain(DIM, work, arity, terms))
+
+
+@SETTINGS
+@given(_x_polys(1), _x_polys(1), _x_polys(0))
+def test_star_associativity_on_curved_chart(a, b, c):
+    sp = StarProduct(CURVED)
+    assert sp(sp(a, b), c) == sp(a, sp(b, c))
+
+
+@SETTINGS
+@given(_cochains(1, ORDER + 2), _cochains(0, ORDER + 2), _cochains(1, ORDER + 2))
+def test_cup_associativity(A, B, C):
+    chart = CURVED.chart
+    assert (cup(cup(A, B, chart), C, chart).truncate(ORDER)
+            == cup(A, cup(B, C, chart), chart).truncate(ORDER))
+
+
+@SETTINGS
+@given(_forms(ORDER))
+def test_hodge_identity(a):
+    # delta_inv raises the weight by one, so a is carried above its order
+    a = a.truncate(ORDER + 2)
+    got = FormWeyl.from_weyl(sigma_project(a)) + delta(delta_inv(a)) + delta_inv(delta(a))
+    assert got == a
