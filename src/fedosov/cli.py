@@ -3,6 +3,8 @@ suites, emit machine-readable reports.
 
 Exit codes: 0 success, 1 check failure, 2 input or validation error.
 Output is byte-identical across runs with the same (input, seed, order).
+The order is the data file's unless --order is given; verify without a
+data file runs at DEFAULT_ORDER.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from . import verify
 from .quantize import (FedosovData, GaugeOperator, StarProduct, apply_gauge,
                        curvature_residual, fedosov_class, solve_r, tau)
 from .weyl import ChartValidationError
+
+DEFAULT_ORDER = 6
 
 
 class CliError(Exception):
@@ -126,12 +130,13 @@ def cmd_verify(args):
     if args.dim < 2 or args.dim % 2:
         raise CliError(f"--dim must be even and >= 2, got {args.dim}")
     data = None
+    order = DEFAULT_ORDER if args.order is None else args.order
     if args.data is not None:
         data = _load_data(args.data, args.order)
+        order = data.order
     try:
         caps = verify.parse_caps(args.caps)
-        checks = verify.run_suite(args.suite, data, args.dim, args.order,
-                                  args.seed, caps)
+        checks = verify.run_suite(args.suite, data, args.dim, order, args.seed, caps)
     except KeyError as exc:
         raise CliError(str(exc)) from exc
     except ValueError as exc:
@@ -139,7 +144,7 @@ def cmd_verify(args):
     report = {
         "suite": args.suite,
         "checks": [c.as_dict() for c in checks],
-        "config": {"order": args.order, "seed": args.seed, "dim": args.dim,
+        "config": {"order": order, "seed": args.seed, "dim": args.dim,
                    "caps": args.caps, "data": args.data},
     }
     failed = [c for c in checks if not c.ok]
@@ -161,8 +166,10 @@ def build_parser():
         prog="fedosov",
         description="Exact Fedosov quantization and Weyl-algebra Hochschild "
                     "cohomology toolkit.")
-    parser.add_argument("--order", type=int, default=6,
-                        help="filtration truncation order (default 6)")
+    parser.add_argument("--order", type=int, default=None,
+                        help="filtration truncation order (default: the data "
+                             f"file's order; {DEFAULT_ORDER} for verify "
+                             "without --data)")
     parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for randomized checks (default 0)")
     parser.add_argument("--caps", default=None,
@@ -212,7 +219,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.order < 0:
+        if args.order is not None and args.order < 0:
             raise CliError(f"--order must be >= 0, got {args.order}")
         return args.fn(args)
     except (CliError, fio.SchemaError) as exc:

@@ -21,6 +21,12 @@ Cochain operations here group terms by dx subset, call the kernel per block
 or block pair, and wedge the dx blocks in front.  Cup and the product
 cochain (id cup id) run on the Moyal pairing kernel of `weyl`.
 
+A form is an arity-0 cochain, and the cochain terms above are the term
+dicts of `weyl`: delta, delta_inv, sigma, nabla, the dx-block wedge around
+the pairing kernel (cup) and linear substitution (transport) are the
+kernels that also run the form operators there, so moyal_product is
+exactly arity-0 cup, chart x_cap included.
+
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
   * the Gerstenhaber bracket uses the shifted-arity signs only; with these
@@ -52,16 +58,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .poly import XPoly, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, _acc, _pair_terms,
-                   as_form, contract_index, merge_subsets, omega_matrix,
-                   prepend_index, unit_vec, vec_add, vec_sub)
-
-
-def _add_terms(out, terms, sign=1, prefix=()):
-    """out += sign * terms, with prefix put in front of every key."""
-    for key, c in terms.items():
-        _acc(out, prefix + key, c if sign > 0 else -c)
+from .poly import XPoly, _acc, as_fraction
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _add_terms,
+                   _blocks, _delta_inv_terms, _delta_terms, _fiber_product,
+                   _form_op, _form_terms, _nabla_terms, _pair_terms, _pairwise,
+                   _sigma_terms, _subst_terms, _terms_form, _transpose, as_form,
+                   merge_subsets, omega_matrix, vec_add, vec_sub)
 
 
 def _falling(n, k):
@@ -138,11 +140,7 @@ class FiberwiseCochain(SparseTerms):
 
     @classmethod
     def from_form(cls, w: FormWeyl, cap=None) -> "FiberwiseCochain":
-        terms = {}
-        for S, elt in w.components.items():
-            for (m, p), c in elt.terms.items():
-                terms[(S, m, p, ())] = c
-        return cls(w.dim, w.order, 0, terms, cap)
+        return cls(w.dim, w.order, 0, _form_terms(w), cap)
 
     @classmethod
     def identity(cls, dim, order, cap=None) -> "FiberwiseCochain":
@@ -158,13 +156,7 @@ class FiberwiseCochain(SparseTerms):
     def to_form(self) -> FormWeyl:
         if self.arity != 0:
             raise ValueError("not an arity-0 cochain")
-        comps = {}
-        for (S, m, p, _), c in self.terms.items():
-            comp = comps.setdefault(S, {})
-            _acc(comp, (m, p), c)
-        return FormWeyl(self.dim, self.order,
-                        {S: WeylElement(self.dim, self.order, t)
-                         for S, t in comps.items()})
+        return _terms_form(self.dim, self.order, self.terms)
 
     # -- linear structure ---------------------------------------------------
 
@@ -395,26 +387,6 @@ def _multidegrees(dim, max_total):
 # the cochain algebra on dx blocks
 
 
-def _blocks(P: FiberwiseCochain):
-    """P's terms by dx subset: {S: {(m, p, alphas): coeff}}."""
-    out = {}
-    for (S, m, p, alphas), c in P.terms.items():
-        out.setdefault(S, {})[(m, p, alphas)] = c
-    return out
-
-
-def _pairwise(P1: FiberwiseCochain, P2: FiberwiseCochain, kernel):
-    """kernel on every pair of dx blocks, wedged dx^{S_1} dx^{S_2}."""
-    out = {}
-    blocks2 = _blocks(P2)
-    for S1, b1 in _blocks(P1).items():
-        for S2, b2 in blocks2.items():
-            merged = merge_subsets(S1, S2)
-            if merged is not None:
-                _add_terms(out, kernel(b1, b2), merged[0], (merged[1],))
-    return out
-
-
 def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
     """Evaluate on WeylElement or FormWeyl arguments; argument dx blocks are
     wedged after the cochain's own dx^S in slot order."""
@@ -422,7 +394,7 @@ def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
         raise ValueError("arity mismatch")
     args = [as_form(a).components for a in args]
     comps = {}
-    for S, block in _blocks(P).items():
+    for S, block in _blocks(P.terms).items():
         for Ts in product(*args):
             sign, S2 = 1, S
             for T in Ts:
@@ -434,11 +406,7 @@ def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
             else:
                 vals = _eval_terms(block, [a[T].terms for a, T in zip(args, Ts)])
                 _add_terms(comps, vals, sign, (S2,))
-    grouped = {}
-    for (S, m, p), c in comps.items():
-        grouped.setdefault(S, {})[(m, p)] = c
-    return FormWeyl(P.dim, P.order,
-                    {S: WeylElement(P.dim, P.order, t) for S, t in grouped.items()})
+    return _terms_form(P.dim, P.order, comps)
 
 
 def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCochain:
@@ -456,16 +424,17 @@ def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> Fiberwise
     """(P1 cup P2)(a_1..a_{k1+k2}) = P1(first) o P2(rest).  The fiberwise
     product pairs the y-parts and slots of both factors; dx blocks are
     wedged in factor order."""
-    dim, order, cap = P1.dim, P1.order, max(P1.cap, P2.cap)
-    omega = omega_matrix(chart_or_theta, dim)
-    out = _pairwise(P1, P2, lambda b1, b2: _pair_terms(b1, b2, omega, order, cap))
-    return FiberwiseCochain(dim, order, P1.arity + P2.arity, out, cap)
+    cap = max(P1.cap, P2.cap)
+    out = _fiber_product(P1.terms, P2.terms, omega_matrix(chart_or_theta, P1.dim),
+                         P1.order, cap, x_cap=getattr(chart_or_theta, "x_cap", None))
+    return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity, out, cap)
 
 
 def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCochain:
     """Insert P2 into slot i (0-based) of P1; the slot derivative distributes
     multinomially over P2's y-part and slots; dx^{S1} dx^{S2} ordering."""
-    out = _pairwise(P1, P2, lambda b1, b2: _insert_terms(b1, i, b2, P1.order))
+    out = _pairwise(P1.terms, P2.terms,
+                    lambda b1, b2: _insert_terms(b1, i, b2, P1.order))
     return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity - 1, out,
                             max(P1.cap, P2.cap))
 
@@ -485,9 +454,9 @@ def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
     # an hbar^m term with m < 0 meets pairings of mu up to weight order - 2m
     lowest = min((m for (_, m, _, _) in P.terms), default=0)
     mu = _blocks(product_cochain(chart_or_theta, P.dim,
-                                 P.order - 2 * min(0, lowest), t_max, P.cap))
+                                 P.order - 2 * min(0, lowest), t_max, P.cap).terms)
     out = {}
-    for S, block in _blocks(P).items():
+    for S, block in _blocks(P.terms).items():
         _add_terms(out, _hochschild_terms(block, P.arity, mu.get((), {}), P.order),
                    (-1) ** len(S), (S,))
     return FiberwiseCochain(P.dim, P.order, P.arity + 1, out, P.cap)
@@ -500,41 +469,17 @@ def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
 def delta_cochain(P: FiberwiseCochain) -> FiberwiseCochain:
     """Componentwise dx^j d/dy^j on the y-part; the canonical extension
     (delta P)(a..) = delta(P(a..)) - (-)^q sum_s P(.., delta a_s, ..)."""
-    out = {}
-    for (S, m, p, alphas), c in P.terms.items():
-        for j in range(1, P.dim + 1):
-            if not p[j - 1]:
-                continue
-            ins = prepend_index(j, S)
-            if ins is None:
-                continue
-            sign, S2 = ins
-            _acc(out, (S2, m, vec_sub(p, unit_vec(P.dim, j)), alphas),
-                 c.scale(sign * p[j - 1]))
-    return FiberwiseCochain(P.dim, P.order, P.arity, out, P.cap)
+    return FiberwiseCochain(P.dim, P.order, P.arity, _delta_terms(P.terms), P.cap)
 
 
 def delta_inv_cochain(P: FiberwiseCochain) -> FiberwiseCochain:
     """Componentwise contracting homotopy (slots are spectators)."""
-    out = {}
-    for (S, m, p, alphas), c in P.terms.items():
-        deg = sum(p) + len(S)
-        if not S:
-            continue
-        for idx in S:
-            sign, S2 = contract_index(idx, S)
-            _acc(out, (S2, m, vec_add(p, unit_vec(P.dim, idx)), alphas),
-                 c.scale(Fraction(sign, deg)))
-    return FiberwiseCochain(P.dim, P.order, P.arity, out, P.cap)
+    return FiberwiseCochain(P.dim, P.order, P.arity, _delta_inv_terms(P.terms), P.cap)
 
 
 def sigma_cochain(P: FiberwiseCochain) -> FiberwiseCochain:
     """Set y = dx = 0, keeping the slots."""
-    zero = (0,) * P.dim
-    out = FiberwiseCochain.zero(P.dim, P.order, P.arity, P.cap)
-    out.terms = {key: c for key, c in P.terms.items()
-                 if key[0] == () and key[2] == zero}
-    return out
+    return P._with(_sigma_terms(P.terms))
 
 
 def nabla_cochain(P: FiberwiseCochain, chart: SymplecticChart) -> FiberwiseCochain:
@@ -542,39 +487,8 @@ def nabla_cochain(P: FiberwiseCochain, chart: SymplecticChart) -> FiberwiseCocha
     (nabla P)(a..) = nabla(P(a..)) - (-)^q sum_s P(.., nabla a_s, ..);
     on data: dx^i (d/dx^i on coefficients), the Christoffel action on the
     y-part, and the rotation of slot indices."""
-    dim = P.dim
-    out = {}
-    for (S, m, p, alphas), c in P.terms.items():
-        for i in range(1, dim + 1):
-            ins = prepend_index(i, S)
-            if ins is None:
-                continue
-            sign, S2 = ins
-            dc = c.diff(i)
-            if chart.x_cap is not None:
-                dc = dc.truncate(chart.x_cap)
-            if not dc.is_zero():
-                _acc(out, (S2, m, p, alphas), dc.scale(sign))
-            for (j, ii, kk), g in chart.christoffel.items():
-                if ii != i:
-                    continue
-                gc = g * c
-                if chart.x_cap is not None:
-                    gc = gc.truncate(chart.x_cap)
-                if gc.is_zero():
-                    continue
-                if p[j - 1]:
-                    p2 = vec_add(vec_sub(p, unit_vec(dim, j)), unit_vec(dim, kk))
-                    _acc(out, (S2, m, p2, alphas),
-                         gc.scale(-sign * p[j - 1]))
-                for s, al in enumerate(alphas):
-                    if not al[kk - 1]:
-                        continue
-                    al2 = vec_add(vec_sub(al, unit_vec(dim, kk)), unit_vec(dim, j))
-                    new_alphas = alphas[:s] + (al2,) + alphas[s + 1:]
-                    _acc(out, (S2, m, p, new_alphas),
-                         gc.scale(sign * al[kk - 1]))
-    return FiberwiseCochain(dim, P.order, P.arity, out, P.cap)
+    return FiberwiseCochain(P.dim, P.order, P.arity, _nabla_terms(P.terms, chart),
+                            P.cap)
 
 
 def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
@@ -584,10 +498,9 @@ def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
     each block pair is a plain commutator of r with X's values: the odd
     pairing orders of r cup X, doubled, in one pass (see
     weyl._pairing_levels)."""
-    omega = omega_matrix(chart, X.dim)
     cap = max(rc.cap, X.cap)
-    terms = _pairwise(rc, X, lambda b1, b2: _pair_terms(b1, b2, omega, order, cap,
-                                                        odd_only=True))
+    terms = _fiber_product(rc.terms, X.terms, omega_matrix(chart, X.dim), order, cap,
+                           odd_only=True, x_cap=getattr(chart, "x_cap", None))
     return FiberwiseCochain(X.dim, order, X.arity, terms, cap)
 
 
@@ -778,36 +691,25 @@ def transport_xpoly(p: XPoly, ginv) -> XPoly:
     return p.substitute_linear(ginv)
 
 
+def _transport_terms(terms, ginv, gt=None):
+    """x, y and dx substitute by ginv, slot indices by gt."""
+    return _subst_terms({key: c.substitute_linear(ginv) for key, c in terms.items()},
+                        ginv, gt)
+
+
 def transport_weyl(w: WeylElement, ginv) -> WeylElement:
-    out = WeylElement.zero(w.dim, w.order)
-    for (m, p), c in w.terms.items():
-        cx = c.substitute_linear(ginv)
-        for mono, f in _subst_multidegree(p, ginv).items():
-            out = out + WeylElement(w.dim, w.order, {(m, mono): cx.scale(f)})
-    return out
+    return transport_form(w, ginv).component(())
 
 
 def transport_form(w: FormWeyl, ginv) -> FormWeyl:
-    out = FormWeyl.zero(w.dim, w.order)
-    for S, elt in w.components.items():
-        te = transport_weyl(elt, ginv)
-        for S2, f in _subst_subset(S, ginv).items():
-            out = out + FormWeyl.from_component(S2, te.scale(f))
-    return out
+    return _form_op(_transport_terms, w, ginv)
 
 
 def transport_cochain(P: FiberwiseCochain, g, ginv) -> FiberwiseCochain:
     """Push-forward: y and x substitute by g^{-1}, dx expands by g^{-1},
     slot indices transform contravariantly (by g transposed)."""
-    gt = [[as_fraction(g[j][i]) for j in range(P.dim)] for i in range(P.dim)]
-    out = {}
-    for (S, m, p, alphas), c in P.terms.items():
-        cx = c.substitute_linear(ginv)
-        for S2, f0 in _subst_subset(S, ginv).items():
-            for mono, f1 in _subst_multidegree(p, ginv).items():
-                for done, f2 in _subst_multidegrees(alphas, gt).items():
-                    _acc(out, (S2, m, mono, done), cx.scale(f0 * f1 * f2))
-    return FiberwiseCochain(P.dim, P.order, P.arity, out, P.cap)
+    return FiberwiseCochain(P.dim, P.order, P.arity,
+                            _transport_terms(P.terms, ginv, _transpose(g)), P.cap)
 
 
 def transport_chart(chart: SymplecticChart, g, ginv) -> SymplecticChart:
@@ -837,47 +739,3 @@ def transport_chart(chart: SymplecticChart, g, ginv) -> SymplecticChart:
                         continue
                     _acc(christoffel, (j, i, k), gx.scale(f))
     return SymplecticChart(n, lower, upper, christoffel, chart.x_cap)
-
-
-def _subst_multidegree(p, M):
-    """Expand prod_i (sum_j M[i][j] y_j)^{p_i}: {multidegree: Fraction}."""
-    dim = len(p)
-    acc = {(0,) * dim: Fraction(1)}
-    for i in range(dim):
-        for _ in range(p[i]):
-            nxt = {}
-            for mono, c in acc.items():
-                for j in range(dim):
-                    f = as_fraction(M[i][j])
-                    if f:
-                        _acc(nxt, vec_add(mono, unit_vec(dim, j + 1)), c * f)
-            acc = nxt
-    return acc
-
-
-def _subst_multidegrees(ps, M):
-    """_subst_multidegree on each entry of a tuple: {tuple: Fraction}."""
-    out = {(): Fraction(1)}
-    for p in ps:
-        out = {done + (mono,): c * f for done, c in out.items()
-               for mono, f in _subst_multidegree(p, M).items()}
-    return out
-
-
-def _subst_subset(S, M):
-    """Expand prod_{i in S} (sum_j M[i][j] e_j) in an exterior algebra, each
-    e_j multiplied from the right: {subset: Fraction} with ordering signs."""
-    dim = len(M)
-    acc = {(): Fraction(1)}
-    for i in S:
-        nxt = {}
-        for mono, c in acc.items():
-            for j in range(1, dim + 1):
-                f = as_fraction(M[i - 1][j - 1])
-                if not f or j in mono:
-                    continue
-                after = sum(1 for t in mono if t > j)
-                sign = -1 if after % 2 else 1
-                _acc(nxt, tuple(sorted(mono + (j,))), c * f * sign)
-        acc = nxt
-    return acc

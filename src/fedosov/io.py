@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .poly import XPoly, as_fraction
+from .poly import XPoly, _acc, as_fraction
 from .weyl import FormWeyl, SymplecticChart, WeylElement
 
 # ---------------------------------------------------------------------------
@@ -33,8 +33,7 @@ def xpoly_to_json(p: XPoly):
 def xpoly_from_json(data, nvars: int) -> XPoly:
     terms = {}
     for item in data:
-        e = tuple(int(v) for v in item["exps"])
-        terms[e] = terms.get(e, Fraction(0)) + Fraction(item["coeff"])
+        _acc(terms, tuple(int(v) for v in item["exps"]), Fraction(item["coeff"]))
     return XPoly(nvars, terms)
 
 

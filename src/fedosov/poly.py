@@ -13,6 +13,17 @@ from fractions import Fraction
 Exps = tuple  # length-(2n) tuple of non-negative int exponents
 
 
+def _acc(d, key, val):
+    """d[key] += val, dropping the key when the sum vanishes."""
+    prev = d.get(key)
+    if prev is not None:
+        val = prev + val
+    if val:
+        d[key] = val
+    else:
+        d.pop(key, None)
+
+
 def as_fraction(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
@@ -80,11 +91,7 @@ class XPoly:
     def __add__(self, other: "XPoly") -> "XPoly":
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
+            _acc(terms, e, c)
         out = XPoly(self.nvars)
         out.terms = terms
         return out
@@ -102,12 +109,7 @@ class XPoly:
             terms = {}
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    s = terms.get(e, Fraction(0)) + c1 * c2
-                    if s:
-                        terms[e] = s
-                    else:
-                        terms.pop(e, None)
+                    _acc(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
             out = XPoly(self.nvars)
             out.terms = terms
             return out
@@ -128,12 +130,7 @@ class XPoly:
         for e, c in self.terms.items():
             k = e[i - 1]
             if k:
-                e2 = e[: i - 1] + (k - 1,) + e[i:]
-                s = terms.get(e2, Fraction(0)) + c * k
-                if s:
-                    terms[e2] = s
-                else:
-                    terms.pop(e2, None)
+                _acc(terms, e[: i - 1] + (k - 1,) + e[i:], c * k)
         out = XPoly(self.nvars)
         out.terms = terms
         return out
@@ -222,11 +219,7 @@ class HbarScalar:
     def __add__(self, other: "HbarScalar") -> "HbarScalar":
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, Fraction(0)) + c
-            if s:
-                terms[k] = s
-            else:
-                terms.pop(k, None)
+            _acc(terms, k, c)
         return HbarScalar(terms)
 
     def __neg__(self) -> "HbarScalar":
@@ -240,12 +233,7 @@ class HbarScalar:
             terms = {}
             for k1, c1 in self.terms.items():
                 for k2, c2 in other.terms.items():
-                    k = k1 + k2
-                    s = terms.get(k, Fraction(0)) + c1 * c2
-                    if s:
-                        terms[k] = s
-                    else:
-                        terms.pop(k, None)
+                    _acc(terms, k1 + k2, c1 * c2)
             return HbarScalar(terms)
         return HbarScalar({k: c * as_fraction(other) for k, c in self.terms.items()})
 

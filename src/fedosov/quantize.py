@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import XPoly, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, _acc,
-                   commutator_over_hbar, curvature_R, delta_inv,
-                   moyal_product, nabla, product_over_hbar, sigma_project,
-                   weyl_curvature_class)
+from .poly import XPoly, _acc, as_fraction
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _terms_form,
+                   commutator_over_hbar, curvature_R, delta_inv, moyal_product,
+                   nabla, product_over_hbar, sigma_project, weyl_curvature_class)
 
 WORK_HEADROOM = 2
 
@@ -64,14 +63,9 @@ class FedosovData:
     def omega_form(self, order: int) -> FormWeyl:
         """Omega as a central form-valued section."""
         n = self.chart.dim
-        comps = {}
-        for k, form in self.omega_series.items():
-            for (i, j), p in form.items():
-                if p.is_zero():
-                    continue
-                w = comps.setdefault((i, j), WeylElement.zero(n, order))
-                comps[(i, j)] = w + WeylElement(n, order, {(k, (0,) * n): p})
-        return FormWeyl(n, order, comps)
+        return _terms_form(n, order, {((i, j), k, (0,) * n, ()): p
+                                      for k, form in self.omega_series.items()
+                                      for (i, j), p in form.items()})
 
 
 def solve_r(data: FedosovData, validate: bool = True) -> FormWeyl:

@@ -26,7 +26,7 @@ from .cochains import (FiberwiseCochain, cochain_eval, cup,
                        horizontal_lift_cochain, product_cochain,
                        to_local_operator, transfer_exactness,
                        transport_cochain, transport_weyl)
-from .poly import XPoly
+from .poly import XPoly, _acc
 from .quantize import FedosovData, StarProduct, curvature_residual, solve_r, tau
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, curvature_R,
                    delta, delta_inv, fedosov_D, graded_commutator, nabla,
@@ -153,9 +153,8 @@ def rand_wcochain(rng, ctx, arity, ydeg=3, acap=2, nterms=5, hmin=0, hmax=1):
                        for _ in range(arity))
         if any(sum(al) > acap for al in alphas):
             continue
-        key = (k, p, alphas)
-        terms[key] = terms.get(key, Fraction(0)) + rand_fraction(rng)
-    return hh.WeylCochain(ctx.dim, arity, {k: v for k, v in terms.items() if v})
+        _acc(terms, (k, p, alphas), rand_fraction(rng))
+    return hh.WeylCochain(ctx.dim, arity, terms)
 
 
 def rand_bar(rng, ctx, m, maxdeg=2, nterms=4):
@@ -166,8 +165,8 @@ def rand_bar(rng, ctx, m, maxdeg=2, nterms=4):
                    for _ in range(m + 2))
         if 2 * k + sum(sum(p) for p in ps) > ctx.order:
             continue
-        terms[(k, ps)] = terms.get((k, ps), Fraction(0)) + rand_fraction(rng)
-    return hh.BarChain(ctx.dim, m, {k: v for k, v in terms.items() if v})
+        _acc(terms, (k, ps), rand_fraction(rng))
+    return hh.BarChain(ctx.dim, m, terms)
 
 
 def rand_koszul(rng, ctx, m, maxdeg=2, nterms=4):
@@ -182,8 +181,8 @@ def rand_koszul(rng, ctx, m, maxdeg=2, nterms=4):
         if 2 * k + sum(p1) + sum(p2) > ctx.order:
             continue
         T = rng.choice(subsets)
-        terms[(k, p1, p2, T)] = terms.get((k, p1, p2, T), Fraction(0)) + rand_fraction(rng)
-    return hh.KoszulChain(ctx.dim, m, {k: v for k, v in terms.items() if v})
+        _acc(terms, (k, p1, p2, T), rand_fraction(rng))
+    return hh.KoszulChain(ctx.dim, m, terms)
 
 
 def rand_psi(rng, ctx, maxdeg=3, nterms=8):
@@ -198,8 +197,8 @@ def rand_psi(rng, ctx, maxdeg=3, nterms=8):
         if sum(p) > maxdeg:
             continue
         T = rng.choice(subsets)
-        terms[(k, p, T)] = terms.get((k, p, T), Fraction(0)) + rand_fraction(rng)
-    return hh.PsiElement(ctx.dim, {k: v for k, v in terms.items() if v})
+        _acc(terms, (k, p, T), rand_fraction(rng))
+    return hh.PsiElement(ctx.dim, terms)
 
 
 def rand_gl(rng, dim):

@@ -7,6 +7,14 @@ carry strictly increasing dx-index subsets; a form component's coefficient is
 always written to the left of its dx block, and dx indices coming from an
 operator (delta, nabla, a 1-form r) are wedged in from the left.
 
+A form is an arity-0 cochain.  The operators are private kernels on flat
+term dicts {(S, m, p, alphas): coeff} (dx subset, hbar power, y-multidegree,
+slot multidegrees; a form has alphas = ()), each written once: delta,
+delta_inv, sigma, nabla, the dx-block wedge around the pairing kernel, and
+linear substitution.  The form operators here and the cochain operators of
+`cochains` are thin calls into them, through one pair of converters
+(_form_terms, _terms_form); `weylhh` transports by the same substitution.
+
 One pairing kernel (_pairing_levels, summed by _pair_terms) runs the
 fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
 dicts {(m, p, alphas): coeff} for every caller: moyal_product and the
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import XPoly, as_fraction
+from .poly import XPoly, _acc, as_fraction
 
 # ---------------------------------------------------------------------------
 # small index helpers
@@ -36,17 +44,6 @@ def vec_add(p, q):
 
 def vec_sub(p, q):
     return tuple(a - b for a, b in zip(p, q))
-
-
-def _acc(d, key, val):
-    """d[key] += val, dropping the key when the sum vanishes."""
-    prev = d.get(key)
-    if prev is not None:
-        val = prev + val
-    if val:
-        d[key] = val
-    else:
-        d.pop(key, None)
 
 
 def unit_vec(dim: int, i: int):
@@ -138,12 +135,7 @@ class WeylElement:
     def __add__(self, other: "WeylElement") -> "WeylElement":
         terms = dict(self.terms)
         for key, c in other.terms.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            _acc(terms, key, c)
         out = WeylElement(self.dim, self.order)
         out.terms = terms
         return out
@@ -312,6 +304,27 @@ class FormWeyl:
 
 def as_form(a) -> FormWeyl:
     return a if isinstance(a, FormWeyl) else FormWeyl.from_weyl(a)
+
+
+def _form_terms(f: FormWeyl):
+    """f as the arity-0 term dict {(S, m, p, ()): coeff}."""
+    return {(S, m, p, ()): c for S, w in f.components.items()
+            for (m, p), c in w.terms.items()}
+
+
+def _terms_form(dim, order, terms) -> FormWeyl:
+    """The form of an arity-0 term dict, keys (S, m, p, ...)."""
+    comps = {}
+    for key, c in terms.items():
+        comps.setdefault(key[0], {})[key[1:3]] = c
+    return FormWeyl(dim, order, {S: WeylElement(dim, order, t)
+                                 for S, t in comps.items()})
+
+
+def _form_op(kernel, a, *args) -> FormWeyl:
+    """A term-dict kernel applied to a section or form."""
+    f = as_form(a)
+    return _terms_form(f.dim, f.order, kernel(_form_terms(f), *args))
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +562,41 @@ def _pair_terms(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
     return out
 
 
+def _blocks(terms):
+    """A term dict by dx subset: {S: {(m, p, alphas): coeff}}."""
+    out = {}
+    for (S, m, p, alphas), c in terms.items():
+        out.setdefault(S, {})[(m, p, alphas)] = c
+    return out
+
+
+def _add_terms(out, terms, sign=1, prefix=()):
+    """out += sign * terms, with prefix put in front of every key."""
+    for key, c in terms.items():
+        _acc(out, prefix + key, c if sign > 0 else -c)
+
+
+def _pairwise(terms1, terms2, kernel):
+    """kernel on every pair of dx blocks of two term dicts, wedged
+    dx^{S_1} dx^{S_2}."""
+    out = {}
+    blocks2 = _blocks(terms2)
+    for S1, b1 in _blocks(terms1).items():
+        for S2, b2 in blocks2.items():
+            merged = merge_subsets(S1, S2)
+            if merged is not None:
+                _add_terms(out, kernel(b1, b2), merged[0], (merged[1],))
+    return out
+
+
+def _fiber_product(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
+                   x_cap=None):
+    """The fiberwise product of two term dicts: coefficients and slots pair
+    by _pair_terms, dx blocks are wedged in factor order."""
+    return _pairwise(terms1, terms2, lambda b1, b2: _pair_terms(
+        b1, b2, omega, order, cap, odd_only, x_cap))
+
+
 def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
     """Product of Weyl sections or form-valued Weyl sections.
 
@@ -573,23 +621,9 @@ def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
     _check_antisymmetric(omega, fa.dim)
     if x_cap is None and isinstance(chart_or_theta, SymplecticChart):
         x_cap = chart_or_theta.x_cap
-    comps = {}
-    blocks2 = {T: {(k, p, ()): c for (k, p), c in v.terms.items()}
-               for T, v in fb.components.items()}
-    for S, u in fa.components.items():
-        tu = {(k, p, ()): c for (k, p), c in u.terms.items()}
-        for T, tv in blocks2.items():
-            merged = merge_subsets(S, T)
-            if merged is None:
-                continue
-            sign, ST = merged
-            comp = comps.setdefault(ST, {})
-            for (m, p, _), c in _pair_terms(tu, tv, omega, fa.order,
-                                            odd_only=commutator,
-                                            x_cap=x_cap).items():
-                _acc(comp, (m, p), c if sign > 0 else -c)
-    out = FormWeyl(fa.dim, fa.order, {S: WeylElement(fa.dim, fa.order, t)
-                                      for S, t in comps.items()})
+    out = _terms_form(fa.dim, fa.order, _fiber_product(
+        _form_terms(fa), _form_terms(fb), omega, fa.order, odd_only=commutator,
+        x_cap=x_cap))
     return out.component(()) if plain else out
 
 
@@ -628,88 +662,93 @@ def filtration_degree(a):
     return a.filtration_degree()
 
 
-def delta(a) -> FormWeyl:
-    """dx^i d/dy^i, raising exterior degree by one."""
-    f = as_form(a)
-    out = FormWeyl.zero(f.dim, f.order)
-    comps = {}
-    for S, w in f.components.items():
-        for i in range(1, f.dim + 1):
+def _delta_terms(terms):
+    """dx^j d/dy^j on the y-part; the slots are spectators."""
+    out = {}
+    for (S, m, p, alphas), c in terms.items():
+        for j, n in enumerate(p, 1):
+            ins = prepend_index(j, S) if n else None
+            if ins is not None:
+                _acc(out, (ins[1], m, p[:j - 1] + (n - 1,) + p[j:], alphas),
+                     c.scale(ins[0] * n))
+    return out
+
+
+def _delta_inv_terms(terms):
+    """y^k i(d/dx^k) with the exact per-monomial t-integral; the slots are
+    spectators."""
+    out = {}
+    for (S, m, p, alphas), c in terms.items():
+        deg = sum(p) + len(S)
+        for k in S:
+            sign, S2 = contract_index(k, S)
+            _acc(out, (S2, m, p[:k - 1] + (p[k - 1] + 1,) + p[k:], alphas),
+                 c.scale(Fraction(sign, deg)))
+    return out
+
+
+def _sigma_terms(terms):
+    """Set y = dx = 0, keeping the slots."""
+    return {key: c for key, c in terms.items() if not key[0] and not any(key[2])}
+
+
+def _nabla_terms(terms, chart):
+    """dx^i d/dx^i on the coefficients, and dx^i Gamma^j_{ik} acting on the
+    y-part (-y^k d/dy^j) and on each slot (d^alpha rotated from k to j),
+    every piece cut at chart.x_cap.  g * c is formed only when y^j or a
+    slot index k is there to hit."""
+    dim, x_cap = chart.dim, chart.x_cap
+    gammas = {}
+    for (j, i, k), g in chart.christoffel.items():
+        gammas.setdefault(i, []).append((j, k, g))
+    out = {}
+    for (S, m, p, alphas), c in terms.items():
+        for i in range(1, dim + 1):
             ins = prepend_index(i, S)
             if ins is None:
                 continue
             sign, S2 = ins
-            dw = w.diff_y(i)
-            if dw.is_zero():
-                continue
-            if sign < 0:
-                dw = -dw
-            prev = comps.get(S2)
-            dw = dw if prev is None else prev + dw
-            comps[S2] = dw
-    out = FormWeyl(f.dim, f.order, comps)
+            dc = c.diff(i).truncate(x_cap)
+            if dc:
+                _acc(out, (S2, m, p, alphas), dc.scale(sign))
+            for j, k, g in gammas.get(i, ()):
+                if not p[j - 1] and not any(al[k - 1] for al in alphas):
+                    continue
+                gc = (g * c).truncate(x_cap)
+                if not gc:
+                    continue
+                if p[j - 1]:
+                    p2 = vec_add(vec_sub(p, unit_vec(dim, j)), unit_vec(dim, k))
+                    _acc(out, (S2, m, p2, alphas), gc.scale(-sign * p[j - 1]))
+                for s, al in enumerate(alphas):
+                    if al[k - 1]:
+                        al2 = vec_add(vec_sub(al, unit_vec(dim, k)), unit_vec(dim, j))
+                        _acc(out, (S2, m, p, alphas[:s] + (al2,) + alphas[s + 1:]),
+                             gc.scale(sign * al[k - 1]))
     return out
+
+
+def delta(a) -> FormWeyl:
+    """dx^i d/dy^i, raising exterior degree by one."""
+    return _form_op(_delta_terms, a)
 
 
 def delta_inv(a) -> FormWeyl:
     """y^k i(d/dx^k) with the exact per-monomial t-integral: a term of
     y-degree p and exterior degree q picks up the factor 1/(p+q); terms with
     p+q = 0 go to zero."""
-    f = as_form(a)
-    comps = {}
-    for S, w in f.components.items():
-        if not S:
-            continue
-        for (k, p), c in w.terms.items():
-            m = sum(p) + len(S)
-            for idx in S:
-                con = contract_index(idx, S)
-                sign, S2 = con
-                p2 = vec_add(p, unit_vec(f.dim, idx))
-                _acc(comps.setdefault(S2, {}), (k, p2), c.scale(Fraction(sign, m)))
-    return FormWeyl(f.dim, f.order,
-                    {S: WeylElement(f.dim, f.order, terms)
-                     for S, terms in comps.items()})
+    return _form_op(_delta_inv_terms, a)
 
 
 def sigma_project(a) -> WeylElement:
     """Evaluate at y = 0, dx = 0; the result is an hbar-Laurent polynomial
     in x (a y-free WeylElement)."""
-    f = as_form(a)
-    return f.component(()).at_y_zero()
+    return _form_op(_sigma_terms, a).component(())
 
 
 def nabla(a, chart: SymplecticChart) -> FormWeyl:
     """dx^i d/dx^i - dx^i Gamma^j_{ik} y^k d/dy^j."""
-    f = as_form(a)
-    comps = {}
-    for S, w in f.components.items():
-        for i in range(1, f.dim + 1):
-            ins = prepend_index(i, S)
-            if ins is None:
-                continue
-            sign, S2 = ins
-            for (k, p), c in w.terms.items():
-                dc = c.diff(i)
-                if chart.x_cap is not None:
-                    dc = dc.truncate(chart.x_cap)
-                if not dc.is_zero():
-                    _acc(comps.setdefault(S2, {}), (k, p), dc.scale(sign))
-            for (j, ii, kk), g in chart.christoffel.items():
-                if ii != i:
-                    continue
-                for (k, p), c in w.terms.items():
-                    if not p[j - 1]:
-                        continue
-                    p2 = vec_add(vec_sub(p, unit_vec(f.dim, j)), unit_vec(f.dim, kk))
-                    add = (g * c).scale(Fraction(-sign * p[j - 1]))
-                    if chart.x_cap is not None:
-                        add = add.truncate(chart.x_cap)
-                    if not add.is_zero():
-                        _acc(comps.setdefault(S2, {}), (k, p2), add)
-    return FormWeyl(f.dim, f.order,
-                    {S: WeylElement(f.dim, f.order, terms)
-                     for S, terms in comps.items()})
+    return _form_op(_nabla_terms, a, chart)
 
 
 def riemann_tensor(chart: SymplecticChart):
@@ -740,7 +779,7 @@ def curvature_R(chart: SymplecticChart, order: int) -> FormWeyl:
     of the connection; satisfies nabla^2 a = (1/hbar)[R, a]."""
     n = chart.dim
     riem = riemann_tensor(chart)
-    comps = {}
+    terms = {}
     for (i, j, m, l), r in riem.items():
         for k in range(1, n + 1):
             om = chart.omega_lower[k - 1][m - 1]
@@ -751,9 +790,8 @@ def curvature_R(chart: SymplecticChart, order: int) -> FormWeyl:
             if c.is_zero():
                 continue
             p = vec_add(unit_vec(n, k), unit_vec(n, l))
-            _acc(comps.setdefault((i, j), {}), (0, p), c)
-    return FormWeyl(n, order,
-                    {S: WeylElement(n, order, terms) for S, terms in comps.items()})
+            _acc(terms, ((i, j), 0, p, ()), c)
+    return _terms_form(n, order, terms)
 
 
 def fedosov_D(a, chart: SymplecticChart, r: FormWeyl) -> FormWeyl:
@@ -786,3 +824,68 @@ def is_central(a) -> bool:
     """A form-valued section is central iff it has no y-dependence."""
     f = as_form(a)
     return all(w.is_y_free() for w in f.components.values())
+
+
+# ---------------------------------------------------------------------------
+# linear substitution
+
+
+def _transpose(m):
+    return [[m[j][i] for j in range(len(m))] for i in range(len(m))]
+
+
+def _subst_multidegree(p, M):
+    """Expand prod_i (sum_j M[i][j] y_j)^{p_i}: {multidegree: Fraction}."""
+    dim = len(p)
+    acc = {(0,) * dim: Fraction(1)}
+    for i in range(dim):
+        for _ in range(p[i]):
+            nxt = {}
+            for mono, c in acc.items():
+                for j in range(dim):
+                    f = as_fraction(M[i][j])
+                    if f:
+                        _acc(nxt, vec_add(mono, unit_vec(dim, j + 1)), c * f)
+            acc = nxt
+    return acc
+
+
+def _subst_multidegrees(ps, M):
+    """_subst_multidegree on each entry of a tuple: {tuple: Fraction}."""
+    out = {(): Fraction(1)}
+    for p in ps:
+        out = {done + (mono,): c * f for done, c in out.items()
+               for mono, f in _subst_multidegree(p, M).items()}
+    return out
+
+
+def _subst_subset(S, M):
+    """Expand prod_{i in S} (sum_j M[i][j] e_j) in an exterior algebra, each
+    e_j multiplied from the right: {subset: Fraction} with ordering signs."""
+    dim = len(M)
+    acc = {(): Fraction(1)}
+    for i in S:
+        nxt = {}
+        for mono, c in acc.items():
+            for j in range(1, dim + 1):
+                f = as_fraction(M[i - 1][j - 1])
+                if not f or j in mono:
+                    continue
+                after = sum(1 for t in mono if t > j)
+                sign = -1 if after % 2 else 1
+                _acc(nxt, tuple(sorted(mono + (j,))), c * f * sign)
+        acc = nxt
+    return acc
+
+
+def _subst_terms(terms, ginv, gt=None):
+    """Linear substitution of a term dict: y and dx by ginv, slot indices
+    contravariantly by gt (read only when there are slots); coefficients
+    are multiplied, not substituted."""
+    out = {}
+    for (S, m, p, alphas), c in terms.items():
+        for S2, f0 in _subst_subset(S, ginv).items():
+            for mono, f1 in _subst_multidegree(p, ginv).items():
+                for done, f2 in _subst_multidegrees(alphas, gt).items():
+                    _acc(out, (S2, m, mono, done), c * (f0 * f1 * f2))
+    return out

@@ -26,7 +26,9 @@ cochain, evaluation, reconstruction from values) run on the kernel of
 `cochains` with Fraction coefficients: a WeylCochain is a fiberwise cochain
 with no dx part and constant coefficients.  The monomial product, cup,
 product cochain and the Koszul homotopy run on the Moyal pairing kernel of
-`weyl`.
+`weyl`.  A WSeries is an arity-0 WeylCochain, and GL transport of both is
+the linear substitution of `weyl` that also transports forms and fiberwise
+cochains.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from fractions import Fraction
 from math import comb, inf
 
 from .cochains import (SparseTerms, _bracket, _eval_terms, _hochschild_terms,
-                       _insert_terms, _reconstruct, _subst_multidegree,
-                       _subst_multidegrees, _subst_subset)
-from .poly import HbarScalar, as_fraction
-from .weyl import (_acc, _matrix_inverse, _pair_terms, _pairing_levels,
+                       _insert_terms, _reconstruct)
+from .poly import HbarScalar, _acc, as_fraction
+from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegree,
+                   _subst_multidegrees, _subst_subset, _subst_terms, _transpose,
                    contract_index, prepend_index, unit_vec, vec_add, vec_sub)
 
 ZERO = Fraction(0)
@@ -816,11 +818,8 @@ def gl_transport(ctx: WeylContext, g, obj):
     transform compatibly with the Hom identifications; functorial in g."""
     ginv = _matrix_inverse(g)
     if isinstance(obj, WSeries):
-        out = {}
-        for (k, p), c in obj.terms.items():
-            for mono, cf in _subst_multidegree(p, ginv).items():
-                _acc(out, (k, mono), c * cf)
-        return WSeries(obj.dim, out)
+        out = _subst_terms({((), k, p, ()): c for (k, p), c in obj.terms.items()}, ginv)
+        return WSeries(obj.dim, {(k, p): c for (_, k, p, _), c in out.items()})
     if isinstance(obj, BarChain):
         out = {}
         for (k, ps), c in obj.terms.items():
@@ -837,28 +836,17 @@ def gl_transport(ctx: WeylContext, g, obj):
     if isinstance(obj, PsiElement):
         # psi_i are dual to C^i: (g_* f)(C'^T) = g_*(f(g^{-1}_* C'^T)),
         # with g^{-1}_* C' = substitution by g.
-        gmat = [[as_fraction(v) for v in row] for row in g]
         out = {}
         for (k, p, T), c in obj.terms.items():
             for mono, cf in _subst_multidegree(p, ginv).items():
-                for T2, cf2 in _subst_subset(T, _transpose(gmat)).items():
+                for T2, cf2 in _subst_subset(T, _transpose(g)).items():
                     _acc(out, (k, mono, T2), c * cf * cf2)
         return PsiElement(obj.dim, out)
     if isinstance(obj, WeylCochain):
-        ctx2 = gl_transport_context(ctx, g)
-
-        def fn(betas):
-            args = [gl_transport(ctx2, ginv, WSeries.monomial(ctx.dim, b))
-                    for b in betas]
-            val = obj.eval(args)
-            return gl_transport(ctx, g, val).truncate(ctx.order)
-
-        rec_cap = max((max((sum(al) for al in alphas), default=0)
-                       for (_, _, alphas) in obj.terms), default=0)
-        return cochain_from_values(ctx2, fn, obj.arity, rec_cap, ctx.order)
+        # slots transform contravariantly; |p| and |alpha| are kept, so the
+        # normalization drops exactly what the order drops from the values
+        out = _subst_terms({((),) + key: c for key, c in obj.terms.items()}, ginv,
+                           _transpose(g))
+        return WeylCochain(obj.dim, obj.arity, {key[1:]: c for key, c in out.items()},
+                           ctx.order)
     raise TypeError(f"cannot transport {type(obj).__name__}")
-
-
-def _transpose(m):
-    n = len(m)
-    return [[m[j][i] for j in range(n)] for i in range(n)]

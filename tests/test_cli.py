@@ -97,6 +97,19 @@ def test_gauge_command(flat_file, tmp_path, capsys):
     assert gauged == "x1^2 + hbar^2"
 
 
+def test_data_file_order_is_used_unless_order_given(tmp_path, capsys):
+    path = tmp_path / "order2.json"
+    path.write_text(json.dumps(fio.fedosov_data_to_json(builtin_curved_data(2))))
+    outs = []
+    for flags in ([], ["--order", "2"], ["--order", "6"]):
+        assert main(flags + ["star", str(path), "x1^2", "x2^2"]) == 0
+        outs.append(capsys.readouterr().out.strip())
+    assert outs[0] == outs[1] == "x1^2 x2^2 + 2 hbar x1 x2"
+    assert outs[2] == "x1^2 x2^2 + 2 hbar x1 x2 + 1/2 hbar^2"
+    assert main(["--json", "verify", "dsquare", "--data", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["order"] == 2
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

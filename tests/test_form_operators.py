@@ -1,0 +1,284 @@
+"""Forms are the arity-0 cochains.  delta, delta_inv, nabla, the dx-block
+product and linear transport of form-valued sections are checked against
+their loops written out on their own, and against the cochain operators on
+the arity-0 cochain of the form; the substitution transport of Weyl cochains
+is checked against their reconstruction from transported values."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from fedosov import weylhh
+from fedosov.cochains import (FiberwiseCochain, _r_cup_commutator, cup,
+                              delta_cochain, delta_inv_cochain, nabla_cochain,
+                              sigma_cochain, transport_cochain, transport_form,
+                              transport_weyl)
+from fedosov.poly import XPoly
+from fedosov.verify import builtin_curved_data, rand_gl, rand_wcochain, rand_weyl
+from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
+                          _pair_terms, as_form, contract_index, delta, delta_inv,
+                          graded_commutator, merge_subsets, moyal_product, nabla,
+                          prepend_index, sigma_project, unit_vec, vec_add, vec_sub)
+
+DIM, N = 2, 6
+CURVED = builtin_curved_data(N).chart
+X1, X2 = XPoly.variable(DIM, 1), XPoly.variable(DIM, 2)
+# a formula check needs no symplectic chart: Christoffel symbols on every
+# index pattern, symmetric in the lower pair
+DENSE_GAMMA = {(2, 1, 1): X2, (1, 1, 2): X1 + XPoly.const(DIM, 1),
+               (1, 2, 1): X1 + XPoly.const(DIM, 1), (2, 2, 2): X1 * X2,
+               (1, 2, 2): XPoly.const(DIM, Fraction(-1, 3))}
+
+
+def _chart(x_cap, christoffel=None):
+    return SymplecticChart(DIM, CURVED.omega_lower, CURVED.omega_upper,
+                           CURVED.christoffel if christoffel is None else christoffel,
+                           x_cap)
+
+
+CHARTS = [_chart(None), _chart(1), _chart(2), _chart(None, DENSE_GAMMA),
+          _chart(1, DENSE_GAMMA)]
+CHART_IDS = ["curved", "curved-cap1", "curved-cap2", "dense", "dense-cap1"]
+G = [[Fraction(2), Fraction(1, 3)], [Fraction(-1), Fraction(1, 2)]]
+GINV = _matrix_inverse(G)
+
+
+def _forms(seed, count=8, order=N):
+    """Seeded forms with coefficients up to x-degree 3, beyond every cap."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        comps = {}
+        for S in rng.sample([(), (1,), (2,), (1, 2)], 2):
+            w = rand_weyl(rng, DIM, order, nterms=4, xdeg=3)
+            if not w.is_zero():
+                comps[S] = w
+        out.append(FormWeyl(DIM, order, comps))
+    return out
+
+
+def _component(S, terms, f):
+    return FormWeyl.from_component(S, WeylElement(f.dim, f.order, terms))
+
+
+# -- the loops of the form operators, written out --------------------------------
+
+def _ref_delta(f):
+    """dx^i d/dy^i, component by component."""
+    out = FormWeyl.zero(f.dim, f.order)
+    for S, w in f.components.items():
+        for i in range(1, f.dim + 1):
+            ins = prepend_index(i, S)
+            if ins is None:
+                continue
+            terms = {(k, vec_sub(p, unit_vec(f.dim, i))): c.scale(ins[0] * p[i - 1])
+                     for (k, p), c in w.terms.items() if p[i - 1]}
+            out = out + _component(ins[1], terms, f)
+    return out
+
+
+def _ref_delta_inv(f):
+    """y^k i(d/dx^k), each term divided by its y-degree plus form degree."""
+    out = FormWeyl.zero(f.dim, f.order)
+    for S, w in f.components.items():
+        for (k, p), c in w.terms.items():
+            for idx in S:
+                sign, S2 = contract_index(idx, S)
+                p2 = vec_add(p, unit_vec(f.dim, idx))
+                out = out + _component(
+                    S2, {(k, p2): c.scale(Fraction(sign, sum(p) + len(S)))}, f)
+    return out
+
+
+def _ref_nabla(f, chart):
+    """dx^i d/dx^i - dx^i Gamma^j_{ik} y^k d/dy^j, each piece cut at x_cap."""
+    out = FormWeyl.zero(f.dim, f.order)
+    for S, w in f.components.items():
+        for i in range(1, f.dim + 1):
+            ins = prepend_index(i, S)
+            if ins is None:
+                continue
+            sign, S2 = ins
+            for (k, p), c in w.terms.items():
+                out = out + _component(
+                    S2, {(k, p): c.diff(i).truncate(chart.x_cap).scale(sign)}, f)
+                for (j, ii, kk), g in chart.christoffel.items():
+                    if ii != i or not p[j - 1]:
+                        continue
+                    p2 = vec_add(vec_sub(p, unit_vec(f.dim, j)), unit_vec(f.dim, kk))
+                    add = (g * c).scale(-sign * p[j - 1]).truncate(chart.x_cap)
+                    out = out + _component(S2, {(k, p2): add}, f)
+    return out
+
+
+def _ref_blocks(a, b, chart, commutator):
+    """(u dx^S) o (v dx^T) = (u o v) dx^S dx^T, block pair by block pair,
+    u o v by the pairing kernel under the chart's x_cap."""
+    out = FormWeyl.zero(a.dim, a.order)
+    for S, u in a.components.items():
+        tu = {(k, p, ()): c for (k, p), c in u.terms.items()}
+        for T, v in b.components.items():
+            merged = merge_subsets(S, T)
+            if merged is None:
+                continue
+            tv = {(k, p, ()): c for (k, p), c in v.terms.items()}
+            uv = _pair_terms(tu, tv, chart.omega_upper, a.order,
+                             odd_only=commutator, x_cap=chart.x_cap)
+            w = WeylElement(a.dim, a.order, {(m, p): c for (m, p, _), c in uv.items()})
+            out = out + FormWeyl.from_component(merged[1], w.scale(merged[0]))
+    return out
+
+
+def _ref_subst(p, M):
+    """prod_i (sum_j M[i][j] y_j)^{p_i} as {multidegree: Fraction}."""
+    acc = {(0,) * len(p): Fraction(1)}
+    for i, n in enumerate(p):
+        for _ in range(n):
+            nxt = {}
+            for mono, c in acc.items():
+                for j, f in enumerate(M[i]):
+                    if f:
+                        key = vec_add(mono, unit_vec(len(p), j + 1))
+                        nxt[key] = nxt.get(key, 0) + c * f
+            acc = nxt
+    return acc
+
+
+def _ref_subst_subset(S, M):
+    """prod_{i in S} (sum_j M[i][j] dx^j), each dx^j wedged from the right."""
+    acc = {(): Fraction(1)}
+    for i in S:
+        nxt = {}
+        for mono, c in acc.items():
+            for j in range(1, len(M) + 1):
+                f = M[i - 1][j - 1]
+                if f and j not in mono:
+                    sign = -1 if sum(1 for t in mono if t > j) % 2 else 1
+                    key = tuple(sorted(mono + (j,)))
+                    nxt[key] = nxt.get(key, 0) + c * f * sign
+        acc = nxt
+    return acc
+
+
+def _ref_transport_weyl(w, ginv):
+    out = WeylElement.zero(w.dim, w.order)
+    for (m, p), c in w.terms.items():
+        cx = c.substitute_linear(ginv)
+        for mono, f in _ref_subst(p, ginv).items():
+            out = out + WeylElement(w.dim, w.order, {(m, mono): cx.scale(f)})
+    return out
+
+
+def _ref_transport_form(f, ginv):
+    out = FormWeyl.zero(f.dim, f.order)
+    for S, w in f.components.items():
+        tw = _ref_transport_weyl(w, ginv)
+        for S2, c in _ref_subst_subset(S, ginv).items():
+            out = out + FormWeyl.from_component(S2, tw.scale(c))
+    return out
+
+
+def _ref_wseries_transport(w, M):
+    out = {}
+    for (k, p), c in w.terms.items():
+        for mono, f in _ref_subst(p, M).items():
+            out[(k, mono)] = out.get((k, mono), 0) + c * f
+    return weylhh.WSeries(w.dim, out)
+
+
+def _ref_gl_transport(ctx, g, a):
+    """g_* a rebuilt from its values: (g_* a)(b..) = g_*(a(g^{-1}_* b..)),
+    with g^{-1}_* the substitution by g."""
+    ginv = _matrix_inverse(g)
+
+    def fn(betas):
+        args = [_ref_wseries_transport(weylhh.WSeries.monomial(ctx.dim, b), g)
+                for b in betas]
+        return _ref_wseries_transport(a.eval(args), ginv).truncate(ctx.order)
+
+    rec_cap = max((max((sum(al) for al in alphas), default=0)
+                   for (_, _, alphas) in a.terms), default=0)
+    return weylhh.cochain_from_values(weylhh.gl_transport_context(ctx, g), fn,
+                                      a.arity, rec_cap, ctx.order)
+
+
+# -- the operators against the written-out loops ---------------------------------
+
+def test_delta_and_delta_inv_match_reference_loops():
+    for f in _forms(1):
+        assert delta(f) == _ref_delta(f)
+        assert delta_inv(f) == _ref_delta_inv(f)
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=CHART_IDS)
+def test_nabla_matches_reference_loop(chart):
+    for f in _forms(2):
+        assert nabla(f, chart) == _ref_nabla(f, chart)
+        w = f.component(())
+        assert nabla(w, chart) == _ref_nabla(as_form(w), chart)
+
+
+@pytest.mark.parametrize("chart", CHARTS[:3], ids=CHART_IDS[:3])
+@pytest.mark.parametrize("commutator", [False, True])
+def test_moyal_blocks_match_reference_loop(chart, commutator):
+    forms = _forms(3)
+    for a, b in zip(forms[::2], forms[1::2]):
+        assert moyal_product(a, b, chart, commutator=commutator) == \
+            _ref_blocks(a, b, chart, commutator)
+
+
+def test_transport_matches_reference_loops():
+    for f in _forms(4):
+        assert transport_form(f, GINV) == _ref_transport_form(f, GINV)
+        w = f.component(())
+        assert transport_weyl(w, GINV) == _ref_transport_weyl(w, GINV)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_gl_transport_matches_reference(dim):
+    ctx = weylhh.WeylContext.standard(dim, 5 if dim == 4 else N)
+    rng = random.Random(5 + dim)
+    for arity in range(3 if dim == 2 else 2):
+        for _ in range(4 if dim == 2 else 2):
+            g = rand_gl(rng, dim)
+            a = rand_wcochain(rng, ctx, arity, ydeg=3, acap=2)
+            assert weylhh.gl_transport(ctx, g, a) == _ref_gl_transport(ctx, g, a)
+            if arity == 0:
+                w = a.as_wseries()
+                assert weylhh.gl_transport(ctx, g, w) == \
+                    _ref_wseries_transport(w, _matrix_inverse(g))
+
+
+# -- forms as arity-0 cochains -----------------------------------------------------
+
+def _cochain(f):
+    return FiberwiseCochain.from_form(f)
+
+
+def test_form_operators_agree_with_cochain_operators():
+    for f in _forms(6):
+        P = _cochain(f)
+        assert P.to_form() == f
+        assert _cochain(delta(f)) == delta_cochain(P)
+        assert _cochain(delta_inv(f)) == delta_inv_cochain(P)
+        assert _cochain(as_form(sigma_project(f))) == sigma_cochain(P)
+        assert _cochain(transport_form(f, GINV)) == transport_cochain(P, G, GINV)
+
+
+@pytest.mark.parametrize("chart", CHARTS, ids=CHART_IDS)
+def test_nabla_agrees_with_cochain_nabla(chart):
+    for f in _forms(7):
+        assert _cochain(nabla(f, chart)) == nabla_cochain(_cochain(f), chart)
+
+
+@pytest.mark.parametrize("chart", CHARTS[:3], ids=CHART_IDS[:3])
+def test_moyal_product_is_arity_zero_cup(chart):
+    """On a chart with x_cap the product and the commutator with a 1-form
+    cut the pairing contributions the same way on forms and on cochains."""
+    forms = _forms(3)
+    for a, b in zip(forms[::2], forms[1::2]):
+        assert _cochain(moyal_product(a, b, chart)) == cup(_cochain(a), _cochain(b), chart)
+        r = a.homogeneous(1)
+        assert _cochain(graded_commutator(r, b, chart)) == \
+            _r_cup_commutator(_cochain(r), _cochain(b), chart, N)
