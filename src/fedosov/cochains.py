@@ -25,7 +25,7 @@ A form is an arity-0 cochain, and the cochain terms above are the term
 dicts of `weyl`: delta, delta_inv, sigma, nabla, the dx-block wedge around
 the pairing kernel (cup) and linear substitution (transport) are the
 kernels that also run the form operators there, so moyal_product is
-exactly arity-0 cup, chart x_cap included.
+exactly arity-0 cup.
 
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
@@ -426,7 +426,7 @@ def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> Fiberwise
     wedged in factor order."""
     cap = max(P1.cap, P2.cap)
     out = _fiber_product(P1.terms, P2.terms, omega_matrix(chart_or_theta, P1.dim),
-                         P1.order, cap, x_cap=getattr(chart_or_theta, "x_cap", None))
+                         P1.order, cap)
     return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity, out, cap)
 
 
@@ -500,7 +500,7 @@ def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
     weyl._pairing_levels)."""
     cap = max(rc.cap, X.cap)
     terms = _fiber_product(rc.terms, X.terms, omega_matrix(chart, X.dim), order, cap,
-                           odd_only=True, x_cap=getattr(chart, "x_cap", None))
+                           odd_only=True)
     return FiberwiseCochain(X.dim, order, X.arity, terms, cap)
 
 
@@ -687,10 +687,6 @@ def to_local_operator(P: FiberwiseCochain, star_product,
 # linear coordinate transport (push-forward along x -> g x)
 
 
-def transport_xpoly(p: XPoly, ginv) -> XPoly:
-    return p.substitute_linear(ginv)
-
-
 def _transport_terms(terms, ginv, gt=None):
     """x, y and dx substitute by ginv, slot indices by gt."""
     return _subst_terms({key: c.substitute_linear(ginv) for key, c in terms.items()},
@@ -710,32 +706,3 @@ def transport_cochain(P: FiberwiseCochain, g, ginv) -> FiberwiseCochain:
     slot indices transform contravariantly (by g transposed)."""
     return FiberwiseCochain(P.dim, P.order, P.arity,
                             _transport_terms(P.terms, ginv, _transpose(g)), P.cap)
-
-
-def transport_chart(chart: SymplecticChart, g, ginv) -> SymplecticChart:
-    n = chart.dim
-    gq = [[as_fraction(v) for v in row] for row in g]
-    gi = [[as_fraction(v) for v in row] for row in ginv]
-    upper = [[XPoly.zero(n) for _ in range(n)] for _ in range(n)]
-    lower = [[XPoly.zero(n) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if gq[i][k] and gq[j][l]:
-                        upper[i][j] = upper[i][j] + transport_xpoly(
-                            chart.omega_upper[k][l], ginv).scale(gq[i][k] * gq[j][l])
-                    if gi[k][i] and gi[l][j]:
-                        lower[i][j] = lower[i][j] + transport_xpoly(
-                            chart.omega_lower[k][l], ginv).scale(gi[k][i] * gi[l][j])
-    christoffel = {}
-    for (mj, mi, mk), gam in chart.christoffel.items():
-        gx = transport_xpoly(gam, ginv)
-        for j in range(1, n + 1):
-            for i in range(1, n + 1):
-                for k in range(1, n + 1):
-                    f = gq[j - 1][mj - 1] * gi[mi - 1][i - 1] * gi[mk - 1][k - 1]
-                    if not f:
-                        continue
-                    _acc(christoffel, (j, i, k), gx.scale(f))
-    return SymplecticChart(n, lower, upper, christoffel, chart.x_cap)

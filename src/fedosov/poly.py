@@ -76,12 +76,6 @@ class XPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
-
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -136,8 +130,6 @@ class XPoly:
         return out
 
     def truncate(self, max_deg) -> "XPoly":
-        if max_deg is None:
-            return self
         out = XPoly(self.nvars)
         out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_deg}
         return out

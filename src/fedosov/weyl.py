@@ -341,14 +341,13 @@ class SymplecticChart:
     (i, k); all indices 1-based.
     """
 
-    __slots__ = ("dim", "omega_lower", "omega_upper", "christoffel", "x_cap")
+    __slots__ = ("dim", "omega_lower", "omega_upper", "christoffel")
 
-    def __init__(self, dim, omega_lower, omega_upper, christoffel=None, x_cap=None):
+    def __init__(self, dim, omega_lower, omega_upper, christoffel=None):
         self.dim = dim
         self.omega_lower = omega_lower
         self.omega_upper = omega_upper
         self.christoffel = dict(christoffel or {})
-        self.x_cap = x_cap
 
     @classmethod
     def standard_flat(cls, dim: int) -> "SymplecticChart":
@@ -364,18 +363,6 @@ class SymplecticChart:
             lower[i][j] = XPoly.const(n, -1)
             lower[j][i] = XPoly.const(n, 1)
         return cls(n, lower, upper, {})
-
-    @classmethod
-    def from_constant(cls, theta, christoffel=None, x_cap=None) -> "SymplecticChart":
-        """Chart with a constant antisymmetric matrix theta (Fractions) as
-        omega^{ij}; omega_{ij} is its exact inverse."""
-        n = len(theta)
-        upper = [[XPoly.const(n, theta[i][j]) if theta[i][j] else XPoly.zero(n)
-                  for j in range(n)] for i in range(n)]
-        low = _matrix_inverse(theta)
-        lower = [[XPoly.const(n, low[i][j]) if low[i][j] else XPoly.zero(n)
-                  for j in range(n)] for i in range(n)]
-        return cls(n, lower, upper, christoffel or {}, x_cap)
 
     def gamma(self, j: int, i: int, k: int) -> XPoly:
         return self.christoffel.get((j, i, k), XPoly.zero(self.dim))
@@ -493,8 +480,7 @@ def _derive_targets(seen, p, alphas, slots_ok, cap):
     return hit
 
 
-def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
-                    x_cap=None):
+def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
     """The Moyal pairing exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) of two
     dx-free term dicts {(m, p, alphas): coeff}, one pairing order t at a
     time: yields (t, {(m, p1, alphas1, p2, alphas2): coeff}), the state
@@ -507,8 +493,7 @@ def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
     t = 0 terms with slots beyond the cap).  With odd_only, only the odd
     orders are yielded, doubled: with an arity-0 factor that is the
     commutator, as omega is antisymmetric and the order-t part of the
-    swapped product is (-1)^t times this one.  x_cap truncates the pairing
-    contributions, not the t = 0 products.  Coefficients are touched only
+    swapped product is (-1)^t times this one.  Coefficients are touched only
     through *, + and truth value, so XPoly and Fraction run the same lines.
     """
     dim = len(omega)
@@ -543,20 +528,15 @@ def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
                         wt = weights.get(wkey)
                         if wt is None:
                             wt = weights[wkey] = om * Fraction(f1 * f2, den)
-                        add = wt * c
-                        if x_cap is not None:
-                            add = add.truncate(x_cap)
-                        _acc(nxt, (m + 1, q1n, b1n, q2n, b2n), add)
+                        _acc(nxt, (m + 1, q1n, b1n, q2n, b2n), wt * c)
         state = nxt
 
 
-def _pair_terms(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
-                x_cap=None):
+def _pair_terms(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
     """(first factor) o (second factor) on dx-free term dicts, the slots of
     the first before those of the second."""
     out = {}
-    for _, state in _pairing_levels(terms1, terms2, omega, order, cap,
-                                    odd_only, x_cap):
+    for _, state in _pairing_levels(terms1, terms2, omega, order, cap, odd_only):
         for (m, q1, b1, q2, b2), c in state.items():
             _acc(out, (m, vec_add(q1, q2), b1 + b2), c)
     return out
@@ -589,15 +569,14 @@ def _pairwise(terms1, terms2, kernel):
     return out
 
 
-def _fiber_product(terms1, terms2, omega, order, cap=math.inf, odd_only=False,
-                   x_cap=None):
+def _fiber_product(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
     """The fiberwise product of two term dicts: coefficients and slots pair
     by _pair_terms, dx blocks are wedged in factor order."""
     return _pairwise(terms1, terms2, lambda b1, b2: _pair_terms(
-        b1, b2, omega, order, cap, odd_only, x_cap))
+        b1, b2, omega, order, cap, odd_only))
 
 
-def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
+def moyal_product(a, b, chart_or_theta, *, commutator=False):
     """Product of Weyl sections or form-valued Weyl sections.
 
     exp((hbar/2) omega^{ij} d/dy^i d/dz^j) a(y) b(z) |_{z=y}, expanded as a
@@ -619,38 +598,32 @@ def moyal_product(a, b, chart_or_theta, x_cap=None, *, commutator=False):
         raise ValueError("operands must share dim and order")
     omega = omega_matrix(chart_or_theta, fa.dim)
     _check_antisymmetric(omega, fa.dim)
-    if x_cap is None and isinstance(chart_or_theta, SymplecticChart):
-        x_cap = chart_or_theta.x_cap
     out = _terms_form(fa.dim, fa.order, _fiber_product(
-        _form_terms(fa), _form_terms(fb), omega, fa.order, odd_only=commutator,
-        x_cap=x_cap))
+        _form_terms(fa), _form_terms(fb), omega, fa.order, odd_only=commutator))
     return out.component(()) if plain else out
 
 
-def graded_commutator(a, b, chart_or_theta, x_cap=None) -> FormWeyl:
+def graded_commutator(a, b, chart_or_theta) -> FormWeyl:
     """[a, b] = a o b - (-)^{q_a q_b} b o a, componentwise in exterior degree,
     computed from the odd pairing orders of a o b alone (see moyal_product)."""
-    return moyal_product(as_form(a), as_form(b), chart_or_theta, x_cap,
-                         commutator=True)
+    return moyal_product(as_form(a), as_form(b), chart_or_theta, commutator=True)
 
 
-def commutator_over_hbar(a, b, chart_or_theta, x_cap=None) -> FormWeyl:
+def commutator_over_hbar(a, b, chart_or_theta) -> FormWeyl:
     """(1/hbar)[a, b], exact at the operands' order: the product is taken
     with two filtration levels of headroom so that the hbar division does
     not lose boundary terms."""
     fa, fb = as_form(a), as_form(b)
     work = fa.order + 2
-    out = graded_commutator(fa.truncate(work), fb.truncate(work),
-                            chart_or_theta, x_cap)
+    out = graded_commutator(fa.truncate(work), fb.truncate(work), chart_or_theta)
     return out.hbar_shift(-1).truncate(fa.order)
 
 
-def product_over_hbar(a, b, chart_or_theta, x_cap=None) -> FormWeyl:
+def product_over_hbar(a, b, chart_or_theta) -> FormWeyl:
     """(1/hbar)(a o b), exact at the operands' order."""
     fa, fb = as_form(a), as_form(b)
     work = fa.order + 2
-    out = moyal_product(fa.truncate(work), fb.truncate(work),
-                        chart_or_theta, x_cap)
+    out = moyal_product(fa.truncate(work), fb.truncate(work), chart_or_theta)
     return out.hbar_shift(-1).truncate(fa.order)
 
 
@@ -694,10 +667,9 @@ def _sigma_terms(terms):
 
 def _nabla_terms(terms, chart):
     """dx^i d/dx^i on the coefficients, and dx^i Gamma^j_{ik} acting on the
-    y-part (-y^k d/dy^j) and on each slot (d^alpha rotated from k to j),
-    every piece cut at chart.x_cap.  g * c is formed only when y^j or a
-    slot index k is there to hit."""
-    dim, x_cap = chart.dim, chart.x_cap
+    y-part (-y^k d/dy^j) and on each slot (d^alpha rotated from k to j).
+    g * c is formed only when y^j or a slot index k is there to hit."""
+    dim = chart.dim
     gammas = {}
     for (j, i, k), g in chart.christoffel.items():
         gammas.setdefault(i, []).append((j, k, g))
@@ -708,13 +680,13 @@ def _nabla_terms(terms, chart):
             if ins is None:
                 continue
             sign, S2 = ins
-            dc = c.diff(i).truncate(x_cap)
+            dc = c.diff(i)
             if dc:
                 _acc(out, (S2, m, p, alphas), dc.scale(sign))
             for j, k, g in gammas.get(i, ()):
                 if not p[j - 1] and not any(al[k - 1] for al in alphas):
                     continue
-                gc = (g * c).truncate(x_cap)
+                gc = g * c
                 if not gc:
                     continue
                 if p[j - 1]:

@@ -1,5 +1,5 @@
 """The Moyal pairing kernel against recursions written out on their own: the
-plain Weyl product loop (with its x_cap and commutator variants), the
+plain Weyl product loop (with its commutator variant), the
 monomial product of the constant-theta Weyl algebra, and the closed form of
 the product cochain."""
 
@@ -24,10 +24,9 @@ THETA4 = [[0, 1, 2, -1], [-1, 0, Fraction(1, 2), 3],
           [-2, Fraction(-1, 2), 0, 1], [1, -3, -1, 0]]
 
 
-def _ref_moyal_weyl(a, b, omega, x_cap, odd_only):
+def _ref_moyal_weyl(a, b, omega, odd_only):
     """exp((hbar/2) omega^{ij} d/dy^i d/dz^j) a(y) b(z) |_{z=y} pairing step
-    by pairing step; with odd_only the odd orders only, doubled.  x_cap cuts
-    the pairing contributions, not the hbar^0 product."""
+    by pairing step; with odd_only the odd orders only, doubled."""
     dim, order = a.dim, a.order
     state = {}
     for (k1, p1), c1 in a.terms.items():
@@ -51,8 +50,6 @@ def _ref_moyal_weyl(a, b, omega, x_cap, odd_only):
                     if not pa[i] or not pb[j] or omega[i][j].is_zero():
                         continue
                     add = (omega[i][j] * c).scale(Fraction(pa[i] * pb[j], den))
-                    if x_cap is not None:
-                        add = add.truncate(x_cap)
                     key = (k + 1, pa[:i] + (pa[i] - 1,) + pa[i + 1:],
                            pb[:j] + (pb[j] - 1,) + pb[j + 1:])
                     nxt[key] = nxt.get(key, XPoly.zero(dim)) + add
@@ -60,7 +57,7 @@ def _ref_moyal_weyl(a, b, omega, x_cap, odd_only):
     return WeylElement(dim, order, out)
 
 
-def _ref_moyal(a, b, omega, x_cap, commutator):
+def _ref_moyal(a, b, omega, commutator):
     """Blockwise: (u dx^S) o (v dx^T) = (u o v) dx^S dx^T."""
     out = FormWeyl.zero(a.dim, a.order)
     for S, u in a.components.items():
@@ -68,13 +65,13 @@ def _ref_moyal(a, b, omega, x_cap, commutator):
             merged = merge_subsets(S, T)
             if merged is None:
                 continue
-            w = _ref_moyal_weyl(u, v, omega, x_cap, commutator)
+            w = _ref_moyal_weyl(u, v, omega, commutator)
             out = out + FormWeyl.from_component(merged[1], w.scale(merged[0]))
     return out
 
 
 def _form(rng, order):
-    """A form whose coefficients reach x-degree 3, beyond every cap tested."""
+    """A form whose coefficients reach x-degree 3."""
     comps = {}
     for S in rng.sample([(), (1,), (2,), (1, 2)], 2):
         w = rand_weyl(rng, DIM, order, nterms=3, xdeg=3)
@@ -84,24 +81,23 @@ def _form(rng, order):
 
 
 @pytest.mark.parametrize("chart", [CURVED, X_OMEGA], ids=["curved", "x-omega"])
-@pytest.mark.parametrize("x_cap", [None, 1, 2])
 @pytest.mark.parametrize("commutator", [False, True])
-def test_moyal_product_matches_reference_loop(chart, x_cap, commutator):
+def test_moyal_product_matches_reference_loop(chart, commutator):
     omega = CURVED.omega_upper if chart is CURVED else X_OMEGA
     rng = random.Random(17)
-    capped = 0
+    x_dependent = 0
     for _ in range(8):
         a, b = _form(rng, 6), _form(rng, 6)
-        want = _ref_moyal(a, b, omega, x_cap, commutator)
-        assert moyal_product(a, b, chart, x_cap, commutator=commutator) == want
+        want = _ref_moyal(a, b, omega, commutator)
+        assert moyal_product(a, b, chart, commutator=commutator) == want
         u, v = a.component(()), b.component(())
-        assert (moyal_product(u, v, chart, x_cap, commutator=commutator)
-                == _ref_moyal_weyl(u, v, omega, x_cap, commutator))
-        capped += any(c.degree() > (x_cap or 0) for w in want.components.values()
-                      for c in w.terms.values())
-    # the hbar^0 products (kept by the product, not the commutator) exceed
-    # the cap, so a cap on them would show
-    assert capped or commutator
+        assert (moyal_product(u, v, chart, commutator=commutator)
+                == _ref_moyal_weyl(u, v, omega, commutator))
+        x_dependent += any(c.degree() > 0 for w in want.components.values()
+                           for c in w.terms.values())
+    # the hbar^0 products (kept by the product, not the commutator) carry
+    # x-dependent coefficients
+    assert x_dependent or commutator
 
 
 def _ref_mono_product(theta, p, q):

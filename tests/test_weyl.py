@@ -269,12 +269,12 @@ def test_graded_commutator_sign():
     assert got == want
 
 
-def _two_product_commutator(a, b, chart, x_cap=None):
+def _two_product_commutator(a, b, chart):
     """a o b - (-)^{q_a q_b} b o a, written out with two products."""
-    out = moyal_product(a, b, chart, x_cap)
+    out = moyal_product(a, b, chart)
     for qa in a.exterior_degrees():
         for qb in b.exterior_degrees():
-            term = moyal_product(b.homogeneous(qb), a.homogeneous(qa), chart, x_cap)
+            term = moyal_product(b.homogeneous(qb), a.homogeneous(qa), chart)
             out = out - term if (qa * qb) % 2 == 0 else out + term
     return out
 
@@ -284,19 +284,17 @@ X_OMEGA = [[XPoly.zero(DIM), XPoly.const(DIM, 1) + XPoly.variable(DIM, 1)],
 
 
 @pytest.mark.parametrize("chart", [CURVED, X_OMEGA], ids=["curved", "x-omega"])
-@pytest.mark.parametrize("x_cap", [None, 1, 2])
-def test_graded_commutator_is_two_products(chart, x_cap):
+def test_graded_commutator_is_two_products(chart):
     # the one-pass commutator keeps the odd pairing orders of a o b only
     rng = random.Random(41)
     for _ in range(8):
         a, b = rand_form(rng, DIM, 6), rand_form(rng, DIM, 6)
-        assert (graded_commutator(a, b, chart, x_cap)
-                == _two_product_commutator(a, b, chart, x_cap))
+        assert graded_commutator(a, b, chart) == _two_product_commutator(a, b, chart)
         odd = a.homogeneous(1)
         if not odd.is_zero():
-            aa = graded_commutator(odd, odd, chart, x_cap)
-            assert aa == _two_product_commutator(odd, odd, chart, x_cap)
-            assert aa == moyal_product(odd, odd, chart, x_cap).scale(2)
+            aa = graded_commutator(odd, odd, chart)
+            assert aa == _two_product_commutator(odd, odd, chart)
+            assert aa == moyal_product(odd, odd, chart).scale(2)
 
 
 # -- chart validation -------------------------------------------------------
@@ -349,17 +347,3 @@ def test_fedosov_D_graded_derivation():
         rhs = (moyal_product(fedosov_D(a, CURVED, r), b, CURVED)
                + (t if q % 2 == 0 else -t)).truncate(6)
         assert lhs == rhs
-
-
-def test_x_degree_cap():
-    capped = SymplecticChart(DIM, CURVED.omega_lower, CURVED.omega_upper,
-                             CURVED.christoffel, x_cap=1)
-    a = FormWeyl.from_weyl(
-        WeylElement(DIM, 6, {(0, (1, 0)): XPoly.monomial(DIM, (0, 1), 1)}))
-    full = nabla(a, CURVED)
-    cap = nabla(a, capped)
-    # the cap drops x-degree > 1 coefficients, keeps the rest
-    for S, w in cap.components.items():
-        for key, c in w.terms.items():
-            assert c.degree() <= 1
-            assert full.component(S).terms[key].truncate(1) == c
