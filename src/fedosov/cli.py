@@ -173,7 +173,9 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=0,
                         help="PRNG seed for randomized checks (default 0)")
     parser.add_argument("--caps", default=None,
-                        help="slot caps, e.g. y:6 (default: order)")
+                        help="generation caps of the random inputs of the "
+                             "cochain and chi suites: y-degree y (default 3) "
+                             "and slot degree a (default 2), e.g. y:3,a:2")
     parser.add_argument("--json", action="store_true",
                         help="emit canonical JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)

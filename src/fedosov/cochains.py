@@ -10,7 +10,10 @@ with S the increasing dx subset, m the hbar power, p the y-multidegree and
 alpha_s the slot derivative multidegrees.  Evaluation on arguments
 a_1..a_k produces  dx^S c(x) y^p (d^{alpha_1}a_1)...(d^{alpha_k}a_k)  with
 commutative products of the resulting y-series and argument dx blocks
-wedged after dx^S in slot order.
+wedged after dx^S in slot order.  Terms are truncated at filtration weight
+2m + |p| <= order, never by slot degree: inserting a cochain splits a
+slot's alpha over the inserted slots, so a slot truncation would not
+commute with the Hochschild differential.
 
 The cochain algebra itself (insertion, cup, product cochain, Hochschild d,
 evaluation, triangular reconstruction) is one kernel over dx-free term
@@ -106,7 +109,9 @@ class SparseTerms:
 
 class FiberwiseCochain(SparseTerms):
     """Form-valued fiberwise Hochschild cochain; arity 0 coincides with
-    form-valued Weyl sections."""
+    form-valued Weyl sections.  cap is a recorded value only (kept by the
+    operations and written to the cochain JSON, which the benchmark's
+    golden digests hash); no operation truncates by it."""
 
     __slots__ = ("dim", "order", "arity", "cap", "terms")
 
@@ -122,8 +127,6 @@ class FiberwiseCochain(SparseTerms):
             if len(alphas) != arity:
                 raise ValueError("wrong arity")
             if 2 * m + sum(p) > self.order:
-                continue
-            if any(sum(al) > self.cap for al in alphas):
                 continue
             clean[(tuple(S), m, tuple(p),
                    tuple(tuple(al) for al in alphas))] = c
@@ -424,10 +427,10 @@ def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> Fiberwise
     """(P1 cup P2)(a_1..a_{k1+k2}) = P1(first) o P2(rest).  The fiberwise
     product pairs the y-parts and slots of both factors; dx blocks are
     wedged in factor order."""
-    cap = max(P1.cap, P2.cap)
     out = _fiber_product(P1.terms, P2.terms, omega_matrix(chart_or_theta, P1.dim),
-                         P1.order, cap)
-    return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity, out, cap)
+                         P1.order)
+    return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity, out,
+                            max(P1.cap, P2.cap))
 
 
 def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCochain:
@@ -498,10 +501,9 @@ def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
     each block pair is a plain commutator of r with X's values: the odd
     pairing orders of r cup X, doubled, in one pass (see
     weyl._pairing_levels)."""
-    cap = max(rc.cap, X.cap)
-    terms = _fiber_product(rc.terms, X.terms, omega_matrix(chart, X.dim), order, cap,
+    terms = _fiber_product(rc.terms, X.terms, omega_matrix(chart, X.dim), order,
                            odd_only=True)
-    return FiberwiseCochain(X.dim, order, X.arity, terms, cap)
+    return FiberwiseCochain(X.dim, order, X.arity, terms, max(rc.cap, X.cap))
 
 
 def _r_mult_parts(chart, r: FormWeyl, order, cap):

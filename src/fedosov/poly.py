@@ -34,6 +34,21 @@ def as_fraction(c) -> Fraction:
     raise TypeError(f"cannot coerce {c!r} to an exact rational")
 
 
+def _subst_multidegree(p, M):
+    """Expand prod_i (sum_j M[i][j] v_j)^{p_i} in commuting variables v
+    (x or y): {multidegree: Fraction}."""
+    acc = {(0,) * len(p): Fraction(1)}
+    for i, n in enumerate(p):
+        row = [(j, f) for j, f in enumerate(map(as_fraction, M[i])) if f]
+        for _ in range(n):
+            nxt = {}
+            for mono, c in acc.items():
+                for j, f in row:
+                    _acc(nxt, mono[:j] + (mono[j] + 1,) + mono[j + 1:], c * f)
+            acc = nxt
+    return acc
+
+
 class XPoly:
     """Polynomial in the base coordinates x^1..x^{2n} with rational coefficients."""
 
@@ -129,24 +144,14 @@ class XPoly:
         out.terms = terms
         return out
 
-    def truncate(self, max_deg) -> "XPoly":
-        out = XPoly(self.nvars)
-        out.terms = {e: c for e, c in self.terms.items() if sum(e) <= max_deg}
-        return out
-
     def substitute_linear(self, matrix) -> "XPoly":
         """Substitute x^i -> sum_j matrix[i][j] x^j (matrix of Fractions)."""
-        n = self.nvars
-        out = XPoly.zero(n)
+        terms = {}
         for e, c in self.terms.items():
-            term = XPoly.const(n, c)
-            for i in range(n):
-                if e[i]:
-                    lin = XPoly(n, {tuple(1 if j == k else 0 for j in range(n)): matrix[i][k]
-                                    for k in range(n) if matrix[i][k]})
-                    for _ in range(e[i]):
-                        term = term * lin
-            out = out + term
+            for mono, f in _subst_multidegree(e, matrix).items():
+                _acc(terms, mono, c * f)
+        out = XPoly(self.nvars)
+        out.terms = terms
         return out
 
     def eval_rational(self, point) -> Fraction:

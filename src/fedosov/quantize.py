@@ -221,17 +221,15 @@ class GaugeOperator:
         return out
 
     def apply_inverse(self, f: WeylElement) -> WeylElement:
-        """Q^{-1} f as the geometric series sum_j (id - Q)^j f; terminates
-        because id - Q raises the hbar power."""
-        out = f
-        cur = f
-        max_j = f.order // 2 + 2
-        for _ in range(max_j):
+        """Q^{-1} f as the geometric series sum_j (id - Q)^j f, summed until
+        the remainder vanishes: it does, because id - Q raises the hbar
+        power and f is truncated at its order."""
+        out = cur = f
+        while True:
             cur = cur - self.apply(cur)  # (id - Q) cur
             if cur.is_zero():
-                break
+                return out
             out = out + cur
-        return out
 
     def compose(self, other: "GaugeOperator") -> "GaugeOperator":
         """Operator composition: (self.compose(other))(f) = self(other(f))."""

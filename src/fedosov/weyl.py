@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import XPoly, _acc, as_fraction
+from .poly import XPoly, _acc, _subst_multidegree, as_fraction
 
 # ---------------------------------------------------------------------------
 # small index helpers
@@ -459,11 +459,11 @@ def _check_antisymmetric(omega, dim):
                 raise ValueError("Poisson tensor must be antisymmetric")
 
 
-def _derive_targets(seen, p, alphas, slots_ok, cap):
+def _derive_targets(seen, p, alphas, slots_ok):
     """Per coordinate i, the ways d/dy^{i+1} hits y^p * slots, memoized in
     seen: (p', alphas', integer factor, lift).  A slot hit raises the weight
     of the pairing step by one (lift 1), so it needs slots_ok (room below
-    the order) and a slot below the cap."""
+    the order)."""
     key = (p, alphas, slots_ok)
     hit = seen.get(key)
     if hit is not None:
@@ -473,14 +473,13 @@ def _derive_targets(seen, p, alphas, slots_ok, cap):
         out = [(p[:i] + (n - 1,) + p[i + 1:], alphas, n, 0)] if n else []
         if slots_ok:
             for s, al in enumerate(alphas):
-                if sum(al) < cap:
-                    al2 = al[:i] + (al[i] + 1,) + al[i + 1:]
-                    out.append((p, alphas[:s] + (al2,) + alphas[s + 1:], 1, 1))
+                al2 = al[:i] + (al[i] + 1,) + al[i + 1:]
+                out.append((p, alphas[:s] + (al2,) + alphas[s + 1:], 1, 1))
         hit.append(out)
     return hit
 
 
-def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
+def _pairing_levels(terms1, terms2, omega, order, odd_only=False):
     """The Moyal pairing exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) of two
     dx-free term dicts {(m, p, alphas): coeff}, one pairing order t at a
     time: yields (t, {(m, p1, alphas1, p2, alphas2): coeff}), the state
@@ -489,12 +488,11 @@ def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
     Each d/dy lands on the y-part or on a slot of its factor.  A step never
     lowers the weight 2m + |p1| + |p2|, and raises it by one per slot hit,
     so pairs beyond the order are dropped up front and only slot hits are
-    checked against the order and the cap (exact once the caller drops the
-    t = 0 terms with slots beyond the cap).  With odd_only, only the odd
-    orders are yielded, doubled: with an arity-0 factor that is the
-    commutator, as omega is antisymmetric and the order-t part of the
-    swapped product is (-1)^t times this one.  Coefficients are touched only
-    through *, + and truth value, so XPoly and Fraction run the same lines.
+    checked against the order.  With odd_only, only the odd orders are
+    yielded, doubled: with an arity-0 factor that is the commutator, as
+    omega is antisymmetric and the order-t part of the swapped product is
+    (-1)^t times this one.  Coefficients are touched only through *, + and
+    truth value, so XPoly and Fraction run the same lines.
     """
     dim = len(omega)
     pairs = [(i, j, omega[i][j]) for i in range(dim) for j in range(dim)
@@ -517,8 +515,8 @@ def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
         nxt = {}
         for (m, q1, b1, q2, b2), c in state.items():
             room = order - 2 * m - sum(q1) - sum(q2)
-            left = _derive_targets(seen, q1, b1, room > 0, cap)
-            right = _derive_targets(seen, q2, b2, room > 0, cap)
+            left = _derive_targets(seen, q1, b1, room > 0)
+            right = _derive_targets(seen, q2, b2, room > 0)
             for i, j, om in pairs:
                 for q1n, b1n, f1, l1 in left[i]:
                     for q2n, b2n, f2, l2 in right[j]:
@@ -532,11 +530,11 @@ def _pairing_levels(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
         state = nxt
 
 
-def _pair_terms(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
+def _pair_terms(terms1, terms2, omega, order, odd_only=False):
     """(first factor) o (second factor) on dx-free term dicts, the slots of
     the first before those of the second."""
     out = {}
-    for _, state in _pairing_levels(terms1, terms2, omega, order, cap, odd_only):
+    for _, state in _pairing_levels(terms1, terms2, omega, order, odd_only):
         for (m, q1, b1, q2, b2), c in state.items():
             _acc(out, (m, vec_add(q1, q2), b1 + b2), c)
     return out
@@ -569,11 +567,11 @@ def _pairwise(terms1, terms2, kernel):
     return out
 
 
-def _fiber_product(terms1, terms2, omega, order, cap=math.inf, odd_only=False):
+def _fiber_product(terms1, terms2, omega, order, odd_only=False):
     """The fiberwise product of two term dicts: coefficients and slots pair
     by _pair_terms, dx blocks are wedged in factor order."""
     return _pairwise(terms1, terms2, lambda b1, b2: _pair_terms(
-        b1, b2, omega, order, cap, odd_only))
+        b1, b2, omega, order, odd_only))
 
 
 def moyal_product(a, b, chart_or_theta, *, commutator=False):
@@ -804,22 +802,6 @@ def is_central(a) -> bool:
 
 def _transpose(m):
     return [[m[j][i] for j in range(len(m))] for i in range(len(m))]
-
-
-def _subst_multidegree(p, M):
-    """Expand prod_i (sum_j M[i][j] y_j)^{p_i}: {multidegree: Fraction}."""
-    dim = len(p)
-    acc = {(0,) * dim: Fraction(1)}
-    for i in range(dim):
-        for _ in range(p[i]):
-            nxt = {}
-            for mono, c in acc.items():
-                for j in range(dim):
-                    f = as_fraction(M[i][j])
-                    if f:
-                        _acc(nxt, vec_add(mono, unit_vec(dim, j + 1)), c * f)
-            acc = nxt
-    return acc
 
 
 def _subst_multidegrees(ps, M):

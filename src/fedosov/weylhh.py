@@ -18,8 +18,9 @@ bar resolution); the homotopies insert a fresh constant first slot.
 
 Chain arithmetic is exact and untruncated (all operations on finitely
 generated chains are finite); cochain data is normalized to filtration
-weight 2k + |p| <= order and per-slot |alpha| <= cap, which is exact for
-every evaluation at that order.
+weight 2k + |p| <= order, which is exact for every evaluation at that
+order.  Slot degree |alpha| is never truncated, as that would not commute
+with the Hochschild differential; slot windows apply only to comparisons.
 
 The cochain operations (insertion, cup, bracket, Hochschild d, product
 cochain, evaluation, reconstruction from values) run on the kernel of
@@ -38,10 +39,10 @@ from math import comb, inf
 
 from .cochains import (SparseTerms, _bracket, _eval_terms, _hochschild_terms,
                        _insert_terms, _reconstruct)
-from .poly import HbarScalar, _acc, as_fraction
-from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegree,
-                   _subst_multidegrees, _subst_subset, _subst_terms, _transpose,
-                   contract_index, prepend_index, unit_vec, vec_add, vec_sub)
+from .poly import HbarScalar, _acc, _subst_multidegree, as_fraction
+from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegrees,
+                   _subst_subset, _subst_terms, _transpose, contract_index,
+                   prepend_index, unit_vec, vec_add, vec_sub)
 
 ZERO = Fraction(0)
 
@@ -55,7 +56,7 @@ class WeylContext:
     omega^{ik} omega_{kj} = delta^i_j, a truncation order, and the caches for
     the comparison-map recursions (safe to share: all results deterministic)."""
 
-    def __init__(self, theta, order: int, cap=None):
+    def __init__(self, theta, order: int):
         self.dim = len(theta)
         self.theta = tuple(tuple(as_fraction(c) for c in row) for row in theta)
         for i in range(self.dim):
@@ -64,7 +65,6 @@ class WeylContext:
                     raise ValueError("theta must be antisymmetric")
         self.theta_lower = _matrix_inverse(self.theta)
         self.order = order
-        self.cap = order if cap is None else cap
         self._mono_cache = {}
         self._lambda_cache = {}
         self._nu_cache = {}
@@ -72,12 +72,12 @@ class WeylContext:
         self._product_cochain = {}
 
     @classmethod
-    def standard(cls, dim: int, order: int, cap=None) -> "WeylContext":
+    def standard(cls, dim: int, order: int) -> "WeylContext":
         theta = [[ZERO] * dim for _ in range(dim)]
         for b in range(dim // 2):
             theta[2 * b][2 * b + 1] = Fraction(1)
             theta[2 * b + 1][2 * b] = Fraction(-1)
-        return cls(theta, order, cap)
+        return cls(theta, order)
 
     def mono_product(self, p, q):
         """theta-Weyl product of monomials: y^p o y^q as
@@ -641,37 +641,29 @@ def cochain_insert(P1: WeylCochain, i: int, P2: WeylCochain) -> WeylCochain:
                        _insert_terms(P1.terms, i, P2.terms, inf))
 
 
-def cochain_cup(ctx: WeylContext, P1: WeylCochain, P2: WeylCochain,
-                order=None, cap=None) -> WeylCochain:
+def cochain_cup(ctx: WeylContext, P1: WeylCochain, P2: WeylCochain) -> WeylCochain:
     """(P1 cup P2)(a..) = P1(first) o P2(rest): Weyl-pair the y-parts and
     slots of the two factors.  Pairing steps that can only produce terms
-    beyond the order or slot cap are dropped (that is exact at the order)."""
-    order = ctx.order if order is None else order
-    cap = ctx.cap if cap is None else cap
-    out = _pair_terms(P1.terms, P2.terms, ctx.theta, order, cap)
-    return WeylCochain(ctx.dim, P1.arity + P2.arity, out, order, cap)
+    beyond the context's order are dropped (that is exact at the order)."""
+    out = _pair_terms(P1.terms, P2.terms, ctx.theta, ctx.order)
+    return WeylCochain(ctx.dim, P1.arity + P2.arity, out, ctx.order)
 
 
-def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None, cap=None) -> WeylCochain:
+def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None) -> WeylCochain:
     """Hochschild differential on C^q(W):
     (dPhi)(a_1..a_{q+1}) = a_1 o Phi(a_2..) - Phi(a_1 o a_2, ..) + ...
     + (-)^q Phi(a_1, .., a_q o a_{q+1}) + (-)^{q+1} Phi(a_1..a_q) o a_{q+1}."""
     order = ctx.order if order is None else order
     t_max = max(0, order - min(0, a.min_term_weight()) + 1)
     out = _hochschild_terms(a.terms, a.arity, product_cochain(ctx, t_max).terms, order)
-    return WeylCochain(ctx.dim, a.arity + 1, out, order,
-                       cap if cap is not None else ctx.cap)
+    return WeylCochain(ctx.dim, a.arity + 1, out, order)
 
 
-def gerstenhaber_w(P1: WeylCochain, P2: WeylCochain,
-                   order=None, cap=None) -> WeylCochain:
+def gerstenhaber_w(P1: WeylCochain, P2: WeylCochain) -> WeylCochain:
     """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2)
     with k' = arity - 1."""
-    out = _bracket(cochain_insert, P1, P2,
-                   WeylCochain(P1.dim, P1.arity + P2.arity - 1))
-    if order is not None or cap is not None:
-        out = out.normalize(order, cap)
-    return out
+    return _bracket(cochain_insert, P1, P2,
+                    WeylCochain(P1.dim, P1.arity + P2.arity - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -786,7 +778,7 @@ def hh_reduce(ctx: WeylContext, a: WeylCochain, rec_cap=None):
     if a.arity == 0:
         w = a.as_wseries()
         return w.hbar_scalar()
-    rec_cap = ctx.cap if rec_cap is None else rec_cap
+    rec_cap = ctx.order if rec_cap is None else rec_cap
     return cochain_homotopy(ctx, a, rec_cap)
 
 
@@ -809,7 +801,7 @@ def gl_push_theta(g, theta):
 
 
 def gl_transport_context(ctx: WeylContext, g) -> WeylContext:
-    return WeylContext(gl_push_theta(g, ctx.theta), ctx.order, ctx.cap)
+    return WeylContext(gl_push_theta(g, ctx.theta), ctx.order)
 
 
 def gl_transport(ctx: WeylContext, g, obj):

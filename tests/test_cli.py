@@ -95,6 +95,9 @@ def test_gauge_command(flat_file, tmp_path, capsys):
     gauged = capsys.readouterr().out.strip()
     assert base == "x1^2"
     assert gauged == "x1^2 + hbar^2"
+    # Q^{-1} of hbar^-3 x1^9 sums (id - Q)^j for j = 0..6 at order 6
+    assert main(["gauge", flat_file, str(gpath), "hbar^-3 x1^9", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "hbar^-3 x1^9"
 
 
 def test_data_file_order_is_used_unless_order_given(tmp_path, capsys):

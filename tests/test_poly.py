@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,9 +31,8 @@ def test_xpoly_diff():
     assert p.diff(1).diff(2) == p.diff(2).diff(1)
 
 
-def test_xpoly_truncate_and_eval():
+def test_xpoly_eval_rational():
     p = XPoly(2, {(3, 0): Fraction(1), (1, 0): Fraction(2)})
-    assert p.truncate(2).terms == {(1, 0): Fraction(2)}
     assert p.eval_rational((2, 5)) == 8 + 4
 
 
@@ -42,6 +42,29 @@ def test_xpoly_substitute_linear():
     assert p.substitute_linear(m) == p
     q = XPoly.variable(2, 1)
     assert q.substitute_linear(m) == XPoly.variable(2, 2)
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_xpoly_substitute_linear_matches_repeated_products(dim):
+    rng = random.Random(dim)
+
+    def frac():
+        return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+
+    for _ in range(40):
+        m = [[frac() for _ in range(dim)] for _ in range(dim)]
+        p = XPoly(dim, {tuple(rng.randint(0, 3) for _ in range(dim)): frac()
+                        for _ in range(3)})
+        want = XPoly.zero(dim)
+        for e, c in p.terms.items():
+            term = XPoly.const(dim, c)
+            for i, n in enumerate(e):
+                row = XPoly(dim, {tuple(int(j == k) for k in range(dim)): m[i][j]
+                                  for j in range(dim)})
+                for _ in range(n):
+                    term = term * row
+            want = want + term
+        assert p.substitute_linear(m) == want
 
 
 def test_hbar_scalar_laurent():

@@ -1,23 +1,27 @@
 """Property tests of identities the seeded suites sample: star
-associativity on the built-in curved chart, cup associativity, and the Hodge
-identity, at orders <= 4.  Examples are derandomized so every run draws the
-same inputs."""
+associativity on the built-in curved chart, cup associativity, the Hodge
+identity and d o d = 0 for both Hochschild differentials, at orders <= 4.
+Examples are derandomized so every run draws the same inputs."""
 
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedosov.cochains import FiberwiseCochain, cup
+from fedosov.cochains import FiberwiseCochain, cup, hochschild_d
 from fedosov.poly import XPoly
 from fedosov.quantize import StarProduct
 from fedosov.verify import builtin_curved_data
 from fedosov.weyl import (FormWeyl, WeylElement, delta, delta_inv,
                           sigma_project)
+from fedosov.weylhh import WeylCochain, WeylContext, hh_hochschild_d
 
 DIM = 2
 ORDER = 4
 CURVED = builtin_curved_data(ORDER)
+LOW = 2  # d o d = 0 is drawn at this order and computed at LOW + 2
+LOW_CTX = WeylContext.standard(DIM, LOW + 2)
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=60,
                     suppress_health_check=[HealthCheck.too_slow])
 
@@ -26,6 +30,8 @@ exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
 xpolys = st.dictionaries(exps, fractions, min_size=1, max_size=2).map(
     lambda terms: XPoly(DIM, terms))
 subsets = st.sampled_from([(), (1,), (2,), (1, 2)])
+low_parts = st.sampled_from([(m, p) for m in (0, 1) for p in product(range(3), repeat=DIM)
+                             if 2 * m + sum(p) <= LOW])
 
 
 def _x_polys(max_hbar):
@@ -50,6 +56,22 @@ def _cochains(arity, work):
         lambda terms: FiberwiseCochain(DIM, work, arity, terms))
 
 
+def _low_cochains(arity):
+    """Cochains of weight <= LOW, slot degrees up to 2 per coordinate,
+    carried to LOW + 2 as the suites do."""
+    keys = st.tuples(subsets, low_parts, st.tuples(*[exps] * arity)).map(
+        lambda t: (t[0],) + t[1] + (t[2],))
+    return st.dictionaries(keys, xpolys, min_size=1, max_size=2).map(
+        lambda terms: FiberwiseCochain(DIM, LOW, arity, terms).truncate(LOW + 2))
+
+
+def _low_wcochains(arity):
+    keys = st.tuples(low_parts, st.tuples(*[exps] * arity)).map(
+        lambda t: t[0] + (t[1],))
+    return st.dictionaries(keys, fractions, min_size=1, max_size=3).map(
+        lambda terms: WeylCochain(DIM, arity, terms))
+
+
 @SETTINGS
 @given(_x_polys(1), _x_polys(1), _x_polys(0))
 def test_star_associativity_on_curved_chart(a, b, c):
@@ -72,3 +94,17 @@ def test_hodge_identity(a):
     a = a.truncate(ORDER + 2)
     got = FormWeyl.from_weyl(sigma_project(a)) + delta(delta_inv(a)) + delta_inv(delta(a))
     assert got == a
+
+
+@SETTINGS
+@given(st.integers(0, 2).flatmap(_low_cochains))
+def test_hochschild_d_squares_to_zero(P):
+    chart = CURVED.chart
+    assert hochschild_d(hochschild_d(P, chart), chart).truncate(LOW).is_zero()
+
+
+@SETTINGS
+@given(st.integers(0, 2).flatmap(_low_wcochains))
+def test_weyl_hochschild_d_squares_to_zero(a):
+    d = hh_hochschild_d
+    assert d(LOW_CTX, d(LOW_CTX, a)).normalize(LOW).is_zero()

@@ -211,6 +211,16 @@ def test_gauge_inverse_roundtrip():
     assert Q.apply(Q.apply_inverse(f)) == f
 
 
+def test_gauge_inverse_roundtrip_runs_the_series_to_the_end():
+    """Q = id + hbar d/dx1 on hbar^-k x1^9: (id - Q)^j f survives the
+    truncation up to j = k + N // 2, beyond N // 2 + 2 once k >= 3."""
+    Q = GaugeOperator(DIM, {1: {(1, 0): XPoly.const(DIM, 1)}})
+    for k in range(5):
+        f = xmono((9, 0)).hbar_shift(-k)
+        assert Q.apply(Q.apply_inverse(f)) == f
+        assert Q.apply_inverse(Q.apply(f)) == f
+
+
 def test_gauge_rejects_nonpositive_powers():
     with pytest.raises(ValueError):
         GaugeOperator(DIM, {0: {(1, 0): XPoly.const(DIM, 1)}})
