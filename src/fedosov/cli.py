@@ -175,7 +175,8 @@ def build_parser():
     parser.add_argument("--caps", default=None,
                         help="generation caps of the random inputs of the "
                              "cochain and chi suites: y-degree y (default 3) "
-                             "and slot degree a (default 2), e.g. y:3,a:2")
+                             "and slot degree a (default 2), e.g. y:3,a:2; "
+                             "other suites refuse them")
     parser.add_argument("--json", action="store_true",
                         help="emit canonical JSON instead of text")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -811,6 +811,7 @@ SUITES = {
 }
 
 DATA_SUITES = {"dsquare", "assoc", "beta", "transfer"}
+CAPS_SUITES = {"cochain", "chi"}
 
 
 def parse_caps(text):
@@ -841,6 +842,9 @@ def run_suite(name, data=None, dim=2, order=6, seed=0, caps=None):
         return checks
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    if caps and name not in CAPS_SUITES:
+        raise ValueError(f"suite {name!r} has no generation caps; only "
+                         f"{' and '.join(sorted(CAPS_SUITES))} (and all) read them")
     if name in DATA_SUITES and data is None:
         raise ValueError(f"suite {name!r} requires a Fedosov data file")
     return SUITES[name](data, dim, order, seed, caps)

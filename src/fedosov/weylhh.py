@@ -29,7 +29,8 @@ with no dx part and constant coefficients.  The monomial product, cup,
 product cochain and the Koszul homotopy run on the Moyal pairing kernel of
 `weyl`.  A WSeries is an arity-0 WeylCochain, and GL transport of both is
 the linear substitution of `weyl` that also transports forms and fiberwise
-cochains.
+cochains.  The dual maps evaluate a cochain only on monomial tuples, through
+a MonomialEvaluator that lives for one call.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from .cochains import (SparseTerms, _bracket, _eval_terms, _hochschild_terms,
-                       _insert_terms, _reconstruct)
+from .cochains import (SparseTerms, _bracket, _eval_terms, _falling,
+                       _hochschild_terms, _insert_terms, _reconstruct)
 from .poly import HbarScalar, _acc, _subst_multidegree, as_fraction
 from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegrees,
                    _subst_subset, _subst_terms, _transpose, contract_index,
@@ -670,14 +671,55 @@ def gerstenhaber_w(P1: WeylCochain, P2: WeylCochain) -> WeylCochain:
 # dualization: cochains against the resolutions
 
 
-def eval_on_bar(ctx: WeylContext, a: WeylCochain, b: BarChain,
-                order=None) -> WSeries:
-    """The bimodule map Hom(B_q, W) attached to a, evaluated on b:
+class MonomialEvaluator:
+    """The values of one WeylCochain on tuples of y-monomial exponents,
+    each tuple evaluated once.  The dual maps create one per call and drop
+    it on return, so no value outlives the call or is shared."""
+
+    __slots__ = ("dim", "arity", "_by_slots", "_values")
+
+    def __init__(self, a: WeylCochain):
+        self.dim = a.dim
+        self.arity = a.arity
+        self._by_slots = {}
+        for (k, p, alphas), c in a.terms.items():
+            self._by_slots.setdefault(alphas, []).append((k, p, c))
+        self._values = {}
+
+    def __call__(self, betas) -> WSeries:
+        """a(y^{beta_1}, .., y^{beta_q}): each term with every
+        alpha_s <= beta_s, times prod_s beta_s!/(beta_s - alpha_s)!."""
+        hit = self._values.get(betas)
+        if hit is not None:
+            return hit
+        out = {}
+        for alphas, terms in self._by_slots.items():
+            f, shift = 1, _zero(self.dim)
+            for al, be in zip(alphas, betas):
+                if any(x > y for x, y in zip(al, be)):
+                    break
+                for n, k in zip(be, al):
+                    f *= _falling(n, k)
+                shift = vec_add(shift, vec_sub(be, al))
+            else:
+                for k, p, c in terms:
+                    _acc(out, (k, vec_add(p, shift)), c * f)
+        hit = self._values[betas] = WSeries(self.dim, out)
+        return hit
+
+
+def _evaluator(a) -> MonomialEvaluator:
+    return a if isinstance(a, MonomialEvaluator) else MonomialEvaluator(a)
+
+
+def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WSeries:
+    """The bimodule map Hom(B_q, W) attached to a (a WeylCochain or its
+    MonomialEvaluator), evaluated on b:
     hbar^k y^{p_1} o a(middle slots) o y^{p_{q+2}}."""
+    a = _evaluator(a)
     if b.m != a.arity:
         raise ValueError("bar degree must match cochain arity")
-    return _sandwiches(ctx, ((k, ps[0], a.eval([WSeries.monomial(ctx.dim, p)
-                                                for p in ps[1:-1]]), ps[-1], c)
+    return _sandwiches(ctx, ((k, ps[0], a(ps[1:-1]), ps[-1], c)
                              for (k, ps), c in b.terms.items()), order)
 
 
@@ -687,10 +729,12 @@ def _sandwiches(ctx: WeylContext, items, order=None) -> WSeries:
     order = ctx.order if order is None else order
     total = {}
     for k, left, val, right, c in items:
-        val = WSeries.monomial(ctx.dim, left).weyl_mul(val, ctx)
-        val = val.weyl_mul(WSeries.monomial(ctx.dim, right), ctx)
-        for (kk, pp), cc in val.terms.items():
-            _acc(total, (kk + k, pp), cc * c)
+        for (kv, pv), cv in val.terms.items():
+            cv *= c
+            for (t1, p1), c1 in ctx.mono_product(left, pv).items():
+                c1 *= cv
+                for (t2, p2), c2 in ctx.mono_product(p1, right).items():
+                    _acc(total, (k + kv + t1 + t2, p2), c1 * c2)
     return WSeries(ctx.dim, total, order)
 
 
@@ -701,16 +745,18 @@ def eval_psi_on_koszul(ctx: WeylContext, f: PsiElement, kappa: KoszulChain,
     coeffs = {}
     for (k, p, T), c in f.terms.items():
         coeffs.setdefault(T, {})[(k, p)] = c
-    return _sandwiches(ctx, ((k, p1, WSeries(ctx.dim, coeffs[T]), p2, c)
+    w = {T: WSeries(ctx.dim, terms) for T, terms in coeffs.items()}
+    return _sandwiches(ctx, ((k, p1, w[T], p2, c)
                              for (k, p1, p2, T), c in kappa.terms.items()
-                             if T in coeffs), order)
+                             if T in w), order)
 
 
-def lambda_hat(ctx: WeylContext, a: WeylCochain, order=None) -> PsiElement:
-    """Precompose with lambda: sum over |T| = arity of Phi_a(lambda(C^T)) psi_T."""
-    q = a.arity
+def lambda_hat(ctx: WeylContext, a, order=None) -> PsiElement:
+    """Precompose with lambda: sum over |T| = arity of Phi_a(lambda(C^T)) psi_T.
+    a is a WeylCochain or its MonomialEvaluator."""
+    a = _evaluator(a)
     out = {}
-    for T in _subsets(ctx.dim, q):
+    for T in _subsets(ctx.dim, a.arity):
         chain = _lambda_gen(ctx, T)
         val = eval_on_bar(ctx, a, chain, order)
         for (k, p), c in val.terms.items():
@@ -748,8 +794,10 @@ def nu_hat(ctx: WeylContext, f: PsiElement, arity, rec_cap, order=None) -> WeylC
     return cochain_from_values(ctx, fn, arity, rec_cap, order)
 
 
-def rho_hat(ctx: WeylContext, a: WeylCochain, rec_cap, order=None) -> WeylCochain:
-    """Precompose with rho: arity drops by one."""
+def rho_hat(ctx: WeylContext, a, rec_cap, order=None) -> WeylCochain:
+    """Precompose with rho: arity drops by one.  a is a WeylCochain or its
+    MonomialEvaluator."""
+    a = _evaluator(a)
 
     def fn(betas):
         chain = bar_homotopy(ctx, BarChain.interior(ctx.dim, betas))
@@ -763,9 +811,10 @@ def cochain_homotopy(ctx: WeylContext, a: WeylCochain, rec_cap, order=None) -> W
     satisfies a = (d chi + chi d) a."""
     if a.arity < 1:
         raise ValueError("the homotopy needs arity >= 1")
-    f = psi_h(ctx, lambda_hat(ctx, a, order))
+    ev = MonomialEvaluator(a)
+    f = psi_h(ctx, lambda_hat(ctx, ev, order))
     part1 = nu_hat(ctx, f, a.arity - 1, rec_cap, order)
-    part2 = rho_hat(ctx, a, rec_cap, order)
+    part2 = rho_hat(ctx, ev, rec_cap, order)
     return part1 + part2
 
 

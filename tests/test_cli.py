@@ -253,18 +253,25 @@ def test_cli_fuzz_bad_invocations_exit_cleanly(tmp_path, curved_file):
     refused += [["verify", "nosuch"], ["verify", "ALL"], ["star", str(tmp_path), "x1", "x2"],
                 ["gauge", curved_file, str(bad_gauge), "x1", "x2"],
                 ["gauge", curved_file, curved_file, "x1", "x2"]]
-    refused += [["--caps", caps, "--order", "2", "verify", "psi"] for caps in
+    refused += [["--caps", caps, "--order", "2", "verify", "cochain"] for caps in
                 ["y", "y:", "y:x", "z:3", ",,", "y:3:4", "y:-1", ":"]]
+    # only the cochain and chi suites read generation caps
+    refused += [["--caps", "y:2", "--order", "2", "verify", suite] for suite in
+                ["psi", "hodge", "barkoszul", "equivariance"]]
+    refused += [["--caps", "a:1", "verify", "dsquare", "--data", curved_file]]
+    accepted = [["--caps", "y:2,a:1", "--order", "2", "verify", suite] for suite in
+                ["cochain", "chi", "all"]]
     others = [["star", curved_file, text, "x2"] for text in
               ["x1^", "1/", "x1**2", "hbar^x", "x0", "", "+", "x1^-", "hbar^-",
                "(x1)", "x1^2^3", "y1", "1.5", "0/0", "x-1", "--x1"]]
-    others += [["--caps", "y:\u0663", "--order", "2", "verify", "psi"]]
+    others += [["--caps", "y:\u0663", "--order", "2", "verify", "cochain"]]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    for argv in refused + others:
+    for argv in refused + accepted + others:
         proc = subprocess.run([sys.executable, "-m", "fedosov.cli"] + argv,
                               capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode in ((2,) if argv in refused else (0, 1, 2)), argv
+        want = (2,) if argv in refused else (0,) if argv in accepted else (0, 1, 2)
+        assert proc.returncode in want, argv
         assert "Traceback" not in proc.stderr, argv
         if proc.returncode == 2:
             assert "error:" in proc.stderr.strip().splitlines()[-1], argv

@@ -1,18 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from fedosov.verify import (rand_bar, rand_gl, rand_koszul, rand_psi,
-                            rand_wcochain)
+from fedosov.verify import (rand_bar, rand_fraction, rand_gl, rand_koszul,
+                            rand_psi, rand_wcochain)
 from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain,
                             WeylContext, WSeries, bar_aug, bar_d, bar_h,
                             bar_homotopy, bar_to_koszul, cochain_from_values,
                             cochain_homotopy, eval_on_bar, gl_push_theta,
                             gl_transport, gl_transport_context,
                             hh_hochschild_d, hh_reduce, koszul_aug, koszul_d,
-                            koszul_h, koszul_to_bar, lambda_hat, psi_d, psi_h,
-                            rho_hat)
+                            koszul_h, koszul_to_bar, lambda_hat, nu_hat, psi_d,
+                            psi_h, rho_hat)
 
 N = 6
 CTX = WeylContext.standard(2, N)
@@ -280,6 +281,87 @@ def test_chi_of_zero():
 def test_chi_requires_positive_arity():
     with pytest.raises(ValueError):
         cochain_homotopy(CTX, WeylCochain(2, 0, {}), 4, N)
+
+
+# -- the dual maps against term-by-term evaluation ------------------------------
+#
+# References built on plain WeylCochain.eval, one bar term at a time, with no
+# value kept between evaluations.
+
+def _ref_eval_on_bar(ctx, a, b, order):
+    total = WSeries(ctx.dim)
+    for (k, ps), c in b.terms.items():
+        val = a.eval([WSeries.monomial(ctx.dim, p) for p in ps[1:-1]])
+        val = WSeries.monomial(ctx.dim, ps[0], c, k).weyl_mul(val, ctx)
+        total = total + val.weyl_mul(WSeries.monomial(ctx.dim, ps[-1]), ctx)
+    return total.truncate(order)
+
+
+def _ref_lambda_hat(ctx, a, order):
+    out = PsiElement(ctx.dim)
+    for T in combinations(range(1, ctx.dim + 1), a.arity):
+        chain = koszul_to_bar(ctx, KoszulChain.generator(ctx.dim, T))
+        val = _ref_eval_on_bar(ctx, a, chain, order)
+        out = out + PsiElement(ctx.dim, {(k, p, T): c for (k, p), c in val.terms.items()})
+    return out
+
+
+def _ref_rho_hat(ctx, a, rec_cap, order):
+    def fn(betas):
+        chain = bar_homotopy(ctx, BarChain.interior(ctx.dim, betas))
+        return _ref_eval_on_bar(ctx, a, chain, order)
+
+    return cochain_from_values(ctx, fn, a.arity - 1, rec_cap, order)
+
+
+def _ref_cochain_homotopy(ctx, a, rec_cap, order):
+    f = psi_h(ctx, _ref_lambda_hat(ctx, a, order))
+    return (nu_hat(ctx, f, a.arity - 1, rec_cap, order)
+            + _ref_rho_hat(ctx, a, rec_cap, order))
+
+
+def _assert_dual_maps_match_reference(ctx, a, rec_cap, b):
+    order = ctx.order
+    assert eval_on_bar(ctx, a, b, order) == _ref_eval_on_bar(ctx, a, b, order)
+    assert lambda_hat(ctx, a, order) == _ref_lambda_hat(ctx, a, order)
+    assert rho_hat(ctx, a, rec_cap, order) == _ref_rho_hat(ctx, a, rec_cap, order)
+    assert cochain_homotopy(ctx, a, rec_cap, order) == \
+        _ref_cochain_homotopy(ctx, a, rec_cap, order)
+
+
+def _matching_bar(rng, a, nterms):
+    """A bar chain whose middle slots lie above the slots of a's terms, so
+    that most of its terms evaluate to nonzero values."""
+    terms = {}
+    keys = sorted(a.terms)
+    for _ in range(nterms):
+        _, _, alphas = rng.choice(keys)
+        outer = [tuple(rng.randint(0, 1) for _ in range(2)) for _ in range(2)]
+        betas = tuple(tuple(x + rng.randint(0, 1) for x in al) for al in alphas)
+        terms[(rng.randint(-1, 1), (outer[0],) + betas + (outer[1],))] = rand_fraction(rng)
+    return BarChain(2, a.arity, terms)
+
+
+@pytest.mark.parametrize("arity,order,seed", [(1, 6, 40), (1, 6, 41), (2, 6, 42),
+                                              (2, 6, 43), (3, 4, 44)])
+def test_dual_maps_match_term_by_term_evaluation(arity, order, seed):
+    ctx = WeylContext.standard(2, order)
+    rng = random.Random(seed)
+    a = rand_wcochain(rng, ctx, arity, ydeg=2, nterms=20, hmin=-1)
+    a = a + WeylCochain(2, arity, {(-1, (1, 2), ((1, 0),) * arity): frac(-3, 7)})
+    _assert_dual_maps_match_reference(ctx, a, 3, _matching_bar(rng, a, 8))
+
+
+def test_dual_maps_keep_no_values_between_calls():
+    # same keys, other coefficients: a value kept from the first cochain's
+    # call would show in the second's
+    ctx = WeylContext.standard(2, N)
+    rng = random.Random(45)
+    a1 = rand_wcochain(rng, ctx, 2, ydeg=2, nterms=20, hmin=-1)
+    a2 = WeylCochain(2, 2, {key: c + 1 for key, c in a1.terms.items()})
+    b = _matching_bar(rng, a1, 8)
+    for a in (a1, a2):
+        _assert_dual_maps_match_reference(ctx, a, 3, b)
 
 
 # -- cohomology reduction -----------------------------------------------------------
