@@ -25,10 +25,13 @@ or block pair, and wedge the dx blocks in front.  Cup and the product
 cochain (id cup id) run on the Moyal pairing kernel of `weyl`.
 
 A form is an arity-0 cochain, and the cochain terms above are the term
-dicts of `weyl`: delta, delta_inv, sigma, nabla, the dx-block wedge around
-the pairing kernel (cup) and linear substitution (transport) are the
-kernels that also run the form operators there, so moyal_product is
-exactly arity-0 cup.
+dicts of `weyl`: a FormWeyl stores the same flat dict with alphas = (),
+which from_form, to_form and cochain_eval read and write directly (its
+components are a derived view).  delta, delta_inv, sigma, nabla, the
+dx-block wedge around the pairing kernel (cup) and linear substitution
+(transport) are the kernels that also run the form operators there, so
+moyal_product is exactly arity-0 cup.  FiberwiseCochain takes its linear
+structure from poly.SparseTerms; its sum goes through the constructor.
 
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
@@ -61,12 +64,12 @@ from fractions import Fraction
 from itertools import product
 from math import comb, factorial
 
-from .poly import XPoly, _acc, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, _add_terms,
-                   _blocks, _delta_inv_terms, _delta_terms, _fiber_product,
-                   _form_op, _form_terms, _nabla_terms, _pair_terms, _pairwise,
-                   _sigma_terms, _subst_terms, _terms_form, _transpose, as_form,
-                   merge_subsets, omega_matrix, vec_add, vec_sub)
+from .poly import SparseTerms, XPoly, _acc, _add_terms
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _blocks,
+                   _delta_inv_terms, _delta_terms, _fiber_product, _form_blocks,
+                   _form_op, _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
+                   _subst_terms, _transpose, as_form, is_central, merge_subsets,
+                   omega_matrix, vec_add, vec_sub)
 
 
 def _falling(n, k):
@@ -74,37 +77,6 @@ def _falling(n, k):
     for i in range(k):
         out *= n - i
     return out
-
-
-class SparseTerms:
-    """The linear structure of a sparse sum {key: coefficient}.  A subclass
-    stores the sum in ``terms`` and defines ``_empty()``, the zero of the
-    same shape."""
-
-    __slots__ = ()
-
-    def _with(self, terms):
-        out = self._empty()
-        out.terms = terms
-        return out
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        _add_terms(terms, other.terms)
-        return self._with(terms)
-
-    def __neg__(self):
-        return self._with({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        c = as_fraction(c)
-        return self._with({k: v * c for k, v in self.terms.items()} if c else {})
-
-    def is_zero(self):
-        return not self.terms
 
 
 class FiberwiseCochain(SparseTerms):
@@ -143,7 +115,7 @@ class FiberwiseCochain(SparseTerms):
 
     @classmethod
     def from_form(cls, w: FormWeyl, cap=None) -> "FiberwiseCochain":
-        return cls(w.dim, w.order, 0, _form_terms(w), cap)
+        return cls(w.dim, w.order, 0, w.terms, cap)
 
     @classmethod
     def identity(cls, dim, order, cap=None) -> "FiberwiseCochain":
@@ -159,7 +131,7 @@ class FiberwiseCochain(SparseTerms):
     def to_form(self) -> FormWeyl:
         if self.arity != 0:
             raise ValueError("not an arity-0 cochain")
-        return _terms_form(self.dim, self.order, self.terms)
+        return FormWeyl.from_terms(self.dim, self.order, self.terms)
 
     # -- linear structure ---------------------------------------------------
 
@@ -395,7 +367,7 @@ def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
     wedged after the cochain's own dx^S in slot order."""
     if len(args) != P.arity:
         raise ValueError("arity mismatch")
-    args = [as_form(a).components for a in args]
+    args = [_form_blocks(as_form(a).terms) for a in args]
     comps = {}
     for S, block in _blocks(P.terms).items():
         for Ts in product(*args):
@@ -407,9 +379,10 @@ def cochain_eval(P: FiberwiseCochain, args) -> FormWeyl:
                 sign *= merged[0]
                 S2 = merged[1]
             else:
-                vals = _eval_terms(block, [a[T].terms for a, T in zip(args, Ts)])
-                _add_terms(comps, vals, sign, (S2,))
-    return _terms_form(P.dim, P.order, comps)
+                vals = _eval_terms(block, [a[T] for a, T in zip(args, Ts)])
+                for (m, p), c in vals.items():
+                    _acc(comps, (S2, m, p, ()), c if sign > 0 else -c)
+    return FormWeyl.from_terms(P.dim, P.order, comps)
 
 
 def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCochain:
@@ -559,9 +532,8 @@ def fedosov_d_cochain(P: FiberwiseCochain, chart: SymplecticChart,
 def embed_forms(u: FormWeyl, cap=None) -> FiberwiseCochain:
     """Scalar exterior forms (y-free, hbar-Laurent coefficients) as arity-0
     cochains; intertwines d with D + Hochschild-d and wedge with cup."""
-    for w in u.components.values():
-        if not w.is_y_free():
-            raise ValueError("embedding expects y-free coefficients")
+    if not is_central(u):
+        raise ValueError("embedding expects y-free coefficients")
     return FiberwiseCochain.from_form(u, cap)
 
 

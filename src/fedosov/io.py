@@ -330,7 +330,7 @@ def weyl_text(w: WeylElement, dx=()) -> str:
 
 
 def form_text(f: FormWeyl) -> str:
-    if not f.components:
+    if f.is_zero():
         return "0"
     return " + ".join(weyl_text(w, dx=S) for S, w in sorted(f.components.items()))
 
@@ -392,7 +392,12 @@ def parse_poly(text: str, dim: int, order: int) -> WeylElement:
         factors = []
 
     pending_sign = 1
+    prev = None
     for tok in tokens:
+        # a "*" stands between two factors
+        if tok == "*" and prev in (None, "+", "-", "*") or prev == "*" and tok in "+-":
+            raise ParseError("'*' must stand between two factors")
+        prev = tok
         if tok in "+-":
             if factors:
                 flush()
@@ -404,7 +409,7 @@ def parse_poly(text: str, dim: int, order: int) -> WeylElement:
             continue
         else:
             factors.append(_parse_factor(tok))
-    if not factors and tokens:
+    if prev == "*" or not factors and tokens:
         raise ParseError("expression ends with a dangling operator")
     flush()
     return result

@@ -1,9 +1,11 @@
 """Exact coefficient arithmetic: multivariate polynomials over Q and Laurent
-polynomials in hbar.
+polynomials in hbar, and the linear structure shared by every sparse type.
 
-Both types are sparse dictionaries with Fraction coefficients.  Instances are
-treated as immutable after construction; every operation returns a new,
-normalized object (no stored zero coefficients).
+Every sparse type of the package stores a dictionary {key: coefficient} in
+``terms``.  SparseTerms gives all of them one add/neg/sub/scale; XPoly, the
+hottest type, keeps its own arithmetic.  Instances are treated as immutable
+after construction; every operation returns a new, normalized object (no
+stored zero coefficients).
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ def _acc(d, key, val):
         d[key] = val
     else:
         d.pop(key, None)
+
+
+def _add_terms(out, terms, sign=1, prefix=()):
+    """out += sign * terms, with prefix put in front of every key."""
+    for key, c in terms.items():
+        _acc(out, prefix + key, c if sign > 0 else -c)
 
 
 def as_fraction(c) -> Fraction:
@@ -47,6 +55,38 @@ def _subst_multidegree(p, M):
                     _acc(nxt, mono[:j] + (mono[j] + 1,) + mono[j + 1:], c * f)
             acc = nxt
     return acc
+
+
+class SparseTerms:
+    """The linear structure of a sparse sum {key: coefficient}.  A subclass
+    stores the sum in ``terms`` and defines ``_empty()``, the zero of the
+    same shape."""
+
+    __slots__ = ()
+
+    def _with(self, terms):
+        out = self._empty()
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            _acc(terms, key, c)
+        return self._with(terms)
+
+    def __neg__(self):
+        return self._with({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = as_fraction(c)
+        return self._with({k: v * c for k, v in self.terms.items()} if c else {})
+
+    def is_zero(self):
+        return not self.terms
 
 
 class XPoly:
@@ -181,7 +221,7 @@ class XPoly:
         return " + ".join(bits)
 
 
-class HbarScalar:
+class HbarScalar(SparseTerms):
     """Laurent polynomial in hbar over Q; exponents bounded below.
 
     Filtration weight of hbar^k is 2k, so truncation at order N keeps k <= N//2.
@@ -206,24 +246,12 @@ class HbarScalar:
     def hbar(cls, k: int = 1, c=1) -> "HbarScalar":
         return cls({k: as_fraction(c)})
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _empty(self):
+        return HbarScalar()
 
     @property
     def min_exp(self):
         return min(self.terms) if self.terms else None
-
-    def __add__(self, other: "HbarScalar") -> "HbarScalar":
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _acc(terms, k, c)
-        return HbarScalar(terms)
-
-    def __neg__(self) -> "HbarScalar":
-        return HbarScalar({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "HbarScalar") -> "HbarScalar":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, HbarScalar):
@@ -232,7 +260,7 @@ class HbarScalar:
                 for k2, c2 in other.terms.items():
                     _acc(terms, k1 + k2, c1 * c2)
             return HbarScalar(terms)
-        return HbarScalar({k: c * as_fraction(other) for k, c in self.terms.items()})
+        return self.scale(other)
 
     __rmul__ = __mul__
 

@@ -10,12 +10,11 @@ reported results are truncated back to the contract order.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .poly import XPoly, _acc, as_fraction
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, _terms_form,
-                   commutator_over_hbar, curvature_R, delta_inv, moyal_product,
-                   nabla, product_over_hbar, sigma_project, weyl_curvature_class)
+from .cochains import _slot_splits
+from .poly import XPoly, _acc
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
+                   curvature_R, delta_inv, moyal_product, nabla, product_over_hbar,
+                   sigma_project, weyl_curvature_class)
 
 WORK_HEADROOM = 2
 
@@ -63,9 +62,9 @@ class FedosovData:
     def omega_form(self, order: int) -> FormWeyl:
         """Omega as a central form-valued section."""
         n = self.chart.dim
-        return _terms_form(n, order, {((i, j), k, (0,) * n, ()): p
-                                      for k, form in self.omega_series.items()
-                                      for (i, j), p in form.items()})
+        return FormWeyl.from_terms(n, order, {((i, j), k, (0,) * n, ()): p
+                                              for k, form in self.omega_series.items()
+                                              for (i, j), p in form.items()})
 
 
 def solve_r(data: FedosovData, validate: bool = True) -> FormWeyl:
@@ -247,8 +246,7 @@ class GaugeOperator:
             for mu, p1 in ops1.items():
                 for k2, ops2 in other.terms.items():
                     for nu, p2 in ops2.items():
-                        for split, c in _leibniz_splits(mu):
-                            gamma, rest = split
+                        for (gamma, rest), c in _slot_splits(mu, 1):
                             q = p2
                             for i, e in enumerate(gamma):
                                 for _ in range(e):
@@ -262,22 +260,6 @@ class GaugeOperator:
 
     def __eq__(self, other):
         return isinstance(other, GaugeOperator) and self.terms == other.terms
-
-
-def _leibniz_splits(mu):
-    """All splits mu = gamma + rest with multinomial coefficients
-    prod_i C(mu_i, gamma_i)."""
-    from math import comb
-
-    dims = len(mu)
-    splits = [((), (), 1)]
-    for i in range(dims):
-        nxt = []
-        for g, r, c in splits:
-            for gi in range(mu[i] + 1):
-                nxt.append((g + (gi,), r + (mu[i] - gi,), c * comb(mu[i], gi)))
-        splits = nxt
-    return [((g, r), c) for g, r, c in splits]
 
 
 class GaugedStarProduct:

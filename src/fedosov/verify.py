@@ -28,9 +28,9 @@ from .cochains import (FiberwiseCochain, cochain_eval, cup,
                        transport_cochain, transport_weyl)
 from .poly import XPoly, _acc
 from .quantize import FedosovData, StarProduct, curvature_residual, solve_r, tau
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, curvature_R,
-                   delta, delta_inv, fedosov_D, graded_commutator, nabla,
-                   sigma_project)
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
+                   curvature_R, delta, delta_inv, fedosov_D, graded_commutator,
+                   nabla, sigma_project)
 
 CHI_WINDOW_FACTOR = 2  # reconstruction cap ahead of a following differential
 
@@ -206,7 +206,7 @@ def rand_gl(rng, dim):
         g = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
              for _ in range(dim)]
         try:
-            hh._matrix_inverse(g)
+            _matrix_inverse(g)
             return g
         except ValueError:
             continue
@@ -742,8 +742,6 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
 
     # flat-chart symplectic push-forward: star and the projections commute
     def star_square():
-        from .weylhh import _matrix_inverse
-
         data = builtin_flat_data(2, order)
         sp = StarProduct(data)
         g = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]  # det 1
@@ -762,8 +760,6 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
     _run(checks, "flat-star-equivariance", star_square)
 
     def beta_square():
-        from .weylhh import _matrix_inverse
-
         data = builtin_flat_data(2, order)
         work = order + 2
         r = solve_r(FedosovData(data.chart, {}, order + 2), validate=False)

@@ -7,13 +7,16 @@ carry strictly increasing dx-index subsets; a form component's coefficient is
 always written to the left of its dx block, and dx indices coming from an
 operator (delta, nabla, a 1-form r) are wedged in from the left.
 
-A form is an arity-0 cochain.  The operators are private kernels on flat
-term dicts {(S, m, p, alphas): coeff} (dx subset, hbar power, y-multidegree,
-slot multidegrees; a form has alphas = ()), each written once: delta,
-delta_inv, sigma, nabla, the dx-block wedge around the pairing kernel, and
-linear substitution.  The form operators here and the cochain operators of
-`cochains` are thin calls into them, through one pair of converters
-(_form_terms, _terms_form); `weylhh` transports by the same substitution.
+A form is an arity-0 cochain, and FormWeyl stores exactly that: the flat
+term dict {(S, m, p, alphas): coeff} (dx subset, hbar power, y-multidegree,
+slot multidegrees; a form has alphas = ()) that the private kernels read and
+write.  Its components {S: WeylElement} are a view derived on each access.
+The kernels are each written once: delta, delta_inv, sigma, nabla, the
+dx-block wedge around the pairing kernel, and linear substitution.  The form
+operators here and the cochain operators of `cochains` are thin calls into
+them on the stored terms, FormWeyl.from_terms truncating the result at the
+order; `weylhh` transports by the same substitution.  WeylElement and
+FormWeyl take their linear structure from poly.SparseTerms.
 
 One pairing kernel (_pairing_levels, summed by _pair_terms) runs the
 fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
@@ -33,7 +36,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import XPoly, _acc, _subst_multidegree, as_fraction
+from .poly import SparseTerms, XPoly, _acc, _add_terms, _subst_multidegree, as_fraction
 
 # ---------------------------------------------------------------------------
 # small index helpers
@@ -87,7 +90,7 @@ def contract_index(k: int, S: tuple):
 # Weyl elements
 
 
-class WeylElement:
+class WeylElement(SparseTerms):
     """Section of the Weyl bundle: {(hbar_exp, y_multidegree): XPoly}."""
 
     __slots__ = ("dim", "order", "terms")
@@ -130,38 +133,13 @@ class WeylElement:
     def y_variable(cls, dim: int, order: int, i: int) -> "WeylElement":
         return cls.y_monomial(dim, order, unit_vec(dim, i))
 
-    # -- ring structure -----------------------------------------------------
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        terms = dict(self.terms)
-        for key, c in other.terms.items():
-            _acc(terms, key, c)
-        out = WeylElement(self.dim, self.order)
-        out.terms = terms
-        return out
-
-    def __neg__(self) -> "WeylElement":
-        out = WeylElement(self.dim, self.order)
-        out.terms = {key: -c for key, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
-
-    def scale(self, c) -> "WeylElement":
-        c = as_fraction(c)
-        out = WeylElement(self.dim, self.order)
-        if c:
-            out.terms = {key: v.scale(c) for key, v in self.terms.items()}
-        return out
+    def _empty(self):
+        return WeylElement(self.dim, self.order)
 
     def hbar_shift(self, j: int) -> "WeylElement":
         """Multiply by hbar^j (j may be negative)."""
         return WeylElement(self.dim, self.order,
                            {(k + j, p): c for (k, p), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_y_free(self) -> bool:
         return all(not any(p) for (_, p) in self.terms)
@@ -182,9 +160,7 @@ class WeylElement:
             if p[i - 1]:
                 p2 = p[: i - 1] + (p[i - 1] - 1,) + p[i:]
                 _acc(terms, (k, p2), c.scale(p[i - 1]))
-        out = WeylElement(self.dim, self.order)
-        out.terms = terms
-        return out
+        return self._with(terms)
 
     def diff_y_multi(self, alpha) -> "WeylElement":
         out = self
@@ -196,9 +172,7 @@ class WeylElement:
     def at_y_zero(self) -> "WeylElement":
         """Keep only the y-free part."""
         zero = (0,) * self.dim
-        out = WeylElement(self.dim, self.order)
-        out.terms = {key: c for key, c in self.terms.items() if key[1] == zero}
-        return out
+        return self._with({key: c for key, c in self.terms.items() if key[1] == zero})
 
     def truncate(self, order: int) -> "WeylElement":
         return WeylElement(self.dim, order, self.terms)
@@ -215,20 +189,30 @@ class WeylElement:
         return weyl_text(self)
 
 
-class FormWeyl:
-    """Exterior-form-valued Weyl section: {dx_subset: WeylElement}."""
+class FormWeyl(SparseTerms):
+    """Exterior-form-valued Weyl section, stored as the arity-0 term dict
+    that the kernels read and write: {(dx_subset, hbar_exp, y_multidegree,
+    ()): XPoly}.  components is the view {dx_subset: WeylElement}, rebuilt
+    on each access."""
 
-    __slots__ = ("dim", "order", "components")
+    __slots__ = ("dim", "order", "terms")
 
     def __init__(self, dim: int, order: int, components=None):
         self.dim = dim
         self.order = order
-        clean = {}
-        if components:
-            for S, w in components.items():
-                if not w.is_zero():
-                    clean[tuple(S)] = w
-        self.components = clean
+        self.terms = {(tuple(S), m, p, ()): c for S, w in (components or {}).items()
+                      for (m, p), c in w.terms.items()}
+
+    @classmethod
+    def from_terms(cls, dim: int, order: int, terms) -> "FormWeyl":
+        """The form of an arity-0 term dict, truncated at order."""
+        out = cls(dim, order)
+        out.terms = {key: c for key, c in terms.items()
+                     if c and 2 * key[1] + sum(key[2]) <= order}
+        return out
+
+    def _empty(self):
+        return FormWeyl(self.dim, self.order)
 
     @classmethod
     def zero(cls, dim: int, order: int) -> "FormWeyl":
@@ -243,59 +227,34 @@ class FormWeyl:
         return cls(w.dim, w.order, {tuple(S): w})
 
     def component(self, S) -> WeylElement:
-        return self.components.get(tuple(S), WeylElement.zero(self.dim, self.order))
+        S = tuple(S)
+        return WeylElement(self.dim, self.order)._with(
+            {(m, p): c for (T, m, p, _), c in self.terms.items() if T == S})
 
-    def __add__(self, other: "FormWeyl") -> "FormWeyl":
-        comps = dict(self.components)
-        for S, w in other.components.items():
-            s = comps.get(S)
-            s = w if s is None else s + w
-            if s.is_zero():
-                comps.pop(S, None)
-            else:
-                comps[S] = s
-        out = FormWeyl(self.dim, self.order)
-        out.components = comps
-        return out
-
-    def __neg__(self) -> "FormWeyl":
-        out = FormWeyl(self.dim, self.order)
-        out.components = {S: -w for S, w in self.components.items()}
-        return out
-
-    def __sub__(self, other: "FormWeyl") -> "FormWeyl":
-        return self + (-other)
-
-    def scale(self, c) -> "FormWeyl":
-        return FormWeyl(self.dim, self.order,
-                        {S: w.scale(c) for S, w in self.components.items()})
+    @property
+    def components(self):
+        return {S: WeylElement(self.dim, self.order)._with(t)
+                for S, t in _form_blocks(self.terms).items()}
 
     def hbar_shift(self, j: int) -> "FormWeyl":
-        return FormWeyl(self.dim, self.order,
-                        {S: w.hbar_shift(j) for S, w in self.components.items()})
-
-    def is_zero(self) -> bool:
-        return not self.components
+        return FormWeyl.from_terms(self.dim, self.order, {
+            (S, m + j, p, al): c for (S, m, p, al), c in self.terms.items()})
 
     def exterior_degrees(self):
-        return sorted({len(S) for S in self.components})
+        return sorted({len(key[0]) for key in self.terms})
 
     def homogeneous(self, q: int) -> "FormWeyl":
-        out = FormWeyl(self.dim, self.order)
-        out.components = {S: w for S, w in self.components.items() if len(S) == q}
-        return out
+        return self._with({key: c for key, c in self.terms.items() if len(key[0]) == q})
 
     def filtration_degree(self):
-        return min((w.filtration_degree() for w in self.components.values()),
-                   default=math.inf)
+        return min((2 * m + sum(p) for (_, m, p, _) in self.terms), default=math.inf)
 
     def truncate(self, order: int) -> "FormWeyl":
-        return FormWeyl(self.dim, order,
-                        {S: w.truncate(order) for S, w in self.components.items()})
+        return FormWeyl.from_terms(self.dim, order, self.terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormWeyl) and self.dim == other.dim
-                and self.components == other.components)
+                and self.terms == other.terms)
 
     def __repr__(self):
         from .io import form_text
@@ -306,25 +265,18 @@ def as_form(a) -> FormWeyl:
     return a if isinstance(a, FormWeyl) else FormWeyl.from_weyl(a)
 
 
-def _form_terms(f: FormWeyl):
-    """f as the arity-0 term dict {(S, m, p, ()): coeff}."""
-    return {(S, m, p, ()): c for S, w in f.components.items()
-            for (m, p), c in w.terms.items()}
-
-
-def _terms_form(dim, order, terms) -> FormWeyl:
-    """The form of an arity-0 term dict, keys (S, m, p, ...)."""
-    comps = {}
-    for key, c in terms.items():
-        comps.setdefault(key[0], {})[key[1:3]] = c
-    return FormWeyl(dim, order, {S: WeylElement(dim, order, t)
-                                 for S, t in comps.items()})
+def _form_blocks(terms):
+    """A form's term dict by dx subset: {S: {(m, p): coeff}}."""
+    out = {}
+    for (S, m, p, _), c in terms.items():
+        out.setdefault(S, {})[(m, p)] = c
+    return out
 
 
 def _form_op(kernel, a, *args) -> FormWeyl:
     """A term-dict kernel applied to a section or form."""
     f = as_form(a)
-    return _terms_form(f.dim, f.order, kernel(_form_terms(f), *args))
+    return FormWeyl.from_terms(f.dim, f.order, kernel(f.terms, *args))
 
 
 # ---------------------------------------------------------------------------
@@ -548,12 +500,6 @@ def _blocks(terms):
     return out
 
 
-def _add_terms(out, terms, sign=1, prefix=()):
-    """out += sign * terms, with prefix put in front of every key."""
-    for key, c in terms.items():
-        _acc(out, prefix + key, c if sign > 0 else -c)
-
-
 def _pairwise(terms1, terms2, kernel):
     """kernel on every pair of dx blocks of two term dicts, wedged
     dx^{S_1} dx^{S_2}."""
@@ -596,8 +542,8 @@ def moyal_product(a, b, chart_or_theta, *, commutator=False):
         raise ValueError("operands must share dim and order")
     omega = omega_matrix(chart_or_theta, fa.dim)
     _check_antisymmetric(omega, fa.dim)
-    out = _terms_form(fa.dim, fa.order, _fiber_product(
-        _form_terms(fa), _form_terms(fb), omega, fa.order, odd_only=commutator))
+    out = FormWeyl.from_terms(fa.dim, fa.order, _fiber_product(
+        fa.terms, fb.terms, omega, fa.order, odd_only=commutator))
     return out.component(()) if plain else out
 
 
@@ -761,7 +707,7 @@ def curvature_R(chart: SymplecticChart, order: int) -> FormWeyl:
                 continue
             p = vec_add(unit_vec(n, k), unit_vec(n, l))
             _acc(terms, ((i, j), 0, p, ()), c)
-    return _terms_form(n, order, terms)
+    return FormWeyl.from_terms(n, order, terms)
 
 
 def fedosov_D(a, chart: SymplecticChart, r: FormWeyl) -> FormWeyl:
@@ -792,8 +738,7 @@ def weyl_curvature_class(chart: SymplecticChart, r: FormWeyl, order: int) -> For
 
 def is_central(a) -> bool:
     """A form-valued section is central iff it has no y-dependence."""
-    f = as_form(a)
-    return all(w.is_y_free() for w in f.components.values())
+    return all(not any(key[2]) for key in as_form(a).terms)
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,9 @@ with no dx part and constant coefficients.  The monomial product, cup,
 product cochain and the Koszul homotopy run on the Moyal pairing kernel of
 `weyl`.  A WSeries is an arity-0 WeylCochain, and GL transport of both is
 the linear substitution of `weyl` that also transports forms and fiberwise
-cochains.  The dual maps evaluate a cochain only on monomial tuples, through
-a MonomialEvaluator that lives for one call.
+cochains.  All five types take their linear structure from poly.SparseTerms.
+The dual maps evaluate a cochain only on monomial tuples, through a
+MonomialEvaluator that lives for one call.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from .cochains import (SparseTerms, _bracket, _eval_terms, _falling,
-                       _hochschild_terms, _insert_terms, _reconstruct)
-from .poly import HbarScalar, _acc, _subst_multidegree, as_fraction
+from .cochains import (_bracket, _eval_terms, _falling, _hochschild_terms,
+                       _insert_terms, _reconstruct)
+from .poly import HbarScalar, SparseTerms, _acc, _subst_multidegree, as_fraction
 from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegrees,
                    _subst_subset, _subst_terms, _transpose, contract_index,
                    prepend_index, unit_vec, vec_add, vec_sub)

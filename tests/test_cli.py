@@ -259,10 +259,13 @@ def test_cli_fuzz_bad_invocations_exit_cleanly(tmp_path, curved_file):
     refused += [["--caps", "y:2", "--order", "2", "verify", suite] for suite in
                 ["psi", "hodge", "barkoszul", "equivariance"]]
     refused += [["--caps", "a:1", "verify", "dsquare", "--data", curved_file]]
+    # a "*" must stand between two factors
+    refused += [["star", curved_file, text, "x2"] for text in
+                ["x1**2", "2 ** 3", "x1*-2", "2*-x1", "x1 *", "*x1"]]
     accepted = [["--caps", "y:2,a:1", "--order", "2", "verify", suite] for suite in
                 ["cochain", "chi", "all"]]
     others = [["star", curved_file, text, "x2"] for text in
-              ["x1^", "1/", "x1**2", "hbar^x", "x0", "", "+", "x1^-", "hbar^-",
+              ["x1^", "1/", "hbar^x", "x0", "", "+", "x1^-", "hbar^-",
                "(x1)", "x1^2^3", "y1", "1.5", "0/0", "x-1", "--x1"]]
     others += [["--caps", "y:\u0663", "--order", "2", "verify", "cochain"]]
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")

@@ -15,11 +15,13 @@ from fedosov.cochains import (FiberwiseCochain, _r_cup_commutator, cup,
                               sigma_cochain, transport_cochain, transport_form,
                               transport_weyl)
 from fedosov.poly import XPoly
-from fedosov.verify import builtin_curved_data, rand_gl, rand_wcochain, rand_weyl
+from fedosov.verify import (builtin_curved_data, rand_form, rand_gl, rand_wcochain,
+                            rand_weyl)
 from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
-                          _pair_terms, as_form, contract_index, delta, delta_inv,
-                          graded_commutator, merge_subsets, moyal_product, nabla,
-                          prepend_index, sigma_project, unit_vec, vec_add, vec_sub)
+                          _pair_terms, as_form, contract_index, curvature_R, delta,
+                          delta_inv, graded_commutator, is_central, merge_subsets,
+                          moyal_product, nabla, prepend_index, sigma_project, unit_vec,
+                          vec_add, vec_sub)
 
 DIM, N = 2, 6
 CURVED = builtin_curved_data(N).chart
@@ -242,6 +244,73 @@ def test_gl_transport_matches_reference(dim):
                 w = a.as_wseries()
                 assert weylhh.gl_transport(ctx, g, w) == \
                     _ref_wseries_transport(w, _matrix_inverse(g))
+
+
+# -- the linear structure and the component view of the flat term dict -----------
+
+SUBSETS = [(), (1,), (2,), (1, 2)]
+
+
+def _ref_components(f):
+    """{S: WeylElement} read off the stored terms {(S, m, p, ()): XPoly}."""
+    comps = {}
+    for (S, m, p, alphas), c in f.terms.items():
+        assert alphas == () and c
+        comps.setdefault(S, {})[(m, p)] = c
+    return {S: WeylElement(f.dim, f.order, t) for S, t in comps.items()}
+
+
+def _nonzero(comps):
+    return {S: w for S, w in comps.items() if not w.is_zero()}
+
+
+def _ref_sum(a, b, order, sign=1):
+    zero = WeylElement.zero(DIM, order)
+    return _nonzero({S: a.get(S, zero) + b.get(S, zero).scale(sign) for S in set(a) | set(b)})
+
+
+def _reference_forms(order):
+    """Seeded random forms, with forms of the curved chart: its curvature,
+    nabla of a random form and the central Omega of its Fedosov data."""
+    rng = random.Random(40 + order)
+    forms = [rand_form(rng, DIM, order) for _ in range(6)]
+    forms += [curvature_R(CURVED, order), nabla(forms[0], CURVED),
+              builtin_curved_data(order).omega_form(order), FormWeyl.zero(DIM, order)]
+    return forms
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_form_arithmetic_matches_componentwise_reference(order):
+    forms = _reference_forms(order)
+    assert any(f.is_zero() for f in forms) and any(is_central(f) for f in forms) \
+        and not all(is_central(f) for f in forms)
+    for f, g in zip(forms, forms[1:] + forms[:1]):
+        rf, rg = _ref_components(f), _ref_components(g)
+        assert f.components == rf
+        assert FormWeyl(DIM, order, f.components) == f
+        for S in SUBSETS:
+            assert f.component(S) == rf.get(S, WeylElement.zero(DIM, order))
+            assert f.component(S).order == order
+        assert (f + g).components == _ref_sum(rf, rg, order)
+        assert (f - g).components == _ref_sum(rf, rg, order, -1)
+        assert (-f).components == {S: -w for S, w in rf.items()}
+        for c in (Fraction(-2, 3), 0):
+            assert f.scale(c).components == _nonzero({S: w.scale(c) for S, w in rf.items()})
+        for j in (-1, 1):
+            assert f.hbar_shift(j).components == \
+                _nonzero({S: w.hbar_shift(j) for S, w in rf.items()})
+        for o in (order - 2, order + 2):
+            t = f.truncate(o)
+            assert t.order == o
+            assert t.components == _nonzero({S: w.truncate(o) for S, w in rf.items()})
+        for q in range(DIM + 1):
+            assert f.homogeneous(q).components == {S: w for S, w in rf.items()
+                                                   if len(S) == q}
+        assert f.exterior_degrees() == sorted({len(S) for S in rf})
+        assert f.filtration_degree() == min((w.filtration_degree() for w in rf.values()),
+                                            default=float("inf"))
+        assert is_central(f) == all(w.is_y_free() for w in rf.values())
+        assert f.is_zero() == (not rf)
 
 
 # -- forms as arity-0 cochains -----------------------------------------------------

@@ -75,6 +75,7 @@ def test_parse_poly_basics():
                (-1, (0, 0)): XPoly.const(2, 1)})
     assert fio.parse_poly("1", 2, 6) == WeylElement.const(2, 6, 1)
     assert fio.parse_poly("x2 - x2", 2, 6).is_zero()
+    assert fio.parse_poly("2*x1 * x2*hbar^-1", 2, 6) == fio.parse_poly("2 x1 x2 hbar^-1", 2, 6)
 
 
 def test_parse_poly_errors():
@@ -159,6 +160,14 @@ def test_star_golden_bytes(tmp_path):
 def test_parse_poly_rejects_dangling_exponent_sign():
     with pytest.raises(fio.ParseError):
         fio.parse_poly("hbar^-", 2, 6)
+
+
+@pytest.mark.parametrize("text", ["x1**2", "2 ** 3", "x1*-2", "2*-x1", "x1 *", "*x1"])
+def test_parse_poly_rejects_misplaced_star(text):
+    # refused, not dropped: dropping the stray "*" reads x1**2 as 2 x1,
+    # 2 ** 3 as 6, x1*-2 as x1 - 2 and 2*-x1 as 2 - x1
+    with pytest.raises(fio.ParseError):
+        fio.parse_poly(text, 2, 6)
 
 
 def test_parse_poly_rejects_zero_denominator():
