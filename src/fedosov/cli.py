@@ -127,16 +127,21 @@ def cmd_gauge(args):
 
 
 def cmd_verify(args):
-    if args.dim < 2 or args.dim % 2:
+    if args.dim is not None and (args.dim < 2 or args.dim % 2):
         raise CliError(f"--dim must be even and >= 2, got {args.dim}")
     data = None
+    dim = 2 if args.dim is None else args.dim
     order = DEFAULT_ORDER if args.order is None else args.order
     if args.data is not None:
         data = _load_data(args.data, args.order)
         order = data.order
+        if args.dim is not None and args.dim != data.chart.dim:
+            raise CliError(f"--dim {args.dim} differs from the data file's dim "
+                           f"{data.chart.dim}")
+        dim = data.chart.dim
     try:
         caps = verify.parse_caps(args.caps)
-        checks = verify.run_suite(args.suite, data, args.dim, order, args.seed, caps)
+        checks = verify.run_suite(args.suite, data, dim, order, args.seed, caps)
     except KeyError as exc:
         raise CliError(str(exc)) from exc
     except ValueError as exc:
@@ -144,7 +149,7 @@ def cmd_verify(args):
     report = {
         "suite": args.suite,
         "checks": [c.as_dict() for c in checks],
-        "config": {"order": order, "seed": args.seed, "dim": args.dim,
+        "config": {"order": order, "seed": args.seed, "dim": dim,
                    "caps": args.caps, "data": args.data},
     }
     failed = [c for c in checks if not c.ok]
@@ -212,7 +217,8 @@ def build_parser():
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("suite", choices=sorted(verify.SUITES) + ["all"])
     p.add_argument("--data", default=None, help="Fedosov data JSON file")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=int, default=None,
+                   help="dimension 2n (default: the data file's; 2 without --data)")
     p.set_defaults(fn=cmd_verify)
 
     return parser

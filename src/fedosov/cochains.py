@@ -62,21 +62,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb
 
-from .poly import SparseTerms, XPoly, _acc, _add_terms
+from .poly import SparseTerms, XPoly, _acc, _add_terms, _mono_derivative
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, _blocks,
                    _delta_inv_terms, _delta_terms, _fiber_product, _form_blocks,
                    _form_op, _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
                    _subst_terms, _transpose, as_form, is_central, merge_subsets,
-                   omega_matrix, vec_add, vec_sub)
-
-
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
+                   omega_matrix, vec_add)
 
 
 class FiberwiseCochain(SparseTerms):
@@ -190,13 +183,12 @@ def _eval_terms(terms, args):
         for al, arg in zip(alphas, args):
             nxt = {}
             for (ka, pa), ca in arg.items():
-                if not all(x <= y for x, y in zip(al, pa)):
+                d = _mono_derivative(al, pa)
+                if d is None:
                     continue
-                f = 1
-                for n_, k_ in zip(pa, al):
-                    f *= _falling(n_, k_)
+                f, rest = d
                 for (mc, pc), cc in partial.items():
-                    _acc(nxt, (mc + ka, vec_add(pc, vec_sub(pa, al))), cc * ca * f)
+                    _acc(nxt, (mc + ka, vec_add(pc, rest)), cc * ca * f)
             partial = nxt
             if not partial:
                 break
@@ -248,19 +240,13 @@ def _insert_terms(terms1, i, terms2, order):
             base = c1 * c2
             nslots = len(al2)
             for pieces, f in _slot_splits(alpha, nslots):
-                g0 = pieces[0]
-                if not all(x <= y for x, y in zip(g0, p2)):
-                    continue
-                ff = f
-                for n_, k_ in zip(p2, g0):
-                    ff *= _falling(n_, k_)
-                if not ff:
+                d = _mono_derivative(pieces[0], p2)
+                if d is None:
                     continue
                 new_alphas = tuple(vec_add(al2[s], pieces[s + 1])
                                    for s in range(nslots))
-                key = (m1 + m2, vec_add(p1, vec_sub(p2, g0)),
-                       al1[:i] + new_alphas + al1[i + 1:])
-                _acc(out, key, base * ff)
+                key = (m1 + m2, vec_add(p1, d[1]), al1[:i] + new_alphas + al1[i + 1:])
+                _acc(out, key, base * (f * d[0]))
     return out
 
 
@@ -327,22 +313,21 @@ def _reconstruct(dim, arity, max_deg, order, values, shift):
         acc = dict(values(nt))
         # subtract the contributions of known coefficients with mu <= nu
         for mus, coeff in data.items():
-            if not all(all(a <= b for a, b in zip(mu, nu))
-                       for mu, nu in zip(mus, nt)):
-                continue
             f = 1
             extra = (0,) * dim
             for mu, nu in zip(mus, nt):
-                for n_, k_ in zip(nu, mu):
-                    f *= _falling(n_, k_)
-                extra = vec_add(extra, vec_sub(nu, mu))
-            for key, c in coeff.items():
-                key2, c2 = shift(key, c, extra, f)
-                _acc(acc, key2, -c2)
-        fact = 1
+                d = _mono_derivative(mu, nu)
+                if d is None:
+                    break
+                f *= d[0]
+                extra = vec_add(extra, d[1])
+            else:
+                for key, c in coeff.items():
+                    key2, c2 = shift(key, c, extra, f)
+                    _acc(acc, key2, -c2)
+        fact = 1  # d^nu x^nu = nu!, the diagonal of the triangular system
         for nu in nt:
-            for e in nu:
-                fact *= factorial(e)
+            fact *= _mono_derivative(nu, nu)[0]
         entry = {key: c * Fraction(1, fact) for key, c in acc.items()
                  if 2 * key[0] + sum(key[1]) <= order}
         if entry:
@@ -542,15 +527,14 @@ def embed_forms(u: FormWeyl, cap=None) -> FiberwiseCochain:
 
 
 def horizontal_lift_cochain(P: FiberwiseCochain, chart: SymplecticChart,
-                            r: FormWeyl, validate: bool = True) -> FiberwiseCochain:
+                            r: FormWeyl) -> FiberwiseCochain:
     """The unique D-closed cochain with sigma-projection P, for P of exterior
     degree 0 with delta P = 0: the fixed point of
     A = P + delta_inv(nabla A + (1/hbar) K_r(A))."""
-    if validate:
-        if P.exterior_degrees() not in ([], [0]):
-            raise ValueError("input must have exterior degree 0")
-        if not delta_cochain(P).is_zero():
-            raise ValueError("input must be delta-closed")
+    if P.exterior_degrees() not in ([], [0]):
+        raise ValueError("input must have exterior degree 0")
+    if not delta_cochain(P).is_zero():
+        raise ValueError("input must be delta-closed")
     return _fixed_point(P, chart, r, "cochain lift")
 
 

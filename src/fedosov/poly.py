@@ -1,5 +1,7 @@
 """Exact coefficient arithmetic: multivariate polynomials over Q and Laurent
-polynomials in hbar, and the linear structure shared by every sparse type.
+polynomials in hbar, the linear structure shared by every sparse type, and
+the two monomial kernels every module calls: linear substitution and the
+derivative d^alpha y^beta.
 
 Every sparse type of the package stores a dictionary {key: coefficient} in
 ``terms``.  SparseTerms gives all of them one add/neg/sub/scale; XPoly, the
@@ -11,6 +13,7 @@ stored zero coefficients).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
 
 Exps = tuple  # length-(2n) tuple of non-negative int exponents
 
@@ -55,6 +58,26 @@ def _subst_multidegree(p, M):
                     _acc(nxt, mono[:j] + (mono[j] + 1,) + mono[j + 1:], c * f)
             acc = nxt
     return acc
+
+
+_DERIV_CACHE = {}
+
+
+def _mono_derivative(alpha, beta):
+    """d^alpha of the monomial with exponents beta, as (beta!/(beta - alpha)!,
+    beta - alpha); None unless alpha <= beta.  Each pair is computed once
+    and kept in a module table."""
+    key = (alpha, beta)
+    hit = _DERIV_CACHE.get(key, False)
+    if hit is False:
+        hit = None
+        if all(a <= b for a, b in zip(alpha, beta)):
+            f = 1
+            for a, b in zip(alpha, beta):
+                f *= perm(b, a)
+            hit = (f, tuple(b - a for a, b in zip(alpha, beta)))
+        _DERIV_CACHE[key] = hit
+    return hit
 
 
 class SparseTerms:

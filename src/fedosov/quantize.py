@@ -11,10 +11,10 @@ reported results are truncated back to the contract order.
 from __future__ import annotations
 
 from .cochains import _slot_splits
-from .poly import XPoly, _acc
+from .poly import SparseTerms, XPoly, _acc, _mono_derivative
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
                    curvature_R, delta_inv, moyal_product, nabla, product_over_hbar,
-                   sigma_project, weyl_curvature_class)
+                   sigma_project, vec_add, weyl_curvature_class)
 
 WORK_HEADROOM = 2
 
@@ -175,9 +175,10 @@ def curvature_residual(data: FedosovData, r: FormWeyl) -> FormWeyl:
 # gauge equivalence
 
 
-class GaugeOperator:
+class GaugeOperator(SparseTerms):
     """Q = id + sum_{k>=1} hbar^k Q_k with Q_k a differential operator in x,
-    stored as {k: {dx_multi_index: XPoly}}."""
+    stored as {(k, dx_multi_index): XPoly}; the constructor takes the
+    nested {k: {dx_multi_index: XPoly}}."""
 
     __slots__ = ("dim", "terms")
 
@@ -188,10 +189,17 @@ class GaugeOperator:
             k = int(k)
             if k < 1:
                 raise ValueError("gauge corrections must have hbar power >= 1")
-            kept = {tuple(mu): p for mu, p in ops.items() if not p.is_zero()}
-            if kept:
-                clean[k] = kept
+            for mu, p in ops.items():
+                mu = tuple(mu)
+                if len(mu) != dim or any(e < 0 for e in mu):
+                    raise ValueError(f"dx multi-index {list(mu)} must have {dim} "
+                                     "non-negative entries")
+                if not p.is_zero():
+                    clean[(k, mu)] = p
         self.terms = clean
+
+    def _empty(self):
+        return GaugeOperator(self.dim)
 
     @classmethod
     def identity(cls, dim: int) -> "GaugeOperator":
@@ -199,25 +207,11 @@ class GaugeOperator:
 
     def apply(self, f: WeylElement) -> WeylElement:
         """Q f for a y-free Weyl element f."""
-        out = f
-        for k, ops in self.terms.items():
-            for mu, coeff in ops.items():
-                g_terms = {}
-                for (m, p), c in f.terms.items():
-                    d = c
-                    for i, e in enumerate(mu):
-                        for _ in range(e):
-                            d = d.diff(i + 1)
-                        if d.is_zero():
-                            break
-                    if d.is_zero():
-                        continue
-                    d = d * coeff
-                    if d.is_zero():
-                        continue
-                    _acc(g_terms, (m + k, p), d)
-                out = out + WeylElement(f.dim, f.order, g_terms)
-        return out
+        terms = dict(f.terms)
+        for (k, mu), coeff in self.terms.items():
+            for (m, p), c in f.terms.items():
+                _acc(terms, (m + k, p), _diff_x(c, mu) * coeff)
+        return WeylElement(f.dim, f.order, terms)
 
     def apply_inverse(self, f: WeylElement) -> WeylElement:
         """Q^{-1} f as the geometric series sum_j (id - Q)^j f, summed until
@@ -231,35 +225,28 @@ class GaugeOperator:
             out = out + cur
 
     def compose(self, other: "GaugeOperator") -> "GaugeOperator":
-        """Operator composition: (self.compose(other))(f) = self(other(f))."""
-        # Build by applying to a generic basis is overkill; compose symbolically.
-        out = {}
-        for k, ops in self.terms.items():
-            for mu, p in ops.items():
-                _acc(out.setdefault(k, {}), mu, p)
-        for k, ops in other.terms.items():
-            for mu, p in ops.items():
-                _acc(out.setdefault(k, {}), mu, p)
-        # cross terms: self's Q_k applied after other's Q_l requires Leibniz
-        # expansion of d^mu (q(x) d^nu f).
-        for k1, ops1 in self.terms.items():
-            for mu, p1 in ops1.items():
-                for k2, ops2 in other.terms.items():
-                    for nu, p2 in ops2.items():
-                        for (gamma, rest), c in _slot_splits(mu, 1):
-                            q = p2
-                            for i, e in enumerate(gamma):
-                                for _ in range(e):
-                                    q = q.diff(i + 1)
-                            q = p1 * q
-                            if q.is_zero():
-                                continue
-                            tot = tuple(a + b for a, b in zip(rest, nu))
-                            _acc(out.setdefault(k1 + k2, {}), tot, q.scale(c))
-        return GaugeOperator(self.dim, out)
+        """Operator composition: (self.compose(other))(f) = self(other(f)).
+        The cross terms expand d^mu (q(x) d^nu f) by the Leibniz rule."""
+        terms = (self + other).terms
+        for (k1, mu), p1 in self.terms.items():
+            for (k2, nu), p2 in other.terms.items():
+                for (gamma, rest), c in _slot_splits(mu, 1):
+                    _acc(terms, (k1 + k2, vec_add(rest, nu)),
+                         (p1 * _diff_x(p2, gamma)).scale(c))
+        return self._with(terms)
 
     def __eq__(self, other):
         return isinstance(other, GaugeOperator) and self.terms == other.terms
+
+
+def _diff_x(p: XPoly, mu) -> XPoly:
+    """d^mu/dx^mu of p."""
+    terms = {}
+    for e, c in p.terms.items():
+        d = _mono_derivative(mu, e)
+        if d is not None:
+            terms[d[1]] = c * d[0]
+    return XPoly(p.nvars, terms)
 
 
 class GaugedStarProduct:

@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import SparseTerms, XPoly, _acc, _add_terms, _subst_multidegree, as_fraction
+from .poly import (SparseTerms, XPoly, _acc, _add_terms, _mono_derivative,
+                   _subst_multidegree, as_fraction)
 
 # ---------------------------------------------------------------------------
 # small index helpers
@@ -153,21 +154,15 @@ class WeylElement(SparseTerms):
             return math.inf
         return min(2 * k + sum(p) for (k, p) in self.terms)
 
-    def diff_y(self, i: int) -> "WeylElement":
-        """d/dy^i, 1-based."""
+    def diff_y_multi(self, alpha) -> "WeylElement":
+        """d^alpha/dy^alpha."""
+        alpha = tuple(alpha)
         terms = {}
         for (k, p), c in self.terms.items():
-            if p[i - 1]:
-                p2 = p[: i - 1] + (p[i - 1] - 1,) + p[i:]
-                _acc(terms, (k, p2), c.scale(p[i - 1]))
+            d = _mono_derivative(alpha, p)
+            if d is not None:
+                terms[(k, d[1])] = c.scale(d[0])
         return self._with(terms)
-
-    def diff_y_multi(self, alpha) -> "WeylElement":
-        out = self
-        for i, a in enumerate(alpha):
-            for _ in range(a):
-                out = out.diff_y(i + 1)
-        return out
 
     def at_y_zero(self) -> "WeylElement":
         """Keep only the y-free part."""
@@ -198,10 +193,11 @@ class FormWeyl(SparseTerms):
     __slots__ = ("dim", "order", "terms")
 
     def __init__(self, dim: int, order: int, components=None):
+        """The form with components {dx_subset: WeylElement}, truncated at order."""
         self.dim = dim
         self.order = order
         self.terms = {(tuple(S), m, p, ()): c for S, w in (components or {}).items()
-                      for (m, p), c in w.terms.items()}
+                      for (m, p), c in w.terms.items() if 2 * m + sum(p) <= order}
 
     @classmethod
     def from_terms(cls, dim: int, order: int, terms) -> "FormWeyl":

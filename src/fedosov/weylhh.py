@@ -32,6 +32,12 @@ the linear substitution of `weyl` that also transports forms and fiberwise
 cochains.  All five types take their linear structure from poly.SparseTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
 MonomialEvaluator that lives for one call.
+
+Every map between the resolutions and W is a bimodule map, fixed by its
+values on generators: _bimodule_terms is the one extension that multiplies
+y-monomials into the outer tensor factors of those values.  lambda, nu,
+rho, both augmentations and both evaluations (eval_on_bar,
+eval_psi_on_koszul) call it.
 """
 
 from __future__ import annotations
@@ -39,9 +45,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf
 
-from .cochains import (_bracket, _eval_terms, _falling, _hochschild_terms,
-                       _insert_terms, _reconstruct)
-from .poly import HbarScalar, SparseTerms, _acc, _subst_multidegree, as_fraction
+from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
+from .poly import (HbarScalar, SparseTerms, _acc, _mono_derivative, _subst_multidegree,
+                   as_fraction)
 from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegrees,
                    _subst_subset, _subst_terms, _transpose, contract_index,
                    prepend_index, unit_vec, vec_add, vec_sub)
@@ -208,14 +214,13 @@ def bar_d(ctx: WeylContext, b: BarChain) -> BarChain:
 
 
 def bar_aug(ctx: WeylContext, b: BarChain) -> WSeries:
-    """Augmentation B_0 -> W: the Weyl product of the two slots."""
+    """Augmentation B_0 -> W: the bimodule map sending 1 (x) 1 to 1, that is
+    the Weyl product of the two slots."""
     if b.m != 0:
         raise ValueError("augmentation lives on B_0")
-    terms = {}
-    for (k, ps), c in b.terms.items():
-        for (t, merged), cp in ctx.mono_product(ps[0], ps[1]).items():
-            _acc(terms, (k + t, merged), c * cp)
-    return WSeries(b.dim, terms)
+    one = WSeries.const(b.dim)
+    return WSeries(b.dim, _bimodule_terms(ctx, ((k, ps[0], one, ps[1], c)
+                                                for (k, ps), c in b.terms.items())))
 
 
 def bar_h(b) -> BarChain:
@@ -228,26 +233,6 @@ def bar_h(b) -> BarChain:
     for (k, ps), c in b.terms.items():
         out[(k, (_zero(b.dim),) + ps)] = c
     return BarChain(b.dim, b.m + 1, out)
-
-
-def bar_act_left(ctx: WeylContext, u: WSeries, b: BarChain) -> BarChain:
-    """Left module action: Weyl-multiply u into the first slot from the left."""
-    out = {}
-    for (ku, pu), cu in u.terms.items():
-        for (k, ps), c in b.terms.items():
-            for (t, merged), cp in ctx.mono_product(pu, ps[0]).items():
-                _acc(out, (k + ku + t, (merged,) + ps[1:]), cu * c * cp)
-    return BarChain(b.dim, b.m, out)
-
-
-def bar_act_right(ctx: WeylContext, b: BarChain, v: WSeries) -> BarChain:
-    """Right module action: Weyl-multiply v into the last slot from the right."""
-    out = {}
-    for (kv, pv), cv in v.terms.items():
-        for (k, ps), c in b.terms.items():
-            for (t, merged), cp in ctx.mono_product(ps[-1], pv).items():
-                _acc(out, (k + kv + t, ps[:-1] + (merged,)), cv * c * cp)
-    return BarChain(b.dim, b.m, out)
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +307,13 @@ def koszul_d(ctx: WeylContext, a: KoszulChain) -> KoszulChain:
 
 
 def koszul_aug(ctx: WeylContext, a: KoszulChain) -> WSeries:
-    """Augmentation K_0 = W (x) W^op -> W: the Weyl product of the factors."""
+    """Augmentation K_0 = W (x) W^op -> W: the bimodule map sending 1 (x) 1
+    to 1, that is the Weyl product of the factors."""
     if a.m != 0:
         raise ValueError("augmentation lives on K_0")
-    terms = {}
-    for (k, p1, p2, _), c in a.terms.items():
-        for (t, merged), cp in ctx.mono_product(p1, p2).items():
-            _acc(terms, (k + t, merged), c * cp)
-    return WSeries(a.dim, terms)
+    one = WSeries.const(a.dim)
+    return WSeries(a.dim, _bimodule_terms(ctx, ((k, p1, one, p2, c)
+                                                for (k, p1, p2, _), c in a.terms.items())))
 
 
 def koszul_h(ctx: WeylContext, a) -> KoszulChain:
@@ -390,49 +374,54 @@ def _collect_subst(out, dim, k, p1, p2, T, coeff, base_tpow):
         _acc(out, (k, v_t, newp2, T), coeff * cf * Fraction(1, d + 1))
 
 
-def koszul_act_left(ctx: WeylContext, u: WSeries, a: KoszulChain) -> KoszulChain:
-    out = {}
-    for (ku, pu), cu in u.terms.items():
-        for (k, p1, p2, T), c in a.terms.items():
-            for (t, merged), cp in ctx.mono_product(pu, p1).items():
-                _acc(out, (k + ku + t, merged, p2, T), cu * c * cp)
-    return KoszulChain(a.dim, a.m, out)
-
-
-def koszul_act_right(ctx: WeylContext, a: KoszulChain, v: WSeries) -> KoszulChain:
-    out = {}
-    for (kv, pv), cv in v.terms.items():
-        for (k, p1, p2, T), c in a.terms.items():
-            for (t, merged), cp in ctx.mono_product(p2, pv).items():
-                _acc(out, (k + kv + t, p1, merged, T), cv * c * cp)
-    return KoszulChain(a.dim, a.m, out)
-
-
 # ---------------------------------------------------------------------------
 # comparison maps lambda, nu and the homotopy rho
 
 
-def _bimodule_map(ctx: WeylContext, zero, gen, act_left, act_right, items):
-    """A map given on generators, extended as a bimodule map: the sum of
-    hbar^k c  left o gen(key) o right  over items (k, left, key, right, c)."""
-    out = zero
-    for k, left, key, right, c in items:
-        piece = gen(ctx, key)
+# each type's term key as (hbar_exp, tensor factors, rest) and back; a
+# WSeries has one tensor factor, so both outer actions multiply it
+_FACTORS = {
+    WSeries: (lambda key: (key[0], key[1:], ()), lambda k, ps, rest: (k,) + ps),
+    BarChain: (lambda key: (key[0], key[1], ()), lambda k, ps, rest: (k, ps)),
+    KoszulChain: (lambda key: (key[0], key[1:3], key[3]),
+                  lambda k, ps, rest: (k,) + ps + (rest,)),
+}
+
+
+def _bimodule_terms(ctx: WeylContext, items):
+    """The bimodule extension: the term dict of the sum of
+    hbar^k c  y^left o val o y^right  over items (k, left, val, right, c),
+    val a BarChain, KoszulChain or WSeries.  y^left multiplies val's first
+    tensor factor and y^right its last; a zero exponent multiplies nothing."""
+    out = {}
+    for k, left, val, right, c in items:
+        split, join = _FACTORS[type(val)]
+        terms = {}
+        for key, cv in val.terms.items():
+            kv, ps, rest = split(key)
+            terms[(kv + k, ps, rest)] = cv * c
         if any(left):
-            piece = act_left(ctx, WSeries.monomial(ctx.dim, left), piece)
+            acted = {}
+            for (kv, ps, rest), cv in terms.items():
+                for (t, p), cp in ctx.mono_product(left, ps[0]).items():
+                    _acc(acted, (kv + t, (p,) + ps[1:], rest), cv * cp)
+            terms = acted
         if any(right):
-            piece = act_right(ctx, piece, WSeries.monomial(ctx.dim, right))
-        out = out + piece._with({(t[0] + k,) + t[1:]: v * c
-                                 for t, v in piece.terms.items()})
+            acted = {}
+            for (kv, ps, rest), cv in terms.items():
+                for (t, p), cp in ctx.mono_product(ps[-1], right).items():
+                    _acc(acted, (kv + t, ps[:-1] + (p,), rest), cv * cp)
+            terms = acted
+        for (kv, ps, rest), cv in terms.items():
+            _acc(out, join(kv, ps, rest), cv)
     return out
 
 
 def koszul_to_bar(ctx: WeylContext, a: KoszulChain) -> BarChain:
     """lambda: identity on K_0, lambda(C^T) = h_B(lambda(d C^T)) on the
     C-monomial generators, extended as a bimodule map."""
-    return _bimodule_map(ctx, BarChain(ctx.dim, a.m), _lambda_gen, bar_act_left,
-                         bar_act_right, ((k, p1, T, p2, c)
-                                         for (k, p1, p2, T), c in a.terms.items()))
+    return BarChain(ctx.dim, a.m)._with(_bimodule_terms(ctx, (
+        (k, p1, _lambda_gen(ctx, T), p2, c) for (k, p1, p2, T), c in a.terms.items())))
 
 
 def _lambda_gen(ctx: WeylContext, T) -> BarChain:
@@ -453,9 +442,8 @@ def bar_to_koszul(ctx: WeylContext, b: BarChain) -> KoszulChain:
     if b.m == 0:
         return KoszulChain(b.dim, 0, {(k, ps[0], ps[1], ()): c
                                       for (k, ps), c in b.terms.items()})
-    return _bimodule_map(ctx, KoszulChain(ctx.dim, b.m), _nu_gen, koszul_act_left,
-                         koszul_act_right, ((k, ps[0], ps[1:-1], ps[-1], c)
-                                            for (k, ps), c in b.terms.items()))
+    return KoszulChain(ctx.dim, b.m)._with(_bimodule_terms(ctx, (
+        (k, ps[0], _nu_gen(ctx, ps[1:-1]), ps[-1], c) for (k, ps), c in b.terms.items())))
 
 
 def _nu_gen(ctx: WeylContext, betas) -> KoszulChain:
@@ -474,9 +462,8 @@ def bar_homotopy(ctx: WeylContext, b: BarChain) -> BarChain:
     b - lambda(nu(b)) = bar_d(rho(b)) + rho(bar_d(b))."""
     if b.m == 0:
         return BarChain(b.dim, 1, {})
-    return _bimodule_map(ctx, BarChain(ctx.dim, b.m + 1), _rho_gen, bar_act_left,
-                         bar_act_right, ((k, ps[0], ps[1:-1], ps[-1], c)
-                                         for (k, ps), c in b.terms.items()))
+    return BarChain(ctx.dim, b.m + 1)._with(_bimodule_terms(ctx, (
+        (k, ps[0], _rho_gen(ctx, ps[1:-1]), ps[-1], c) for (k, ps), c in b.terms.items())))
 
 
 def _rho_gen(ctx: WeylContext, betas) -> BarChain:
@@ -697,11 +684,11 @@ class MonomialEvaluator:
         for alphas, terms in self._by_slots.items():
             f, shift = 1, _zero(self.dim)
             for al, be in zip(alphas, betas):
-                if any(x > y for x, y in zip(al, be)):
+                d = _mono_derivative(al, be)
+                if d is None:
                     break
-                for n, k in zip(be, al):
-                    f *= _falling(n, k)
-                shift = vec_add(shift, vec_sub(be, al))
+                f *= d[0]
+                shift = vec_add(shift, d[1])
             else:
                 for k, p, c in terms:
                     _acc(out, (k, vec_add(p, shift)), c * f)
@@ -720,23 +707,9 @@ def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WSeries:
     a = _evaluator(a)
     if b.m != a.arity:
         raise ValueError("bar degree must match cochain arity")
-    return _sandwiches(ctx, ((k, ps[0], a(ps[1:-1]), ps[-1], c)
-                             for (k, ps), c in b.terms.items()), order)
-
-
-def _sandwiches(ctx: WeylContext, items, order=None) -> WSeries:
-    """The sum of hbar^k c  y^left o val o y^right over items
-    (k, left, val, right, c), truncated at the order."""
-    order = ctx.order if order is None else order
-    total = {}
-    for k, left, val, right, c in items:
-        for (kv, pv), cv in val.terms.items():
-            cv *= c
-            for (t1, p1), c1 in ctx.mono_product(left, pv).items():
-                c1 *= cv
-                for (t2, p2), c2 in ctx.mono_product(p1, right).items():
-                    _acc(total, (k + kv + t1 + t2, p2), c1 * c2)
-    return WSeries(ctx.dim, total, order)
+    terms = _bimodule_terms(ctx, ((k, ps[0], a(ps[1:-1]), ps[-1], c)
+                                  for (k, ps), c in b.terms.items()))
+    return WSeries(ctx.dim, terms, ctx.order if order is None else order)
 
 
 def eval_psi_on_koszul(ctx: WeylContext, f: PsiElement, kappa: KoszulChain,
@@ -747,9 +720,9 @@ def eval_psi_on_koszul(ctx: WeylContext, f: PsiElement, kappa: KoszulChain,
     for (k, p, T), c in f.terms.items():
         coeffs.setdefault(T, {})[(k, p)] = c
     w = {T: WSeries(ctx.dim, terms) for T, terms in coeffs.items()}
-    return _sandwiches(ctx, ((k, p1, w[T], p2, c)
-                             for (k, p1, p2, T), c in kappa.terms.items()
-                             if T in w), order)
+    terms = _bimodule_terms(ctx, ((k, p1, w[T], p2, c)
+                                  for (k, p1, p2, T), c in kappa.terms.items() if T in w))
+    return WSeries(ctx.dim, terms, ctx.order if order is None else order)
 
 
 def lambda_hat(ctx: WeylContext, a, order=None) -> PsiElement:

@@ -248,11 +248,21 @@ def test_cli_fuzz_bad_invocations_exit_cleanly(tmp_path, curved_file):
     bad_gauge.write_text(json.dumps({"terms": [
         {"hbar_power": 1, "dx_multi_index": [1, 0],
          "poly": [{"coeff": "1/0", "exps": [0, 0]}]}]}))
+    bad_indices = []
+    for name, mu in [("long", [1, 0, 2]), ("negative", [-1, 0]), ("short", [1])]:
+        path = tmp_path / f"gauge_{name}.json"
+        path.write_text(json.dumps({"terms": [
+            {"hbar_power": 1, "dx_multi_index": mu,
+             "poly": [{"coeff": "1", "exps": [0, 0]}]}]}))
+        bad_indices.append(str(path))
     # refused: exit 2 with an error line; the rest may also be valid input
     refused = [["star", str(p), "x1", "x2"] for p in _bad_data_files(tmp_path).values()]
     refused += [["verify", "nosuch"], ["verify", "ALL"], ["star", str(tmp_path), "x1", "x2"],
                 ["gauge", curved_file, str(bad_gauge), "x1", "x2"],
                 ["gauge", curved_file, curved_file, "x1", "x2"]]
+    refused += [["gauge", curved_file, path, "x1", "x2"] for path in bad_indices]
+    # the data file fixes the dimension
+    refused += [["--order", "2", "verify", "assoc", "--data", curved_file, "--dim", "4"]]
     refused += [["--caps", caps, "--order", "2", "verify", "cochain"] for caps in
                 ["y", "y:", "y:x", "z:3", ",,", "y:3:4", "y:-1", ":"]]
     # only the cochain and chi suites read generation caps

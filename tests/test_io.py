@@ -29,6 +29,14 @@ def test_weyl_roundtrip():
     assert fio.weyl_from_json(fio.weyl_to_json(w)) == w
 
 
+def test_form_constructor_truncates_at_order():
+    f = FormWeyl(2, 2, {(): WeylElement.y_monomial(2, 6, (2, 1))})
+    assert f.is_zero() and f == f.truncate(2)
+    doc = fio.form_to_json(FormWeyl(2, 6, {(1,): WeylElement.y_monomial(2, 6, (2, 1))}))
+    doc["order"] = 2
+    assert fio.form_from_json(doc).is_zero()
+
+
 def test_form_roundtrip():
     w = FormWeyl(2, 6, {(1, 2): WeylElement.const(2, 6, 3),
                         (1,): WeylElement.y_variable(2, 6, 2)})

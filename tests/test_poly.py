@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from fedosov.poly import HbarScalar, XPoly
+from fedosov.poly import HbarScalar, XPoly, _mono_derivative
 
 
 def test_xpoly_basic_ring_ops():
@@ -29,6 +29,21 @@ def test_xpoly_diff():
     assert p.diff(1) == XPoly.monomial(2, (1, 1), 3)
     assert p.diff(2) == XPoly.monomial(2, (2, 0), Fraction(3, 2))
     assert p.diff(1).diff(2) == p.diff(2).diff(1)
+
+
+def test_mono_derivative_matches_iterated_diff():
+    degs = [(a, b) for a in range(5) for b in range(5 - a)]
+    for alpha in degs:
+        for beta in degs:
+            p = XPoly.monomial(2, beta)
+            for i, a in enumerate(alpha):
+                for _ in range(a):
+                    p = p.diff(i + 1)
+            d = _mono_derivative(alpha, beta)
+            if all(a <= b for a, b in zip(alpha, beta)):
+                assert p == XPoly.monomial(2, d[1], d[0])
+            else:
+                assert d is None and p.is_zero()
 
 
 def test_xpoly_eval_rational():

@@ -226,6 +226,12 @@ def test_gauge_rejects_nonpositive_powers():
         GaugeOperator(DIM, {0: {(1, 0): XPoly.const(DIM, 1)}})
 
 
+@pytest.mark.parametrize("mu", [(1, 0, 2), (-1, 0), (1,)])
+def test_gauge_rejects_malformed_multi_indices(mu):
+    with pytest.raises(ValueError):
+        GaugeOperator(DIM, {1: {mu: XPoly.const(DIM, 1)}})
+
+
 def test_gauged_product_properties():
     sp = StarProduct(FLAT_DATA)
     Q = GaugeOperator(DIM, {1: {(1, 0): XPoly.const(DIM, 1)}})

@@ -166,6 +166,72 @@ def test_rho_identity_on_lambda_image():
         assert lhs == rhs
 
 
+def _ref_sandwich(ctx, k, left, val, right, c):
+    """hbar^k c  y^left o val o y^right on a BarChain or KoszulChain val, one
+    term at a time, the outer factors multiplied by WSeries.weyl_mul."""
+    def mono(p):
+        return WSeries.monomial(ctx.dim, p)
+
+    out = val._empty()
+    for key, cv in val.terms.items():
+        if isinstance(val, BarChain):
+            kv, ps = key
+            first, last = ps[0], ps[-1]
+        else:
+            kv, first, last, T = key
+        firsts = mono(left).weyl_mul(mono(first), ctx).terms
+        lasts = mono(last).weyl_mul(mono(right), ctx).terms
+        for (t1, q1), c1 in firsts.items():
+            for (t2, q2), c2 in lasts.items():
+                kk = k + kv + t1 + t2
+                key2 = ((kk, (q1,) + ps[1:-1] + (q2,)) if isinstance(val, BarChain)
+                        else (kk, q1, q2, T))
+                out = out + val._with({key2: c * cv * c1 * c2})
+    return out
+
+
+def _ref_product(ctx, k, p1, p2, c):
+    return WSeries.monomial(ctx.dim, p1, c, k).weyl_mul(WSeries.monomial(ctx.dim, p2), ctx)
+
+
+def _outer_factors_nontrivial(ps_pairs):
+    return any(any(p1) and any(p2) for p1, p2 in ps_pairs)
+
+
+def test_bimodule_maps_match_term_by_term_products():
+    rng = random.Random(8)
+    for m in (0, 1, 2):
+        a = rand_koszul(rng, CTX, m, nterms=6)
+        assert _outer_factors_nontrivial((p1, p2) for (_, p1, p2, _) in a.terms)
+        want = BarChain(2, m)
+        for (k, p1, p2, T), c in a.terms.items():
+            gen = koszul_to_bar(CTX, KoszulChain.generator(2, T))
+            want = want + _ref_sandwich(CTX, k, p1, gen, p2, c)
+        assert koszul_to_bar(CTX, a) == want
+    for m in (1, 2):
+        b = rand_bar(rng, CTX, m, nterms=6)
+        assert _outer_factors_nontrivial((ps[0], ps[-1]) for (_, ps) in b.terms)
+        want_nu, want_rho = KoszulChain(2, m), BarChain(2, m + 1)
+        for (k, ps), c in b.terms.items():
+            g = BarChain.interior(2, ps[1:-1])
+            want_nu = want_nu + _ref_sandwich(CTX, k, ps[0], bar_to_koszul(CTX, g), ps[-1], c)
+            want_rho = want_rho + _ref_sandwich(CTX, k, ps[0], bar_homotopy(CTX, g),
+                                                ps[-1], c)
+        assert bar_to_koszul(CTX, b) == want_nu
+        assert bar_homotopy(CTX, b) == want_rho
+    b, a = rand_bar(rng, CTX, 0, nterms=6), rand_koszul(rng, CTX, 0, nterms=6)
+    assert _outer_factors_nontrivial(ps for (_, ps) in b.terms)
+    assert _outer_factors_nontrivial((p1, p2) for (_, p1, p2, _) in a.terms)
+    want = WSeries(2)
+    for (k, (p1, p2)), c in b.terms.items():
+        want = want + _ref_product(CTX, k, p1, p2, c)
+    assert bar_aug(CTX, b) == want
+    want = WSeries(2)
+    for (k, p1, p2, _), c in a.terms.items():
+        want = want + _ref_product(CTX, k, p1, p2, c)
+    assert koszul_aug(CTX, a) == want
+
+
 # -- reduced complex ---------------------------------------------------------------
 
 def test_psi_d_examples():
