@@ -544,7 +544,9 @@ def _fixed_point(first, chart, r, what):
     fixed point is the sum of the iterated increments."""
     parts = None if r.is_zero() else _r_mult_parts(chart, r, first.order, first.cap)
     total = inc = first
-    for _ in range(first.order + 2):
+    # a term hbar^k with k < 0 starts at weight 2k: 2|k| more passes
+    lowest = min((key[1] for key in first.terms), default=0)
+    for _ in range(first.order + 2 + 2 * max(0, -lowest)):
         upd = nabla_cochain(inc, chart)
         if parts is not None:
             upd = upd + _commutator_action(inc, chart, parts)

@@ -1,12 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from fedosov import io as fio
 from fedosov.cli import main
 from fedosov.poly import XPoly
-from fedosov.quantize import FedosovData
+from fedosov.quantize import FedosovData, star
 from fedosov.verify import builtin_curved_data, builtin_flat_data
+
+CURVED_OMEGA_FILE = str(Path(__file__).resolve().parents[1] / "bench" / "data"
+                        / "curved_omega.json")
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +61,27 @@ def test_star_json_deterministic(flat_file, capsys):
 def test_tau_command(flat_file, capsys):
     assert main(["tau", flat_file, "x1"]) == 0
     assert capsys.readouterr().out.strip() == "x1 + y1"
+
+
+def test_tau_command_negative_hbar_power(capsys):
+    """hbar^-1 x1 x2 needs two more passes of the lift recursion; hbar
+    times its lift is the lift of x1 x2 at the contract order."""
+    args = ["--json", "--order", "4", "tau", CURVED_OMEGA_FILE]
+    assert main(args + ["hbar^-1*x1*x2"]) == 0
+    low = fio.weyl_from_json(json.loads(capsys.readouterr().out)["tau"])
+    assert main(args + ["x1*x2"]) == 0
+    plain = fio.weyl_from_json(json.loads(capsys.readouterr().out)["tau"])
+    assert low.hbar_shift(1) == plain
+
+
+def test_star_command_negative_hbar_power(capsys):
+    assert main(["--json", "--order", "4", "star", CURVED_OMEGA_FILE,
+                 "hbar^-1*x1*x2", "x1"]) == 0
+    got = fio.weyl_from_json(json.loads(capsys.readouterr().out)["star"])
+    data = fio.load_fedosov_data(CURVED_OMEGA_FILE)
+    data.order = 4
+    a = fio.parse_poly("hbar^-1*x1*x2", 2, 4)
+    assert got == star(a, fio.parse_poly("x1", 2, 4), data)
 
 
 def test_solve_r_flat(flat_file, capsys):

@@ -348,6 +348,17 @@ def test_lift_properties(solved_r):
         assert fedosov_d_cochain(A, CURVED, solved_r).truncate(N).is_zero()
 
 
+def test_lift_runs_negative_hbar_powers_to_the_fixed_point(solved_r):
+    """An hbar^-1 seed starts at weight -2 and needs two more passes than
+    an hbar-free one; hbar A(hbar^-1 P) = A(P) at the working order."""
+    P = FiberwiseCochain(DIM, WORK, 1, {
+        ((), 0, (0, 0), ((1, 0),)): XPoly.monomial(DIM, (1, 1)),
+        ((), 1, (0, 0), ((0, 2),)): XPoly.const(DIM, Fraction(2, 3))})
+    A = horizontal_lift_cochain(P.hbar_shift(-1), CURVED, solved_r)
+    assert sigma_cochain(A) == P.hbar_shift(-1)
+    assert A.hbar_shift(1) == horizontal_lift_cochain(P, CURVED, solved_r)
+
+
 def test_lift_flat_slot_cochain():
     r0 = FormWeyl.zero(DIM, WORK)
     P = FiberwiseCochain.single_slot(DIM, WORK, (1, 0))
@@ -449,6 +460,16 @@ def test_transfer_flat_delta_example():
 
 def test_transfer_rejects_degree_zero(solved_r):
     P = FiberwiseCochain.from_form(as_form(y_mono((1, 0))))
+    with pytest.raises(ValueError):
+        transfer_exactness(P, CURVED, solved_r)
+
+
+def test_transfer_rejects_input_closed_only_at_low_weight(solved_r):
+    """D(hbar^3 y1 dx2) = hbar^3 dx1 dx2 + (higher weight): D-closed below
+    weight 6 = order - 2, but not at the order - 1 the check reads."""
+    P = FiberwiseCochain(DIM, WORK, 0, {((2,), 3, (1, 0), ()): XPoly.const(DIM, 1)})
+    D = fedosov_d_cochain(P, CURVED, solved_r)
+    assert D.truncate(P.order - 3).is_zero() and not D.truncate(P.order - 1).is_zero()
     with pytest.raises(ValueError):
         transfer_exactness(P, CURVED, solved_r)
 

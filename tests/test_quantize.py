@@ -1,14 +1,17 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fedosov import io as fio
 from fedosov.poly import XPoly
 from fedosov.quantize import (FedosovData, GaugeOperator, StarProduct,
                               apply_gauge, curvature_residual, fedosov_class,
                               solve_r, star, tau)
 from fedosov.verify import (builtin_curved_data, builtin_flat_data,
-                            rand_poly_in_x)
+                            rand_fraction, rand_poly_in_x)
 from fedosov.weyl import (SymplecticChart, WeylElement, delta_inv,
                           fedosov_D, sigma_project)
 
@@ -17,6 +20,7 @@ FLAT_DATA = builtin_flat_data(DIM, N)
 CURVED_DATA = builtin_curved_data(N)
 OMEGA_DATA = FedosovData(SymplecticChart.standard_flat(DIM),
                          {1: {(1, 2): XPoly.const(DIM, 1)}}, N)
+CURVED_OMEGA_FILE = Path(__file__).resolve().parents[1] / "bench" / "data" / "curved_omega.json"
 
 
 def x(i, order=N):
@@ -98,6 +102,19 @@ def test_tau_is_hbar_linear():
     assert lhs == rhs
 
 
+def test_tau_runs_negative_hbar_powers_to_the_fixed_point():
+    """hbar^-k x^e starts at weight -2k: the recursion needs 2k more passes
+    than an hbar-free input, and hbar^k tau(hbar^-k a) = tau(a) at the
+    working order."""
+    data = builtin_curved_data(4)
+    r = solve_r(data)
+    a = xmono((1, 1), order=4) + xmono((2, 0), Fraction(2, 3), order=4).hbar_shift(1)
+    for k in (1, 2):
+        t = tau(a.hbar_shift(-k), data, r)
+        assert sigma_project(t) == a.hbar_shift(-k).truncate(t.order)
+        assert t.hbar_shift(k) == tau(a, data, r)
+
+
 def test_tau_rejects_y_dependence():
     r = solve_r(FLAT_DATA)
     with pytest.raises(ValueError):
@@ -154,6 +171,45 @@ def test_star_associativity_seeded():
     for _ in range(5):
         a, b, c = (rand_poly_in_x(rng, DIM, N, 3) for _ in range(3))
         assert sp(sp(a, b), c) == sp(a, sp(b, c))
+
+
+def _laurent_poly(rng, order, hbar_powers):
+    """A seeded x-polynomial of x-degree <= 3 with one term per hbar power."""
+    monos = [(i, j) for i in range(4) for j in range(4 - i)]
+    return WeylElement(DIM, order, {
+        (k, (0, 0)): XPoly.monomial(DIM, rng.choice(monos), rand_fraction(rng))
+        for k in hbar_powers})
+
+
+def _curved_omega_data(order):
+    data = fio.fedosov_data_from_json(json.loads(CURVED_OMEGA_FILE.read_text()))
+    data.order = order
+    return data
+
+
+@pytest.mark.parametrize("order", [4, 8])
+@pytest.mark.parametrize("make_data", [builtin_curved_data, _curved_omega_data],
+                         ids=["builtin_curved", "curved_omega"])
+def test_star_product_memo_matches_star(make_data, order):
+    """One StarProduct, reused across repeated and interleaved calls,
+    agrees exactly with the uncached star on hbar-Laurent inputs."""
+    data = make_data(order)
+    sp = StarProduct(data)
+    rng = random.Random(order)
+    args = [_laurent_poly(rng, order, ks)
+            for ks in [(-2, 0, 1), (-1, 2), (0,), (-2, -1, 2)]]
+    pairs = [(0, 1), (2, 3), (1, 0), (0, 1), (3, 2), (1, 3)]
+    for i, j in pairs:
+        assert sp(args[i], args[j]) == star(args[i], args[j], data, sp.r)
+
+
+def test_star_product_rejects_y_dependence():
+    sp = StarProduct(CURVED_DATA)
+    y = WeylElement.y_variable(DIM, N, 1)
+    with pytest.raises(ValueError):
+        sp(y, x(1))
+    with pytest.raises(ValueError):
+        sp(x(1), y)
 
 
 # -- the characteristic class -------------------------------------------------
@@ -273,3 +329,13 @@ def test_gauge_compose_matches_application_order():
     Q2 = GaugeOperator(DIM, {1: {(0, 1): XPoly.const(DIM, 2)}})
     f = xmono((2, 1))
     assert Q1.compose(Q2).apply(f) == Q1.apply(Q2.apply(f))
+
+
+def test_gauge_compose_second_order_left_factor():
+    """hbar x2 d1^2 after hbar x1^2 d2: d1^2 (x1^2 d2 f) has the Leibniz
+    cross term 2 * 2 x1 d1 d2 f, where a first-order left factor has
+    only coefficient 1."""
+    Q1 = GaugeOperator(DIM, {1: {(2, 0): XPoly.variable(DIM, 2)}})
+    Q2 = GaugeOperator(DIM, {1: {(0, 1): XPoly.monomial(DIM, (2, 0))}})
+    for f in (xmono((3, 2)), xmono((1, 1), Fraction(5, 2)) + xmono((4, 1)).hbar_shift(-1)):
+        assert Q1.compose(Q2).apply(f) == Q1.apply(Q2.apply(f))
