@@ -10,13 +10,12 @@ data file runs at DEFAULT_ORDER.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import io as fio
 from . import verify
-from .quantize import (FedosovData, GaugeOperator, StarProduct, apply_gauge,
-                       curvature_residual, fedosov_class, solve_r, tau)
+from .quantize import (FedosovData, StarProduct, apply_gauge, curvature_residual,
+                       fedosov_class, solve_r, tau)
 from .weyl import ChartValidationError
 
 DEFAULT_ORDER = 6
@@ -44,11 +43,9 @@ def _parse_input(text, dim, order):
         raise CliError(f"cannot parse polynomial {text!r}: {exc}") from exc
 
 
-def _emit(args, payload_json, payload_text):
-    if args.json:
-        print(fio.dumps_canonical(payload_json))
-    else:
-        print(payload_text)
+def _emit(args, text, **fields):
+    """Print text, or with --json the canonical document of fields."""
+    print(fio.dumps_canonical(fields) if args.json else text)
 
 
 def cmd_star(args):
@@ -57,7 +54,7 @@ def cmd_star(args):
     a = _parse_input(args.a, data.chart.dim, data.order)
     b = _parse_input(args.b, data.chart.dim, data.order)
     result = sp(a, b)
-    _emit(args, {"star": fio.weyl_to_json(result)}, fio.weyl_text(result))
+    _emit(args, fio.weyl_text(result), star=fio.to_json(result))
     return 0
 
 
@@ -66,7 +63,7 @@ def cmd_tau(args):
     r = solve_r(data, validate=False)
     a = _parse_input(args.a, data.chart.dim, data.order)
     result = tau(a, data, r).truncate(data.order)
-    _emit(args, {"tau": fio.weyl_to_json(result)}, fio.weyl_text(result))
+    _emit(args, fio.weyl_text(result), tau=fio.to_json(result))
     return 0
 
 
@@ -75,54 +72,33 @@ def cmd_solve_r(args):
     r = solve_r(data, validate=False)
     residual = curvature_residual(data, r)
     r_report = r.truncate(data.order)
-    payload = {"r": fio.form_to_json(r_report),
-               "residual": fio.form_to_json(residual),
-               "residual_zero": residual.is_zero()}
     text = (f"r = {fio.form_text(r_report)}\n"
             f"residual (curvature class - Omega) = {fio.form_text(residual)}")
-    _emit(args, payload, text)
+    _emit(args, text, r=fio.to_json(r_report), residual=fio.to_json(residual),
+          residual_zero=residual.is_zero())
     return 0 if residual.is_zero() else 1
 
 
 def cmd_fedosov_class(args):
     data = _load_data(args.data, args.order)
     cls = fedosov_class(data)
-    payload = {"fedosov_class": [
-        {"hbar_power": k,
-         "form": [{"indices": list(ij), "poly": fio.xpoly_to_json(p)}
-                  for ij, p in sorted(form.items())]}
-        for k, form in sorted(cls.items())]}
     lines = []
     for k, form in sorted(cls.items()):
         for (i, j), p in sorted(form.items()):
             lines.append(f"hbar^{k} ({p}) dx{i}dx{j}")
-    _emit(args, payload, "\n".join(lines) or "0")
+    _emit(args, "\n".join(lines) or "0", fedosov_class=fio.series_to_json(cls))
     return 0
 
 
 def cmd_gauge(args):
     data = _load_data(args.data, args.order)
-    with open(args.gauge, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CliError(f"invalid gauge JSON: {exc}") from exc
-    try:
-        terms = {}
-        for item in doc["terms"]:
-            k = int(item["hbar_power"])
-            ops = terms.setdefault(k, {})
-            mu = tuple(int(v) for v in item["dx_multi_index"])
-            ops[mu] = fio.xpoly_from_json(item["poly"], data.chart.dim)
-        gauge = GaugeOperator(data.chart.dim, terms)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"malformed gauge operator: {exc}") from exc
+    gauge = fio.gauge_from_json(fio.load_json(args.gauge), dim=data.chart.dim)
     sp = StarProduct(data)
     gauged = apply_gauge(sp, gauge)
     a = _parse_input(args.a, data.chart.dim, data.order)
     b = _parse_input(args.b, data.chart.dim, data.order)
     result = gauged(a, b)
-    _emit(args, {"gauged_star": fio.weyl_to_json(result)}, fio.weyl_text(result))
+    _emit(args, fio.weyl_text(result), gauged_star=fio.to_json(result))
     return 0
 
 
@@ -142,19 +118,13 @@ def cmd_verify(args):
     try:
         caps = verify.parse_caps(args.caps)
         checks = verify.run_suite(args.suite, data, dim, order, args.seed, caps)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         raise CliError(str(exc)) from exc
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-    report = {
-        "suite": args.suite,
-        "checks": [c.as_dict() for c in checks],
-        "config": {"order": order, "seed": args.seed, "dim": dim,
-                   "caps": args.caps, "data": args.data},
-    }
     failed = [c for c in checks if not c.ok]
     if args.json:
-        print(fio.dumps_canonical(report))
+        print(fio.dumps_canonical(fio.verify_report(
+            args.suite, checks, order=order, seed=args.seed, dim=dim, caps=args.caps,
+            data=args.data)))
     else:
         for c in checks:
             status = "pass" if c.ok else "FAIL"
@@ -231,10 +201,7 @@ def main(argv=None):
         if args.order is not None and args.order < 0:
             raise CliError(f"--order must be >= 0, got {args.order}")
         return args.fn(args)
-    except (CliError, fio.SchemaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, fio.SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,25 +4,62 @@ JSON conventions (bit-exact across runs):
   * rationals are "p/q" strings (or "p" when q = 1),
   * polynomials are lists of {"coeff": "p/q", "exps": [e1..e_{2n}]} sorted by
     exponent vector,
-  * Weyl terms are sorted by (hbar_exp, y_degree_vector),
-  * form components by dx index subset, cochain slots as sorted lists.
+  * each sparse type is described once, in LAYOUTS; to_json and from_json
+    read that table.  The decoder sums duplicate terms and checks every
+    vector and index set it reads.
 """
 
 from __future__ import annotations
 
 import json
+from collections import namedtuple
+from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 
+from .cochains import FiberwiseCochain
 from .poly import XPoly, _acc, as_fraction
+from .quantize import FedosovData, GaugeOperator
 from .weyl import FormWeyl, SymplecticChart, WeylElement
+from .weylhh import BarChain, KoszulChain, PsiElement, WeylCochain
+
+
+class SchemaError(ValueError):
+    pass
+
+
+@contextmanager
+def _schema(what):
+    """Raise malformed input inside the block as a SchemaError."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise SchemaError(f"malformed {what}: {exc}") from exc
+
 
 # ---------------------------------------------------------------------------
-# rationals and polynomials
+# coefficients and key fields
 
 
 def frac_str(c: Fraction) -> str:
-    c = as_fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return str(as_fraction(c))
+
+
+def _vector(v, dim):
+    v = tuple(int(e) for e in v)
+    if len(v) != dim or any(e < 0 for e in v):
+        raise SchemaError(f"vector {list(v)} must have {dim} non-negative entries")
+    return v
+
+
+def _index_set(v, dim):
+    v = tuple(int(i) for i in v)
+    if any(not 1 <= i <= dim for i in v) or any(i >= j for i, j in zip(v, v[1:])):
+        raise SchemaError(f"index set {list(v)} must increase strictly within "
+                          f"1..{dim} (i < j for consecutive entries i, j)")
+    return v
 
 
 def xpoly_to_json(p: XPoly):
@@ -33,81 +70,161 @@ def xpoly_to_json(p: XPoly):
 def xpoly_from_json(data, nvars: int) -> XPoly:
     terms = {}
     for item in data:
-        _acc(terms, tuple(int(v) for v in item["exps"]), Fraction(item["coeff"]))
+        _acc(terms, _vector(item["exps"], nvars), Fraction(item["coeff"]))
     return XPoly(nvars, terms)
 
 
-# ---------------------------------------------------------------------------
-# Weyl elements and forms
+_INT = (int, lambda v, dim: int(v))
+_VECTOR = (list, _vector)
+_VECTORS = (lambda vs: [list(v) for v in vs],
+            lambda vs, dim: tuple(_vector(v, dim) for v in vs))
+_INDEX_SET = (sorted, _index_set)
+_INTS = (list, lambda v, dim: tuple(int(i) for i in v))
+# every field of a term, with its (encode, decode(value, dim)): a field name
+# has one kind in every layout
+_FIELDS = {"hbar": _INT, "hbar_power": _INT, "upper": _INT, "lower": _INTS,
+           "ydeg": _VECTOR, "y1": _VECTOR, "y2": _VECTOR, "dx_multi_index": _VECTOR,
+           "slots": _VECTORS, "copies": _VECTORS, "dx": _INDEX_SET, "C": _INDEX_SET,
+           "psi": _INDEX_SET, "indices": _INDEX_SET,
+           "coeff": (frac_str, lambda v, dim: Fraction(v)),
+           "poly": (xpoly_to_json, xpoly_from_json)}
+
+# A document is the integer header fields and, under items, the list of
+# terms sorted by key (items None: the document is that list).  A term is
+# its key fields, in key order, then its coefficient field.  A layout with
+# group = (name, body, layout) writes the terms that share a first key
+# entry as one item {name: entry, body: the rest in that layout}.
+# build(terms=..., **header) makes the value; None means the type itself.
+Layout = namedtuple("Layout", "header fields items group build",
+                    defaults=("terms", None, None))
+_WEYL = Layout(("dim", "order"), ("hbar", "ydeg", "poly"))
+LAYOUTS = {
+    WeylElement: _WEYL,
+    FormWeyl: Layout(("dim", "order"), (), "components", ("dx", "value", _WEYL),
+                     lambda terms, **head: FormWeyl.from_terms(
+                         terms={key + ((),): c for key, c in terms.items()}, **head)),
+    FiberwiseCochain: Layout(("dim", "order", "arity", "cap"),
+                             ("dx", "hbar", "ydeg", "slots", "poly")),
+    WeylCochain: Layout(("dim", "arity"), ("hbar", "ydeg", "slots", "coeff")),
+    BarChain: Layout(("dim", "degree"), ("hbar", "copies", "coeff")),
+    KoszulChain: Layout(("dim", "degree"), ("hbar", "y1", "y2", "C", "coeff")),
+    PsiElement: Layout(("dim",), ("hbar", "ydeg", "psi", "coeff")),
+    # a gauge file carries no dim: its reader is told it
+    GaugeOperator: Layout((), ("hbar_power", "dx_multi_index", "poly"),
+                          build=lambda terms, dim: GaugeOperator(dim, _nest(terms))),
+}
+_ATTRS = {"degree": "m"}  # header field -> attribute, where they differ
+# a 2-form series {hbar_power: {(i, j): XPoly}}
+_SERIES = Layout((), (), None,
+                 ("hbar_power", "form", Layout((), ("indices", "poly"), None)))
+# the Christoffel symbols of a chart, {(j, (i, k)): XPoly}
+_CHRISTOFFEL = Layout((), ("upper", "lower", "poly"), None)
 
 
-def weyl_to_json(w: WeylElement):
-    return {
-        "dim": w.dim,
-        "order": w.order,
-        "terms": [{"hbar": k, "ydeg": list(p), "poly": xpoly_to_json(c)}
-                  for (k, p), c in sorted(w.terms.items())],
-    }
+def _nest(terms):
+    """{(k, rest): c} -> {k: {rest: c}}."""
+    out = {}
+    for (k, rest), c in terms.items():
+        out.setdefault(k, {})[rest] = c
+    return out
 
 
-def weyl_from_json(data) -> WeylElement:
-    dim, order = int(data["dim"]), int(data["order"])
+def _encode(layout, head, terms):
+    if layout.group:
+        name, body_name, body = layout.group
+        groups = _nest({(key[0], key[1:]): c for key, c in terms.items()})
+        items = [{name: _FIELDS[name][0](g), body_name: _encode(body, head, sub)}
+                 for g, sub in sorted(groups.items())]
+    else:
+        *keys, coeff = [(name, _FIELDS[name][0]) for name in layout.fields]
+        items = []
+        for key, c in sorted(terms.items()):
+            item = {name: enc(v) for (name, enc), v in zip(keys, key)}
+            item[coeff[0]] = coeff[1](c)
+            items.append(item)
+    if layout.items is None:
+        return items
+    doc = {name: head[name] for name in layout.header}
+    doc[layout.items] = items
+    return doc
+
+
+def _decode(layout, doc, dim):
+    """The flat term dict of doc, duplicate terms summed."""
     terms = {}
-    for item in data["terms"]:
-        key = (int(item["hbar"]), tuple(int(v) for v in item["ydeg"]))
-        terms[key] = xpoly_from_json(item["poly"], dim)
-    return WeylElement(dim, order, terms)
+    for item in doc if layout.items is None else doc[layout.items]:
+        if layout.group:
+            name, body_name, body = layout.group
+            g = _FIELDS[name][1](item[name], dim)
+            for key, c in _decode(body, item[body_name], dim).items():
+                _acc(terms, (g,) + key, c)
+        else:
+            *key, c = (_FIELDS[name][1](item[name], dim) for name in layout.fields)
+            _acc(terms, tuple(key), c)
+    return terms
 
 
-def form_to_json(f: FormWeyl):
-    return {
-        "dim": f.dim,
-        "order": f.order,
-        "components": [{"dx": list(S), "value": weyl_to_json(w)}
-                       for S, w in sorted(f.components.items())],
-    }
+def to_json(x):
+    """The JSON document of a value of a type in LAYOUTS."""
+    layout = LAYOUTS[type(x)]
+    head = {name: getattr(x, _ATTRS.get(name, name)) for name in layout.header}
+    return _encode(layout, head, x.terms)
 
 
-def form_from_json(data) -> FormWeyl:
-    dim, order = int(data["dim"]), int(data["order"])
-    comps = {tuple(int(i) for i in item["dx"]): weyl_from_json(item["value"])
-             for item in data["components"]}
-    return FormWeyl(dim, order, comps)
+def from_json(cls, doc, **known):
+    """The value of type cls that doc describes; known gives header fields
+    that the document does not carry."""
+    layout = LAYOUTS[cls]
+    with _schema(cls.__name__):
+        head = dict(known, **{_ATTRS.get(name, name): int(doc[name])
+                              for name in layout.header if name in doc})
+        return (layout.build or cls)(terms=_decode(layout, doc, head["dim"]), **head)
+
+
+weyl_to_json = form_to_json = cochain_to_json = wcochain_to_json = to_json
+barchain_to_json = koszulchain_to_json = psi_to_json = to_json
+weyl_from_json = partial(from_json, WeylElement)
+form_from_json = partial(from_json, FormWeyl)
+cochain_from_json = partial(from_json, FiberwiseCochain)
+wcochain_from_json = partial(from_json, WeylCochain)
+barchain_from_json = partial(from_json, BarChain)
+koszulchain_from_json = partial(from_json, KoszulChain)
+psi_from_json = partial(from_json, PsiElement)
+gauge_from_json = partial(from_json, GaugeOperator)
+
+
+def series_to_json(series):
+    return _encode(_SERIES, {}, {(k, ij): p for k, form in series.items()
+                                 for ij, p in form.items()})
+
+
+def series_from_json(doc, dim: int):
+    with _schema("2-form series"):
+        return _nest(_decode(_SERIES, doc, dim))
 
 
 # ---------------------------------------------------------------------------
-# Fedosov data files
+# Fedosov data files and CLI reports
 
 
 def chart_to_json(chart: SymplecticChart):
-    n = chart.dim
     return {
-        "omega_lower": [[xpoly_to_json(chart.omega_lower[i][j]) for j in range(n)]
-                        for i in range(n)],
-        "omega_upper": [[xpoly_to_json(chart.omega_upper[i][j]) for j in range(n)]
-                        for i in range(n)],
-        "christoffel": [{"upper": j, "lower": [i, k], "poly": xpoly_to_json(g)}
-                        for (j, i, k), g in sorted(chart.christoffel.items())
-                        if not g.is_zero()],
+        "omega_lower": [[xpoly_to_json(p) for p in row] for row in chart.omega_lower],
+        "omega_upper": [[xpoly_to_json(p) for p in row] for row in chart.omega_upper],
+        "christoffel": _encode(_CHRISTOFFEL, {}, {(j, (i, k)): g for (j, i, k), g
+                                                  in chart.christoffel.items() if g}),
     }
 
 
 def fedosov_data_to_json(data) -> dict:
     out = {"dim": data.chart.dim, "order": data.order}
     out.update(chart_to_json(data.chart))
-    out["Omega"] = [
-        {"hbar_power": k,
-         "form": [{"indices": [i, j], "poly": xpoly_to_json(p)}
-                  for (i, j), p in sorted(form.items())]}
-        for k, form in sorted(data.omega_series.items())
-    ]
+    out["Omega"] = series_to_json(data.omega_series)
     return out
 
 
-def fedosov_data_from_json(doc) -> "FedosovData":
-    from .quantize import FedosovData
-
-    try:
+def fedosov_data_from_json(doc) -> FedosovData:
+    with _schema("Fedosov data"):
         n = int(doc["dim"])
         order = int(doc["order"])
         lower = [[xpoly_from_json(doc["omega_lower"][i][j], n) for j in range(n)]
@@ -115,163 +232,31 @@ def fedosov_data_from_json(doc) -> "FedosovData":
         upper = [[xpoly_from_json(doc["omega_upper"][i][j], n) for j in range(n)]
                  for i in range(n)]
         christoffel = {}
-        for item in doc.get("christoffel", []):
-            j = int(item["upper"])
-            i, k = (int(v) for v in item["lower"])
-            g = xpoly_from_json(item["poly"], n)
-            christoffel[(j, i, k)] = g
-            christoffel[(j, k, i)] = g
-        omega_series = {}
-        for item in doc.get("Omega", []):
-            k = int(item["hbar_power"])
-            form = omega_series.setdefault(k, {})
-            for entry in item["form"]:
-                i, j = (int(v) for v in entry["indices"])
-                if i >= j:
-                    raise SchemaError("2-form indices must satisfy i < j")
-                p = xpoly_from_json(entry["poly"], n)
-                form[(i, j)] = form.get((i, j), XPoly.zero(n)) + p
-    except (KeyError, TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(f"malformed Fedosov data: {exc}") from exc
+        gammas = _decode(_CHRISTOFFEL, doc.get("christoffel", []), n)
+        for (j, (i, k)), g in gammas.items():
+            christoffel[(j, i, k)] = christoffel[(j, k, i)] = g
+        omega_series = series_from_json(doc.get("Omega", []), n)
     chart = SymplecticChart(n, lower, upper, christoffel)
     return FedosovData(chart, omega_series, order)
 
 
-class SchemaError(ValueError):
-    pass
-
-
-def load_fedosov_data(path: str):
+def load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"invalid JSON: {exc}") from exc
-    return fedosov_data_from_json(doc)
 
 
-# ---------------------------------------------------------------------------
-# fiberwise cochains
+def load_fedosov_data(path: str) -> FedosovData:
+    return fedosov_data_from_json(load_json(path))
 
 
-def cochain_to_json(P):
-    return {
-        "dim": P.dim,
-        "order": P.order,
-        "arity": P.arity,
-        "cap": P.cap,
-        "terms": [{"dx": list(S), "hbar": m, "ydeg": list(p),
-                   "slots": [list(al) for al in alphas],
-                   "poly": xpoly_to_json(c)}
-                  for (S, m, p, alphas), c in sorted(P.terms.items())],
-    }
-
-
-def cochain_from_json(data):
-    from .cochains import FiberwiseCochain
-
-    dim, order = int(data["dim"]), int(data["order"])
-    arity = int(data["arity"])
-    terms = {}
-    for item in data["terms"]:
-        key = (tuple(int(i) for i in item["dx"]), int(item["hbar"]),
-               tuple(int(v) for v in item["ydeg"]),
-               tuple(tuple(int(v) for v in al) for al in item["slots"]))
-        terms[key] = xpoly_from_json(item["poly"], dim)
-    return FiberwiseCochain(dim, order, arity, terms, data.get("cap"))
-
-
-# ---------------------------------------------------------------------------
-# Weyl-algebra chains and cochains (constant theta)
-
-
-def wcochain_to_json(a):
-    return {
-        "dim": a.dim,
-        "arity": a.arity,
-        "terms": [{"hbar": k, "ydeg": list(p), "slots": [list(al) for al in alphas],
-                   "coeff": frac_str(c)}
-                  for (k, p, alphas), c in sorted(a.terms.items())],
-    }
-
-
-def wcochain_from_json(data):
-    from .weylhh import WeylCochain
-
-    dim, arity = int(data["dim"]), int(data["arity"])
-    terms = {}
-    for item in data["terms"]:
-        key = (int(item["hbar"]), tuple(int(v) for v in item["ydeg"]),
-               tuple(tuple(int(v) for v in al) for al in item["slots"]))
-        terms[key] = Fraction(item["coeff"])
-    return WeylCochain(dim, arity, terms)
-
-
-def barchain_to_json(b):
-    return {
-        "dim": b.dim,
-        "degree": b.m,
-        "terms": [{"hbar": k, "copies": [list(p) for p in ps], "coeff": frac_str(c)}
-                  for (k, ps), c in sorted(b.terms.items())],
-    }
-
-
-def barchain_from_json(data):
-    from .weylhh import BarChain
-
-    dim, m = int(data["dim"]), int(data["degree"])
-    terms = {}
-    for item in data["terms"]:
-        key = (int(item["hbar"]),
-               tuple(tuple(int(v) for v in p) for p in item["copies"]))
-        terms[key] = Fraction(item["coeff"])
-    return BarChain(dim, m, terms)
-
-
-def koszulchain_to_json(a):
-    return {
-        "dim": a.dim,
-        "degree": a.m,
-        "terms": [{"hbar": k, "y1": list(p1), "y2": list(p2),
-                   "C": sorted(T), "coeff": frac_str(c)}
-                  for (k, p1, p2, T), c in sorted(a.terms.items())],
-    }
-
-
-def koszulchain_from_json(data):
-    from .weylhh import KoszulChain
-
-    dim, m = int(data["dim"]), int(data["degree"])
-    terms = {}
-    for item in data["terms"]:
-        key = (int(item["hbar"]), tuple(int(v) for v in item["y1"]),
-               tuple(int(v) for v in item["y2"]),
-               tuple(int(v) for v in item["C"]))
-        terms[key] = Fraction(item["coeff"])
-    return KoszulChain(dim, m, terms)
-
-
-def psi_to_json(a):
-    return {
-        "dim": a.dim,
-        "terms": [{"hbar": k, "ydeg": list(p), "psi": sorted(T),
-                   "coeff": frac_str(c)}
-                  for (k, p, T), c in sorted(a.terms.items())],
-    }
-
-
-def psi_from_json(data):
-    from .weylhh import PsiElement
-
-    dim = int(data["dim"])
-    terms = {}
-    for item in data["terms"]:
-        key = (int(item["hbar"]), tuple(int(v) for v in item["ydeg"]),
-               tuple(int(v) for v in item["psi"]))
-        terms[key] = Fraction(item["coeff"])
-    return PsiElement(dim, terms)
+def verify_report(suite, checks, **config):
+    # a check's elapsed time stays off the wire: reports are byte-identical
+    return {"suite": suite, "config": config,
+            "checks": [{"id": c.id, "status": "pass" if c.ok else "fail",
+                        "witness": c.witness} for c in checks]}
 
 
 # ---------------------------------------------------------------------------
@@ -288,44 +273,25 @@ def _mono_text(prefix: str, exps) -> str:
     return " ".join(bits)
 
 
-def term_text(k: int, p, coeff: Fraction, dx=()) -> str:
-    bits = []
-    if k == 1:
-        bits.append("hbar")
-    elif k:
-        bits.append(f"hbar^{k}")
-    ys = _mono_text("y", p)
-    if ys:
-        bits.append(ys)
-    if dx:
-        bits.append("".join(f"dx{i}" for i in dx))
-    if not bits:
+def term_text(k: int, p, coeff: Fraction, dx=(), x=()) -> str:
+    """coeff hbar^k y^p dx_S x^x, leaving out unit factors."""
+    bits = ["hbar" if k == 1 else f"hbar^{k}" if k else "", _mono_text("y", p),
+            "".join(f"dx{i}" for i in dx), _mono_text("x", x)]
+    text = " ".join(b for b in bits if b)
+    if not text:
         return frac_str(coeff)
     if coeff == 1:
-        return " ".join(bits)
+        return text
     if coeff == -1:
-        return "-" + " ".join(bits)
-    return f"{frac_str(coeff)} " + " ".join(bits)
+        return "-" + text
+    return f"{frac_str(coeff)} {text}"
 
 
 def weyl_text(w: WeylElement, dx=()) -> str:
     if not w.terms:
         return "0"
-    bits = []
-    for (k, p), c in sorted(w.terms.items()):
-        for e, coeff in sorted(c.terms.items()):
-            xs = _mono_text("x", e)
-            base = term_text(k, p, coeff, dx)
-            if xs:
-                if coeff == 1:
-                    stripped = base if base != "1" else ""
-                    base = (stripped + " " + xs).strip()
-                elif coeff == -1:
-                    stripped = base[1:] if base != "-1" else ""
-                    base = ("-" + (stripped + " " + xs).strip())
-                else:
-                    base = f"{base} {xs}"
-            bits.append(base)
+    bits = [term_text(k, p, coeff, dx, e) for (k, p), c in sorted(w.terms.items())
+            for e, coeff in sorted(c.terms.items())]
     return " + ".join(bits).replace("+ -", "- ")
 
 
@@ -336,9 +302,7 @@ def form_text(f: FormWeyl) -> str:
 
 
 def cochain_slot_text(alpha) -> str:
-    if not any(alpha):
-        return "id"
-    return _mono_text("d", alpha)
+    return _mono_text("d", alpha) or "id"
 
 
 def wcochain_text(a) -> str:

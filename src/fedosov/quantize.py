@@ -111,10 +111,21 @@ def tau(a: WeylElement, data: FedosovData, r: FormWeyl) -> WeylElement:
 
 
 def star(a: WeylElement, b: WeylElement, data: FedosovData, r=None) -> WeylElement:
-    """a * b = sigma(tau(a) o tau(b)), truncated to the contract order."""
-    if r is None:
-        r = solve_r(data)
-    return _sigma_product(tau(a, data, r), tau(b, data, r), data)
+    """a * b = sigma(tau(a) o tau(b)), truncated to the contract order; r is
+    solved afresh when negative hbar powers make the product run deeper."""
+    depth = _star_depth(a, b)
+    run = FedosovData(data.chart, data.omega_series, data.order + depth)
+    if r is None or depth:
+        r = solve_r(run)
+    return _sigma_product(tau(a, run, r), tau(b, run, r), data)
+
+
+def _star_depth(a: WeylElement, b: WeylElement) -> int:
+    """How far above the contract order N a * b must run: its weight-N part
+    needs the lifts of each factor to weight N + 2 neg(other factor), and
+    the lift of hbar^k x^e, k < 0, at working order W is exact to W + 2k."""
+    neg = sum(max(0, -(x.min_hbar() or 0)) for x in (a, b))
+    return 2 * max(0, neg - 1)
 
 
 def _sigma_product(ta: WeylElement, tb: WeylElement, data: FedosovData) -> WeylElement:
@@ -126,18 +137,16 @@ class StarProduct:
     """Fedosov data with its solved connection 1-form; evaluates a * b on
     hbar-Laurent polynomials in x.
 
-    a * b equals star(a, b, data, r) exactly, but each argument is lifted
-    from a memo of tau(x^e) keyed by (x-exponent e, level).  This is exact
-    because tau is Q[hbar]-linear and every operator of its recursion
-    (nabla, delta_inv, (1/hbar)[r, .]) is Q[hbar]-linear and never lowers
-    the weight 2k + |p|, while multiplying by hbar^k shifts that weight by
-    exactly 2k.  So tau at the working order W of sum c hbar^k x^e is
-    sum c hbar^k tau_L(x^e) truncated back to W, where tau_L runs the same
-    recursion at level L = W - 2 min(0, k) with the same r: a term with
-    k >= 0 reuses the level-W lift, whose terms above W - 2k the final
-    truncation drops, and a term with k < 0 needs its lift 2|k| deeper.
+    a * b equals star(a, b, data) exactly, but each argument is lifted from
+    a memo of tau(x^e) keyed by the x-exponent e.  This is exact because
+    tau is Q[hbar]-linear: every operator of its recursion (nabla,
+    delta_inv, (1/hbar)[r, .]) is Q[hbar]-linear and never lowers the
+    weight 2k + |p|, while multiplying by hbar^k shifts that weight by
+    exactly 2k.  So tau of sum c hbar^k x^e at the working order is
+    sum c hbar^k tau(x^e), truncated.  A product that _star_depth sends
+    deeper runs on one deeper instance per depth, with its own r and memo.
     The memo is filled lazily, through tau itself, and grows by one lifted
-    element per distinct (monomial, level) that an instance meets.
+    element per distinct monomial that an instance meets.
 
     StarProduct.tau (and so LocalCochainEvaluator) is not memoized yet.
     bench/worker.py keeps every op's inputs for its traced replay, so a
@@ -146,42 +155,44 @@ class StarProduct:
     benchmark that measures memory at a fixed op count.
     """
 
-    __slots__ = ("data", "r", "_lifts")
+    __slots__ = ("data", "r", "_lifts", "_deeper")
 
     def __init__(self, data: FedosovData, r: FormWeyl = None):
         self.data = data
         self.r = solve_r(data) if r is None else r
         self._lifts = {}
+        self._deeper = {}
 
     def tau(self, a: WeylElement) -> WeylElement:
         return tau(a, self.data, self.r)
 
     def __call__(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return _sigma_product(self._lift(a), self._lift(b), self.data)
+        depth = _star_depth(a, b)
+        sp = self._deeper.get(depth) if depth else self
+        if sp is None:
+            data = self.data
+            sp = self._deeper[depth] = StarProduct(
+                FedosovData(data.chart, data.omega_series, data.order + depth))
+        return _sigma_product(sp._lift(a), sp._lift(b), self.data)
 
     def _lift(self, a: WeylElement) -> WeylElement:
         """tau(a, self.data, self.r), summed from the memoized monomial lifts."""
         if not a.is_y_free():
             raise ValueError("tau expects an hbar-Laurent polynomial in x (no y)")
-        work = self.data.order + WORK_HEADROOM
         terms = {}
-        for (k, _), c in a.truncate(work).terms.items():
-            level = work - 2 * min(0, k)
+        for (k, _), c in a.terms.items():
             for e, coeff in c.terms.items():
-                for (m, p), v in self._monomial_lift(e, level).terms.items():
+                for (m, p), v in self._monomial_lift(e).terms.items():
                     _acc(terms, (m + k, p), v.scale(coeff))
-        return WeylElement(a.dim, work, terms)
+        return WeylElement(a.dim, self.data.order + WORK_HEADROOM, terms)
 
-    def _monomial_lift(self, e, level: int) -> WeylElement:
-        """tau(x^e) run at the working order level, with the terms of r."""
-        lifted = self._lifts.get((e, level))
+    def _monomial_lift(self, e) -> WeylElement:
+        """tau(x^e) at the working order."""
+        lifted = self._lifts.get(e)
         if lifted is None:
-            data, r = self.data, self.r
-            if level != data.order + WORK_HEADROOM:
-                data = FedosovData(data.chart, data.omega_series, level - WORK_HEADROOM)
-                r = r.truncate(level)
-            x = WeylElement.from_xpoly(XPoly.monomial(len(e), e), level)
-            lifted = self._lifts[(e, level)] = tau(x, data, r)
+            x = WeylElement.from_xpoly(XPoly.monomial(len(e), e),
+                                       self.data.order + WORK_HEADROOM)
+            lifted = self._lifts[e] = tau(x, self.data, self.r)
         return lifted
 
     @property

@@ -44,11 +44,6 @@ class Check:
         self.witness = witness
         self.elapsed = elapsed
 
-    def as_dict(self):
-        # elapsed stays off the wire: reports are byte-identical across runs
-        return {"id": self.id, "status": "pass" if self.ok else "fail",
-                "witness": self.witness}
-
 
 def _run(checks, check_id, fn):
     t0 = time.perf_counter()
@@ -237,12 +232,7 @@ def _serialized(x):
         return fio.weyl_text(x)
     if isinstance(x, FormWeyl):
         return fio.form_text(x)
-    to_json = {FiberwiseCochain: fio.cochain_to_json,
-               hh.WeylCochain: fio.wcochain_to_json,
-               hh.BarChain: fio.barchain_to_json,
-               hh.KoszulChain: fio.koszulchain_to_json,
-               hh.PsiElement: fio.psi_to_json}[type(x)]
-    return fio.dumps_canonical(to_json(x))
+    return fio.dumps_canonical(fio.to_json(x))
 
 
 def _equal(lhs, rhs):

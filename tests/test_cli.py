@@ -221,6 +221,36 @@ def test_verify_transfer_and_psi_suites(suite, curved_file, capsys):
     assert all(c["status"] == "pass" for c in payload["checks"])
 
 
+def test_gauge_file_sums_duplicate_terms(curved_file, tmp_path, capsys):
+    def gauge_output(terms):
+        path = tmp_path / "gauge.json"
+        path.write_text(json.dumps({"terms": terms}))
+        assert main(["--order", "4", "gauge", curved_file, str(path), "x1", "x2"]) == 0
+        return capsys.readouterr().out
+
+    def entry(coeff):
+        return {"hbar_power": 1, "dx_multi_index": [0, 0],
+                "poly": [{"coeff": coeff, "exps": [1, 1]}]}
+
+    twice = gauge_output([entry("1"), entry("1")])
+    assert twice == gauge_output([entry("2")])
+    assert twice != gauge_output([entry("1")])
+
+
+def test_python_m_fedosov_runs_the_cli(flat_file):
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run([sys.executable, "-m", "fedosov", "--order", "2", "star",
+                           flat_file, "x1", "x2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "x1 x2 + 1/2 hbar"
+
+
 def test_verify_requires_data_for_transfer(capsys):
     assert main(["verify", "transfer"]) == 2
     assert "requires" in capsys.readouterr().err
@@ -248,6 +278,11 @@ def _bad_data_files(tmp_path):
         "omega-indices": lambda d: d.update(Omega=[
             {"hbar_power": 1, "form": [{"indices": [1, 7], "poly": one}]}]),
         "poly-null": lambda d: d["omega_upper"][0].__setitem__(1, None),
+        "negative-exponent": lambda d: d["christoffel"][0]["poly"][0].__setitem__(
+            "exps", [-1, 0]),
+        "omega-negative-exponent": lambda d: d.update(Omega=[
+            {"hbar_power": 1, "form": [{"indices": [1, 2],
+                                        "poly": [{"coeff": "1", "exps": [0, -1]}]}]}]),
     }
     paths = {}
     for name, edit in edits.items():
@@ -274,11 +309,12 @@ def test_cli_fuzz_bad_invocations_exit_cleanly(tmp_path, curved_file):
         {"hbar_power": 1, "dx_multi_index": [1, 0],
          "poly": [{"coeff": "1/0", "exps": [0, 0]}]}]}))
     bad_indices = []
-    for name, mu in [("long", [1, 0, 2]), ("negative", [-1, 0]), ("short", [1])]:
+    for name, mu, exps in [("long", [1, 0, 2], [0, 0]), ("negative", [-1, 0], [0, 0]),
+                           ("short", [1], [0, 0]), ("negative-exponent", [1, 0], [-1, 0])]:
         path = tmp_path / f"gauge_{name}.json"
         path.write_text(json.dumps({"terms": [
             {"hbar_power": 1, "dx_multi_index": mu,
-             "poly": [{"coeff": "1", "exps": [0, 0]}]}]}))
+             "poly": [{"coeff": "1", "exps": exps}]}]}))
         bad_indices.append(str(path))
     # refused: exit 2 with an error line; the rest may also be valid input
     refused = [["star", str(p), "x1", "x2"] for p in _bad_data_files(tmp_path).values()]

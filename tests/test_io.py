@@ -1,13 +1,18 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from fedosov import io as fio
+from fedosov.cochains import FiberwiseCochain
 from fedosov.poly import XPoly
-from fedosov.quantize import FedosovData
-from fedosov.verify import builtin_curved_data, builtin_flat_data
+from fedosov.quantize import FedosovData, GaugeOperator
+from fedosov.verify import (builtin_curved_data, builtin_flat_data, rand_bar,
+                            rand_cochain, rand_form, rand_koszul, rand_psi,
+                            rand_wcochain, rand_weyl)
 from fedosov.weyl import FormWeyl, WeylElement
+from fedosov.weylhh import KoszulChain, PsiElement, WeylCochain, WeylContext
 
 
 def test_frac_str():
@@ -186,3 +191,127 @@ def test_parse_poly_rejects_zero_denominator():
 def test_parse_poly_rejects_negative_x_exponent():
     with pytest.raises(fio.ParseError):
         fio.parse_poly("x1^-1", 2, 6)
+
+
+def _pinned_samples():
+    ctx = WeylContext.standard(2, 6)
+    R = random.Random
+    curved = builtin_curved_data(4)
+    return {
+        "weyl": rand_weyl(R(1), 2, 4, nterms=3, hmin=-1, hmax=1),
+        "form": rand_form(R(2), 2, 4, nterms=3),
+        "cochain": rand_cochain(R(6), 2, 4, 1, nterms=4),
+        "wcochain": rand_wcochain(R(5), ctx, 2, nterms=4),
+        "bar": rand_bar(R(5), ctx, 1, nterms=3),
+        "koszul": rand_koszul(R(6), ctx, 1, nterms=3),
+        "psi": rand_psi(R(7), ctx, nterms=3),
+        "gauge": GaugeOperator(2, {1: {(1, 0): XPoly.monomial(2, (0, 1), Fraction(1, 2))},
+                                   2: {(0, 2): XPoly.const(2, -3)}}),
+        "data": FedosovData(curved.chart,
+                            {1: {(1, 2): XPoly.monomial(2, (1, 0), Fraction(-2, 3))}}, 4),
+    }
+
+
+# canonical bytes of the samples above, recorded before the codec became
+# table-driven; the gauge bytes are the gauge-file layout the CLI reads
+PINNED_BYTES = {
+    "weyl": '{"dim":2,"order":4,"terms":[{"hbar":-1,"poly":[{"coeff":"3/4","exps":[1,0]}],'
+            '"ydeg":[2,0]},{"hbar":0,"poly":[{"coeff":"3/7","exps":[1,0]},{"coeff":"1",'
+            '"exps":[2,0]}],"ydeg":[0,0]},{"hbar":1,"poly":[{"coeff":"-9","exps":[0,1]},'
+            '{"coeff":"8","exps":[0,2]}],"ydeg":[0,2]}]}',
+    "form": '{"components":[{"dx":[],"value":{"dim":2,"order":4,"terms":[{"hbar":0,"poly":'
+            '[{"coeff":"1/5","exps":[0,2]},{"coeff":"-8/3","exps":[2,0]}],"ydeg":[0,1]}]}},'
+            '{"dx":[1],"value":{"dim":2,"order":4,"terms":[{"hbar":2,"poly":[{"coeff":"1/9",'
+            '"exps":[0,0]}],"ydeg":[0,0]}]}},{"dx":[2],"value":{"dim":2,"order":4,"terms":'
+            '[{"hbar":1,"poly":[{"coeff":"1/7","exps":[1,1]}],"ydeg":[0,0]}]}}],"dim":2,'
+            '"order":4}',
+    "cochain": '{"arity":1,"cap":4,"dim":2,"order":4,"terms":[{"dx":[],"hbar":1,"poly":'
+               '[{"coeff":"-1/8","exps":[1,0]}],"slots":[[0,2]],"ydeg":[0,0]},{"dx":[],'
+               '"hbar":1,"poly":[{"coeff":"9/4","exps":[0,0]},{"coeff":"-3/5","exps":[1,0]}],'
+               '"slots":[[1,1]],"ydeg":[0,2]},{"dx":[2],"hbar":0,"poly":[{"coeff":"-7/9",'
+               '"exps":[1,0]}],"slots":[[0,2]],"ydeg":[0,2]}]}',
+    "wcochain": '{"arity":2,"dim":2,"terms":[{"coeff":"-1/3","hbar":1,"slots":[[0,2],[0,1]],'
+                '"ydeg":[0,1]},{"coeff":"-2","hbar":1,"slots":[[1,0],[2,0]],"ydeg":[2,0]}]}',
+    "bar": '{"degree":1,"dim":2,"terms":[{"coeff":"1/4","copies":[[1,0],[2,0],[0,0]],'
+           '"hbar":0},{"coeff":"-3/7","copies":[[1,2],[0,2],[0,0]],"hbar":0}]}',
+    "koszul": '{"degree":1,"dim":2,"terms":[{"C":[2],"coeff":"-1","hbar":0,"y1":[0,2],'
+              '"y2":[2,2]},{"C":[1],"coeff":"9/8","hbar":0,"y1":[1,1],"y2":[0,0]},{"C":[1],'
+              '"coeff":"4/9","hbar":1,"y1":[1,0],"y2":[1,1]}]}',
+    "psi": '{"dim":2,"terms":[{"coeff":"9","hbar":-1,"psi":[2],"ydeg":[0,0]},{"coeff":"2",'
+           '"hbar":0,"psi":[1,2],"ydeg":[0,0]}]}',
+    "gauge": '{"terms":[{"dx_multi_index":[1,0],"hbar_power":1,"poly":[{"coeff":"1/2",'
+             '"exps":[0,1]}]},{"dx_multi_index":[0,2],"hbar_power":2,"poly":[{"coeff":"-3",'
+             '"exps":[0,0]}]}]}',
+    "data": '{"Omega":[{"form":[{"indices":[1,2],"poly":[{"coeff":"-2/3","exps":[1,0]}]}],'
+            '"hbar_power":1}],"christoffel":[{"lower":[1,1],"poly":[{"coeff":"1","exps":'
+            '[0,1]}],"upper":2}],"dim":2,"omega_lower":[[[],[{"coeff":"-1","exps":[0,0]}]],'
+            '[[{"coeff":"1","exps":[0,0]}],[]]],"omega_upper":[[[],[{"coeff":"1","exps":'
+            '[0,0]}]],[[{"coeff":"-1","exps":[0,0]}],[]]],"order":4}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BYTES))
+def test_pinned_canonical_bytes(name):
+    x = _pinned_samples()[name]
+    if name == "data":
+        assert fio.dumps_canonical(fio.fedosov_data_to_json(x)) == PINNED_BYTES[name]
+        back = fio.fedosov_data_from_json(json.loads(PINNED_BYTES[name]))
+        assert (back.chart.christoffel, back.omega_series) == (x.chart.christoffel,
+                                                               x.omega_series)
+        return
+    assert fio.dumps_canonical(fio.to_json(x)) == PINNED_BYTES[name]
+    assert fio.from_json(type(x), json.loads(PINNED_BYTES[name]), dim=2) == x
+
+
+def _doc(terms, **head):
+    return dict(head, terms=terms)
+
+
+ONE = [{"coeff": "1", "exps": [1, 0]}]
+
+
+@pytest.mark.parametrize("cls,doc", [
+    (WeylElement, _doc([{"hbar": 0, "ydeg": [0, 0, 0, -1], "poly": ONE}], dim=2, order=4)),
+    (WeylElement, _doc([{"hbar": 0, "ydeg": [0, -1], "poly": ONE}], dim=2, order=4)),
+    (WeylElement, _doc([{"hbar": 0, "ydeg": [0, 0],
+                         "poly": [{"coeff": "1", "exps": [-1, 0]}]}], dim=2, order=4)),
+    (FiberwiseCochain, _doc([{"dx": [], "hbar": 0, "ydeg": [0], "slots": [[0, 0]],
+                              "poly": ONE}], dim=2, order=4, arity=1)),
+    (FiberwiseCochain, _doc([{"dx": [], "hbar": 0, "ydeg": [0, 0], "slots": [[0, 0, 1]],
+                              "poly": ONE}], dim=2, order=4, arity=1)),
+    (FiberwiseCochain, _doc([{"dx": [2, 1], "hbar": 0, "ydeg": [0, 0], "slots": [[0, 0]],
+                              "poly": ONE}], dim=2, order=4, arity=1)),
+    (WeylCochain, _doc([{"hbar": 0, "ydeg": [0, 0], "slots": [[0, -1]], "coeff": "1"}],
+                       dim=2, arity=1)),
+    (KoszulChain, _doc([{"hbar": 0, "y1": [0, 0], "y2": [0, 0], "C": [0], "coeff": "1"}],
+                       dim=2, degree=1)),
+    (PsiElement, _doc([{"hbar": 0, "ydeg": [0, 0], "psi": [3], "coeff": "1"}], dim=2)),
+    (PsiElement, _doc([{"hbar": 0, "ydeg": [0, 0], "psi": [1, 1], "coeff": "1"}], dim=2)),
+    (FormWeyl, {"dim": 2, "order": 4, "components": [
+        {"dx": [1], "value": _doc([{"hbar": 0, "ydeg": [0, 0, 0], "poly": ONE}])}]}),
+    (GaugeOperator, _doc([{"hbar_power": 1, "dx_multi_index": [0, 0],
+                           "poly": [{"coeff": "1", "exps": [0, -1]}]}])),
+])
+def test_decoders_reject_malformed_key_vectors(cls, doc):
+    with pytest.raises(fio.SchemaError):
+        fio.from_json(cls, doc, dim=2)
+
+
+def test_decoders_sum_duplicate_terms():
+    poly = XPoly.monomial(2, (1, 0), 2)
+    weyl = _doc([{"hbar": 0, "ydeg": [1, 0], "poly": ONE}] * 2, dim=2, order=4)
+    assert fio.weyl_from_json(weyl) == WeylElement(2, 4, {(0, (1, 0)): poly})
+    form = {"dim": 2, "order": 4, "components": [{"dx": [1], "value": weyl}] * 2}
+    assert fio.form_from_json(form) == FormWeyl(2, 4, {(1,): WeylElement(
+        2, 4, {(0, (1, 0)): poly.scale(2)})})
+    psi = _doc([{"hbar": 0, "ydeg": [0, 0], "psi": [1], "coeff": "1/2"}] * 2, dim=2)
+    assert fio.psi_from_json(psi) == PsiElement(2, {(0, (0, 0), (1,)): Fraction(1)})
+    gauge = _doc([{"hbar_power": 1, "dx_multi_index": [0, 0], "poly": ONE}] * 2)
+    assert fio.gauge_from_json(gauge, dim=2) == GaugeOperator(2, {1: {(0, 0): poly}})
+    omega = [{"hbar_power": 1, "form": [{"indices": [1, 2], "poly": ONE}] * 2}]
+    assert fio.series_from_json(omega, 2) == {1: {(1, 2): poly}}
+    chart = builtin_curved_data(4).chart
+    doc = fio.fedosov_data_to_json(builtin_curved_data(4))
+    doc["christoffel"] *= 2
+    assert fio.fedosov_data_from_json(doc).chart.christoffel == {
+        key: g.scale(2) for key, g in chart.christoffel.items()}

@@ -13,7 +13,7 @@ from fedosov.quantize import (FedosovData, GaugeOperator, StarProduct,
 from fedosov.verify import (builtin_curved_data, builtin_flat_data,
                             rand_fraction, rand_poly_in_x)
 from fedosov.weyl import (SymplecticChart, WeylElement, delta_inv,
-                          fedosov_D, sigma_project)
+                          fedosov_D, moyal_product, sigma_project)
 
 DIM, N = 2, 6
 FLAT_DATA = builtin_flat_data(DIM, N)
@@ -201,6 +201,23 @@ def test_star_product_memo_matches_star(make_data, order):
     pairs = [(0, 1), (2, 3), (1, 0), (0, 1), (3, 2), (1, 3)]
     for i, j in pairs:
         assert sp(args[i], args[j]) == star(args[i], args[j], data, sp.r)
+
+
+@pytest.mark.parametrize("a_text,b_text", [
+    ("hbar^-2 x1 x2", "x1"), ("hbar^-2 x1^2", "x2^2"),
+    ("hbar^-1 x1^2", "hbar^-1 x2^2"), ("hbar^-2 x1", "x2")])
+def test_star_with_negative_hbar_powers_matches_a_deeper_product(a_text, b_text):
+    """Negative hbar powers summing to -2 or less: star and StarProduct
+    match the product run at order + 8, truncated to the order."""
+    order = 4
+    data = _curved_omega_data(order)
+    deep = FedosovData(data.chart, data.omega_series, order + 8)
+    r = solve_r(deep)
+    a, b = (fio.parse_poly(text, DIM, order) for text in (a_text, b_text))
+    want = sigma_project(moyal_product(tau(a, deep, r), tau(b, deep, r),
+                                       deep.chart)).truncate(order)
+    assert star(a, b, data) == want
+    assert StarProduct(data)(a, b) == want
 
 
 def test_star_product_rejects_y_dependence():
