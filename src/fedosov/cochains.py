@@ -226,27 +226,43 @@ def _slot_splits(alpha, nslots):
 
 def _insert_terms(terms1, i, terms2, order):
     """Insert P2 into slot i (0-based) of P1: the slot derivative
-    distributes multinomially over P2's y-part and slots.  Pairs whose
-    every output term lies beyond the order are skipped."""
+    distributes multinomially over P2's y-part and slots.  Only terms of
+    weight <= order are built.
+
+    A term pair (m1, p1, alpha_1..) (x) (m2, p2, slots) and a split of
+    alpha = alpha_i into g0 (to the y-part) and g1..gn (to the slots)
+    give one output term, of weight w - |g0| with
+    w = 2(m1 + m2) + |p1| + |p2|: d^{g0} y^{p2} lowers |p2| by |g0| and
+    nothing else moves the weight.  So a split with w - |g0| > order is
+    skipped before its derivative, slots or coefficient are formed, a
+    pair is skipped when even the largest |g0| = min(|alpha|, |p2|) is
+    not enough, and c1 c2 is formed once per pair, only when some split
+    survives.  This is exact: the weight is a function of the output key,
+    so a skipped term never shares a key with a kept one, and every caller
+    truncates the result at the order it passes."""
     out = {}
     for (m1, p1, al1), c1 in terms1.items():
         alpha = al1[i]
         asize = sum(alpha)
-        base_w = 2 * m1 + sum(p1)
+        head, tail = al1[:i], al1[i + 1:]
+        w1 = 2 * m1 + sum(p1)
         for (m2, p2, al2), c2 in terms2.items():
-            # minimal achievable output weight for this pair
-            if base_w + 2 * m2 + max(0, sum(p2) - asize) > order:
+            w = w1 + 2 * m2 + sum(p2)
+            if w - min(asize, sum(p2)) > order:
                 continue
-            base = c1 * c2
-            nslots = len(al2)
-            for pieces, f in _slot_splits(alpha, nslots):
+            base = None
+            for pieces, f in _slot_splits(alpha, len(al2)):
+                if w - sum(pieces[0]) > order:
+                    continue
                 d = _mono_derivative(pieces[0], p2)
                 if d is None:
                     continue
-                new_alphas = tuple(vec_add(al2[s], pieces[s + 1])
-                                   for s in range(nslots))
-                key = (m1 + m2, vec_add(p1, d[1]), al1[:i] + new_alphas + al1[i + 1:])
-                _acc(out, key, base * (f * d[0]))
+                if base is None:
+                    base = c1 * c2
+                f *= d[0]
+                key = (m1 + m2, vec_add(p1, d[1]),
+                       head + tuple(map(vec_add, al2, pieces[1:])) + tail)
+                _acc(out, key, base if f == 1 else base * f)
     return out
 
 

@@ -1,7 +1,10 @@
 """Canonical serialization, text rendering and input parsing.
 
 JSON conventions (bit-exact across runs):
-  * rationals are "p/q" strings (or "p" when q = 1),
+  * rationals are "p/q" strings (or "p" when q = 1); the decoder also
+    takes a JSON integer, and refuses a float,
+  * an integer field takes a JSON integer only, never a float, a numeric
+    string or a boolean,
   * polynomials are lists of {"coeff": "p/q", "exps": [e1..e_{2n}]} sorted by
     exponent vector,
   * each sparse type is described once, in LAYOUTS; to_json and from_json
@@ -12,6 +15,7 @@ JSON conventions (bit-exact across runs):
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 from contextlib import contextmanager
 from fractions import Fraction
@@ -47,15 +51,38 @@ def frac_str(c: Fraction) -> str:
     return str(as_fraction(c))
 
 
+def _is_int(v):
+    # a JSON integer; json reads true and false as bools, which are ints
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _int(v):
+    """A JSON integer, refusing floats, numeric strings and booleans."""
+    if not _is_int(v):
+        raise SchemaError(f"{v!r} is not an integer")
+    return v
+
+
+_RATIONAL = re.compile(r"[-+]?[0-9]+(/[0-9]+)?")
+
+
+def _rational(v):
+    """A "p/q" (or "p") string or a JSON integer as a Fraction.  A float
+    is refused: its binary value is not the decimal written."""
+    if isinstance(v, str) and _RATIONAL.fullmatch(v) or _is_int(v):
+        return Fraction(v)
+    raise SchemaError(f"{v!r} is not a rational: write \"p/q\" or an integer")
+
+
 def _vector(v, dim):
-    v = tuple(int(e) for e in v)
+    v = tuple(_int(e) for e in v)
     if len(v) != dim or any(e < 0 for e in v):
         raise SchemaError(f"vector {list(v)} must have {dim} non-negative entries")
     return v
 
 
 def _index_set(v, dim):
-    v = tuple(int(i) for i in v)
+    v = tuple(_int(i) for i in v)
     if any(not 1 <= i <= dim for i in v) or any(i >= j for i, j in zip(v, v[1:])):
         raise SchemaError(f"index set {list(v)} must increase strictly within "
                           f"1..{dim} (i < j for consecutive entries i, j)")
@@ -70,23 +97,23 @@ def xpoly_to_json(p: XPoly):
 def xpoly_from_json(data, nvars: int) -> XPoly:
     terms = {}
     for item in data:
-        _acc(terms, _vector(item["exps"], nvars), Fraction(item["coeff"]))
+        _acc(terms, _vector(item["exps"], nvars), _rational(item["coeff"]))
     return XPoly(nvars, terms)
 
 
-_INT = (int, lambda v, dim: int(v))
+_INT = (int, lambda v, dim: _int(v))
 _VECTOR = (list, _vector)
 _VECTORS = (lambda vs: [list(v) for v in vs],
             lambda vs, dim: tuple(_vector(v, dim) for v in vs))
 _INDEX_SET = (sorted, _index_set)
-_INTS = (list, lambda v, dim: tuple(int(i) for i in v))
+_INTS = (list, lambda v, dim: tuple(_int(i) for i in v))
 # every field of a term, with its (encode, decode(value, dim)): a field name
 # has one kind in every layout
 _FIELDS = {"hbar": _INT, "hbar_power": _INT, "upper": _INT, "lower": _INTS,
            "ydeg": _VECTOR, "y1": _VECTOR, "y2": _VECTOR, "dx_multi_index": _VECTOR,
            "slots": _VECTORS, "copies": _VECTORS, "dx": _INDEX_SET, "C": _INDEX_SET,
            "psi": _INDEX_SET, "indices": _INDEX_SET,
-           "coeff": (frac_str, lambda v, dim: Fraction(v)),
+           "coeff": (frac_str, lambda v, dim: _rational(v)),
            "poly": (xpoly_to_json, xpoly_from_json)}
 
 # A document is the integer header fields and, under items, the list of
@@ -176,7 +203,7 @@ def from_json(cls, doc, **known):
     that the document does not carry."""
     layout = LAYOUTS[cls]
     with _schema(cls.__name__):
-        head = dict(known, **{_ATTRS.get(name, name): int(doc[name])
+        head = dict(known, **{_ATTRS.get(name, name): _int(doc[name])
                               for name in layout.header if name in doc})
         return (layout.build or cls)(terms=_decode(layout, doc, head["dim"]), **head)
 
@@ -225,8 +252,8 @@ def fedosov_data_to_json(data) -> dict:
 
 def fedosov_data_from_json(doc) -> FedosovData:
     with _schema("Fedosov data"):
-        n = int(doc["dim"])
-        order = int(doc["order"])
+        n = _int(doc["dim"])
+        order = _int(doc["order"])
         lower = [[xpoly_from_json(doc["omega_lower"][i][j], n) for j in range(n)]
                  for i in range(n)]
         upper = [[xpoly_from_json(doc["omega_upper"][i][j], n) for j in range(n)]

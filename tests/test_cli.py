@@ -283,6 +283,17 @@ def _bad_data_files(tmp_path):
         "omega-negative-exponent": lambda d: d.update(Omega=[
             {"hbar_power": 1, "form": [{"indices": [1, 2],
                                         "poly": [{"coeff": "1", "exps": [0, -1]}]}]}]),
+        # an integer field takes a JSON integer only: no truncated float,
+        # numeric string or boolean
+        "order-fraction": lambda d: d.update(order=2.9),
+        "order-bool": lambda d: d.update(order=True),
+        "dim-numeric-text": lambda d: d.update(dim="2"),
+        "christoffel-fractional-exponent": lambda d: d["christoffel"][0]["poly"][0]
+        .__setitem__("exps", [0.5, 1]),
+        # a float coefficient is not the decimal it was written as
+        "omega-float-coeff": lambda d: d.update(Omega=[
+            {"hbar_power": 1, "form": [{"indices": [1, 2],
+                                        "poly": [{"coeff": 0.1, "exps": [0, 0]}]}]}]),
     }
     paths = {}
     for name, edit in edits.items():

@@ -291,6 +291,20 @@ ONE = [{"coeff": "1", "exps": [1, 0]}]
         {"dx": [1], "value": _doc([{"hbar": 0, "ydeg": [0, 0, 0], "poly": ONE}])}]}),
     (GaugeOperator, _doc([{"hbar_power": 1, "dx_multi_index": [0, 0],
                            "poly": [{"coeff": "1", "exps": [0, -1]}]}])),
+    # integers are JSON integers and rationals "p/q" strings or integers
+    (WeylCochain, _doc([{"hbar": 0, "ydeg": [0, 0], "slots": [[0, 1]], "coeff": 0.5}],
+                       dim=2, arity=1)),
+    (WeylCochain, _doc([{"hbar": 0, "ydeg": [0, 0], "slots": [[0, 1]], "coeff": "0.5"}],
+                       dim=2, arity=1)),
+    (WeylCochain, _doc([{"hbar": 0, "ydeg": [0, 0], "slots": [[0, 1]], "coeff": True}],
+                       dim=2, arity=1)),
+    (WeylCochain, _doc([{"hbar": True, "ydeg": [0, 0], "slots": [[0, 1]], "coeff": "1"}],
+                       dim=2, arity=1)),
+    (WeylCochain, _doc([{"hbar": 0, "ydeg": [0, 0], "slots": [[0, 1]], "coeff": "1"}],
+                       dim=2, arity=1.0)),
+    (WeylElement, _doc([{"hbar": 0, "ydeg": [0, 1.5], "poly": ONE}], dim=2, order=4)),
+    (WeylElement, _doc([{"hbar": 0, "ydeg": [0, 0], "poly": ONE}], dim=2, order="4")),
+    (PsiElement, _doc([{"hbar": 0, "ydeg": [0, 0], "psi": [1.0], "coeff": "1"}], dim=2)),
 ])
 def test_decoders_reject_malformed_key_vectors(cls, doc):
     with pytest.raises(fio.SchemaError):
