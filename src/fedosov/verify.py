@@ -11,6 +11,12 @@ computed a few filtration levels above the requested order and compared at
 the requested order; random inputs are always generated within the
 requested order.  This makes every reported identity exact, not
 approximate.
+
+Every generator sums its terms through one sampler, _rand_terms, which draws
+a key per term (None drops the draw) and then its coefficient, so each
+generator consumes the PRNG in one fixed order.  SUITES is the one table of
+suites: a name maps to its function, whether it takes a data file, and the
+keywords that the --caps letters set.
 """
 
 from __future__ import annotations
@@ -18,16 +24,19 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 from . import io as fio
 from . import weylhh as hh
-from .cochains import (FiberwiseCochain, cochain_eval, cup,
+from .cochains import (FiberwiseCochain, _multidegrees, cochain_eval, cup,
                        fedosov_d_cochain, gerstenhaber, hochschild_d,
                        horizontal_lift_cochain, product_cochain,
                        to_local_operator, transfer_exactness,
                        transport_cochain, transport_weyl)
 from .poly import XPoly, _acc
-from .quantize import FedosovData, StarProduct, curvature_residual, solve_r, tau
+from .quantize import (FedosovData, StarProduct, _diff_x, curvature_residual,
+                       solve_r, tau)
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
                    curvature_R, delta, delta_inv, fedosov_D, graded_commutator,
                    nabla, sigma_project)
@@ -63,137 +72,110 @@ def rand_fraction(rng):
     return Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9))
 
 
-def rand_xpoly(rng, dim, deg=2, nterms=2):
-    out = XPoly.zero(dim)
+def _rand_terms(rng, nterms, key, coeff=rand_fraction):
+    """The sum of nterms seeded draws, {key: coefficient}: key(rng) draws a
+    term's key, or None to drop the draw, and coeff(rng) then draws its
+    coefficient."""
+    terms = {}
     for _ in range(nterms):
-        e = tuple(rng.randint(0, deg) for _ in range(dim))
-        if sum(e) > deg:
-            continue
-        out = out + XPoly.monomial(dim, e, rand_fraction(rng))
-    return out
+        k = key(rng)
+        if k is not None:
+            _acc(terms, k, coeff(rng))
+    return terms
+
+
+def _rand_exps(rng, dim, cap):
+    return tuple(rng.randint(0, cap) for _ in range(dim))
+
+
+def _rand_cochain_key(rng, dim, order, hmax, ydeg, arity, acap, hmin=0):
+    """(k, p, alphas) of a cochain term with |p| <= ydeg, 2k + |p| <= order
+    and every |alpha| <= acap, or None."""
+    k, p = rng.randint(hmin, hmax), _rand_exps(rng, dim, ydeg)
+    if sum(p) > ydeg or 2 * k + sum(p) > order:
+        return None
+    alphas = tuple(_rand_exps(rng, dim, acap) for _ in range(arity))
+    return None if any(sum(al) > acap for al in alphas) else (k, p, alphas)
+
+
+def rand_xpoly(rng, dim, deg=2, nterms=2):
+    def key(rng):
+        e = _rand_exps(rng, dim, deg)
+        return None if sum(e) > deg else e
+
+    return XPoly(dim, _rand_terms(rng, nterms, key))
 
 
 def rand_weyl(rng, dim, order, nterms=6, hmin=0, hmax=2, xdeg=2):
-    terms = {}
-    for _ in range(nterms):
-        k = rng.randint(hmin, hmax)
-        p = tuple(rng.randint(0, 2) for _ in range(dim))
-        if 2 * k + sum(p) > order:
-            continue
-        prev = terms.get((k, p), XPoly.zero(dim))
-        terms[(k, p)] = prev + rand_xpoly(rng, dim, xdeg)
-    return WeylElement(dim, order, {k: v for k, v in terms.items() if not v.is_zero()})
+    def key(rng):
+        k, p = rng.randint(hmin, hmax), _rand_exps(rng, dim, 2)
+        return None if 2 * k + sum(p) > order else (k, p)
+
+    return WeylElement(dim, order, _rand_terms(
+        rng, nterms, key, lambda rng: rand_xpoly(rng, dim, xdeg)))
 
 
 def rand_form(rng, dim, order, nterms=6):
-    from itertools import combinations
-
-    subsets = [t for q in range(dim + 1) for t in combinations(range(1, dim + 1), q)]
-    comps = {}
-    for _ in range(nterms):
-        S = rng.choice(subsets)
-        w = rand_weyl(rng, dim, order, nterms=2)
-        if w.is_zero():
-            continue
-        comps[S] = comps.get(S, WeylElement.zero(dim, order)) + w
-    return FormWeyl(dim, order, comps)
+    return FormWeyl(dim, order, _rand_terms(
+        rng, nterms, lambda rng: rng.choice(hh._subsets(dim)),
+        lambda rng: rand_weyl(rng, dim, order, nterms=2)))
 
 
 def rand_poly_in_x(rng, dim, order, deg=3, nterms=3, hmax=0):
-    terms = {}
-    for _ in range(nterms):
-        k = rng.randint(0, hmax)
-        e = tuple(rng.randint(0, deg) for _ in range(dim))
-        if sum(e) > deg:
-            continue
-        key = (k, (0,) * dim)
-        prev = terms.get(key, XPoly.zero(dim))
-        terms[key] = prev + XPoly.monomial(dim, e, rand_fraction(rng))
-    return WeylElement(dim, order, {k: v for k, v in terms.items() if not v.is_zero()})
+    def key(rng):
+        k, e = rng.randint(0, hmax), _rand_exps(rng, dim, deg)
+        return None if sum(e) > deg else (k, e)
+
+    polys = {}
+    for (k, e), c in _rand_terms(rng, nterms, key).items():
+        polys.setdefault((k, (0,) * dim), {})[e] = c
+    return WeylElement(dim, order, {k: XPoly(dim, t) for k, t in polys.items()})
 
 
 def rand_cochain(rng, dim, order, arity, qs=(0, 1), ydeg=3, acap=2, nterms=4,
                  work=None):
-    from itertools import combinations
+    def key(rng):
+        S = rng.choice(hh._subsets(dim, rng.choice(qs)))
+        rest = _rand_cochain_key(rng, dim, order, 1, ydeg, arity, acap)
+        return None if rest is None else (S,) + rest
 
-    bysize = {q: [t for t in combinations(range(1, dim + 1), q)] for q in range(dim + 1)}
-    terms = {}
-    for _ in range(nterms):
-        q = rng.choice(qs)
-        S = rng.choice(bysize[q])
-        m = rng.randint(0, 1)
-        p = tuple(rng.randint(0, ydeg) for _ in range(dim))
-        if sum(p) > ydeg or 2 * m + sum(p) > order:
-            continue
-        alphas = tuple(tuple(rng.randint(0, acap) for _ in range(dim))
-                       for _ in range(arity))
-        if any(sum(al) > acap for al in alphas):
-            continue
-        key = (S, m, p, alphas)
-        prev = terms.get(key, XPoly.zero(dim))
-        terms[key] = prev + rand_xpoly(rng, dim, 1)
-    P = FiberwiseCochain(dim, order, arity,
-                         {k: v for k, v in terms.items() if not v.is_zero()})
+    P = FiberwiseCochain(dim, order, arity, _rand_terms(
+        rng, nterms, key, lambda rng: rand_xpoly(rng, dim, 1)))
     return P if work is None else P.truncate(work)
 
 
 def rand_wcochain(rng, ctx, arity, ydeg=3, acap=2, nterms=5, hmin=0, hmax=1):
-    terms = {}
-    for _ in range(nterms):
-        k = rng.randint(hmin, hmax)
-        p = tuple(rng.randint(0, ydeg) for _ in range(ctx.dim))
-        if sum(p) > ydeg or 2 * k + sum(p) > ctx.order:
-            continue
-        alphas = tuple(tuple(rng.randint(0, acap) for _ in range(ctx.dim))
-                       for _ in range(arity))
-        if any(sum(al) > acap for al in alphas):
-            continue
-        _acc(terms, (k, p, alphas), rand_fraction(rng))
-    return hh.WeylCochain(ctx.dim, arity, terms)
+    return hh.WeylCochain(ctx.dim, arity, _rand_terms(
+        rng, nterms, lambda rng: _rand_cochain_key(
+            rng, ctx.dim, ctx.order, hmax, ydeg, arity, acap, hmin)))
 
 
 def rand_bar(rng, ctx, m, maxdeg=2, nterms=4):
-    terms = {}
-    for _ in range(nterms):
+    def key(rng):
         k = rng.randint(0, 1)
-        ps = tuple(tuple(rng.randint(0, maxdeg) for _ in range(ctx.dim))
-                   for _ in range(m + 2))
-        if 2 * k + sum(sum(p) for p in ps) > ctx.order:
-            continue
-        _acc(terms, (k, ps), rand_fraction(rng))
-    return hh.BarChain(ctx.dim, m, terms)
+        ps = tuple(_rand_exps(rng, ctx.dim, maxdeg) for _ in range(m + 2))
+        return None if 2 * k + sum(map(sum, ps)) > ctx.order else (k, ps)
+
+    return hh.BarChain(ctx.dim, m, _rand_terms(rng, nterms, key))
 
 
 def rand_koszul(rng, ctx, m, maxdeg=2, nterms=4):
-    from itertools import combinations
-
-    subsets = [tuple(c) for c in combinations(range(1, ctx.dim + 1), m)]
-    terms = {}
-    for _ in range(nterms):
+    def key(rng):
         k = rng.randint(0, 1)
-        p1 = tuple(rng.randint(0, maxdeg) for _ in range(ctx.dim))
-        p2 = tuple(rng.randint(0, maxdeg) for _ in range(ctx.dim))
+        p1, p2 = _rand_exps(rng, ctx.dim, maxdeg), _rand_exps(rng, ctx.dim, maxdeg)
         if 2 * k + sum(p1) + sum(p2) > ctx.order:
-            continue
-        T = rng.choice(subsets)
-        _acc(terms, (k, p1, p2, T), rand_fraction(rng))
-    return hh.KoszulChain(ctx.dim, m, terms)
+            return None
+        return (k, p1, p2, rng.choice(hh._subsets(ctx.dim, m)))
+
+    return hh.KoszulChain(ctx.dim, m, _rand_terms(rng, nterms, key))
 
 
 def rand_psi(rng, ctx, maxdeg=3, nterms=8):
-    from itertools import combinations
+    def key(rng):
+        k, p = rng.randint(-1, 2), _rand_exps(rng, ctx.dim, maxdeg)
+        return None if sum(p) > maxdeg else (k, p, rng.choice(hh._subsets(ctx.dim)))
 
-    subsets = [t for q in range(ctx.dim + 1)
-               for t in combinations(range(1, ctx.dim + 1), q)]
-    terms = {}
-    for _ in range(nterms):
-        k = rng.randint(-1, 2)
-        p = tuple(rng.randint(0, maxdeg) for _ in range(ctx.dim))
-        if sum(p) > maxdeg:
-            continue
-        T = rng.choice(subsets)
-        _acc(terms, (k, p, T), rand_fraction(rng))
-    return hh.PsiElement(ctx.dim, terms)
+    return hh.PsiElement(ctx.dim, _rand_terms(rng, nterms, key))
 
 
 def rand_gl(rng, dim):
@@ -224,6 +206,19 @@ def builtin_curved_data(order=6) -> FedosovData:
     return FedosovData(chart, {}, order)
 
 
+def _builtin_data(dim, order):
+    """The curved chart in dim 2, the flat one in higher dims."""
+    return builtin_curved_data(order) if dim == 2 else builtin_flat_data(dim, order)
+
+
+def _deep_connection(data):
+    """r two levels deeper than the order, for the slot consumption margin of
+    the commutator action on cochains, and the star product of data over it."""
+    deep = data.order + 2
+    r = solve_r(FedosovData(data.chart, data.omega_series, deep), validate=False)
+    return r, StarProduct(data, r.truncate(deep))
+
+
 def _serialized(x):
     """The counterexample of a failing check, usually a difference lhs - rhs,
     in the io formats: text for Weyl sections and forms, canonical JSON for
@@ -245,6 +240,17 @@ def _vanishes(x):
     return None if x.is_zero() else _serialized(x)
 
 
+def _signed(x, e):
+    """(-1)^e x."""
+    return -x if e % 2 else x
+
+
+def _first(witnesses):
+    """The first witness of a failing comparison, or None; lazy, so that a
+    generator of comparisons stops drawing at the first failure."""
+    return next((w for w in witnesses if w), None)
+
+
 # ---------------------------------------------------------------------------
 # suites
 
@@ -255,8 +261,7 @@ def suite_hodge(dim=2, order=6, seed=0, samples=10):
     rng = random.Random(seed)
     work = order + 2
     checks = []
-    data = builtin_curved_data(order) if dim == 2 else builtin_flat_data(dim, order)
-    chart = data.chart
+    chart = _builtin_data(dim, order).chart
     R = curvature_R(chart, work)
     for i in range(samples):
         a = rand_form(rng, dim, order).truncate(work)
@@ -321,9 +326,7 @@ def suite_assoc(data: FedosovData, seed=0, samples=20, deg=3):
     dim, order = data.chart.dim, data.order
     one = WeylElement.const(dim, order, 1)
     for i in range(samples):
-        a = rand_poly_in_x(rng, dim, order, deg)
-        b = rand_poly_in_x(rng, dim, order, deg)
-        c = rand_poly_in_x(rng, dim, order, deg)
+        a, b, c = (rand_poly_in_x(rng, dim, order, deg) for _ in range(3))
 
         def assoc(a=a, b=b, c=c):
             return _equal(sp(sp(a, b), c), sp(a, sp(b, c)))
@@ -341,11 +344,11 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
     Jacobi identity."""
     rng = random.Random(seed)
     checks = []
-    data = builtin_curved_data(order) if dim == 2 else builtin_flat_data(dim, order)
-    chart = data.chart
+    chart = _builtin_data(dim, order).chart
     work = order + 2
     t_max = order + 1
     mu = product_cochain(chart, dim, work, t_max)
+    draw = partial(rand_cochain, rng, dim, order, ydeg=2, acap=acap, nterms=3, work=work)
     for i in range(samples):
         k = rng.choice([0, 1, 2])
         P = rand_cochain(rng, dim, order, k, ydeg=ydeg, acap=acap, work=work)
@@ -356,18 +359,15 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
             lhs = hochschild_d(P, chart)
             rhs = FiberwiseCochain.zero(dim, work, k + 1, P.cap)
             for q in P.exterior_degrees():
-                br = gerstenhaber(mu, P.homogeneous_q(q))
-                rhs = rhs + (br if (q + k + 1) % 2 == 0 else -br)
+                rhs = rhs + _signed(gerstenhaber(mu, P.homogeneous_q(q)), q + k + 1)
             return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"pa-consistency-{i}", pa)
     for i in range(max(3, samples // 4)):
         qa, qb = rng.choice([0, 1]), rng.choice([0, 1])
-        A = rand_cochain(rng, dim, order, rng.choice([1, 2]), qs=(qa,),
-                         ydeg=2, acap=acap, nterms=3, work=work)
-        B = rand_cochain(rng, dim, order, 1, qs=(qb,), ydeg=2, acap=acap,
-                         nterms=3, work=work)
-        C = rand_cochain(rng, dim, order, 1, ydeg=2, acap=acap, nterms=2, work=work)
+        A = draw(rng.choice([1, 2]), qs=(qa,))
+        B = draw(1, qs=(qb,))
+        C = draw(1, nterms=2)
         _run(checks, f"cup-assoc-{i}",
              lambda A=A, B=B, C=C: _equal(
                  cup(cup(A, B, chart), C, chart).truncate(order),
@@ -376,10 +376,8 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
         def cup_der(A=A, B=B, qa=qa, qb=qb):
             # d(A cup B) = (-)^{q_B} dA cup B + (-)^{k_A + q_A} A cup dB
             lhs = hochschild_d(cup(A, B, chart), chart)
-            s = cup(hochschild_d(A, chart), B, chart)
-            t = cup(A, hochschild_d(B, chart), chart)
-            rhs = (s if qb % 2 == 0 else -s) \
-                + (t if (A.arity + qa) % 2 == 0 else -t)
+            rhs = _signed(cup(hochschild_d(A, chart), B, chart), qb) \
+                + _signed(cup(A, hochschild_d(B, chart), chart), A.arity + qa)
             return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"cup-derivation-{i}", cup_der)
@@ -388,34 +386,27 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
         # dressing d[A,B] = (-)^{k_B-1}[dA,B] + [A,dB] is forced by the
         # bracket form of d together with the Jacobi identity, and is the
         # printed rule applied to the transposed bracket
-        A0 = rand_cochain(rng, dim, order, rng.choice([1, 2]), qs=(0,),
-                          ydeg=2, acap=acap, nterms=3, work=work)
-        B0 = rand_cochain(rng, dim, order, rng.choice([1, 2]), qs=(0,),
-                          ydeg=2, acap=acap, nterms=3, work=work)
+        A0 = draw(rng.choice([1, 2]), qs=(0,))
+        B0 = draw(rng.choice([1, 2]), qs=(0,))
 
         def g_der(A=A0, B=B0):
             lhs = hochschild_d(gerstenhaber(A, B), chart)
-            s = gerstenhaber(hochschild_d(A, chart), B)
-            rhs = (s if (B.arity - 1) % 2 == 0 else -s) \
+            rhs = _signed(gerstenhaber(hochschild_d(A, chart), B), B.arity - 1) \
                 + gerstenhaber(A, hochschild_d(B, chart))
             return _equal(lhs.truncate(order), rhs.truncate(order))
 
         _run(checks, f"bracket-derivation-{i}", g_der)
 
         def antisym(A=A, B=B):
-            k1, k2 = A.arity - 1, B.arity - 1
-            rhs = gerstenhaber(B, A)
-            rhs = rhs if (k1 * k2) % 2 else -rhs
+            rhs = _signed(gerstenhaber(B, A), (A.arity - 1) * (B.arity - 1) + 1)
             return _equal(gerstenhaber(A, B), rhs)
 
         _run(checks, f"antisymmetry-{i}", antisym)
 
         def jacobi(A=A, B=B, C=C):
-            e1, e2 = A.arity - 1, B.arity - 1
             lhs = gerstenhaber(A, gerstenhaber(B, C))
-            t = gerstenhaber(B, gerstenhaber(A, C))
-            rhs = gerstenhaber(gerstenhaber(A, B), C) \
-                + (t if (e1 * e2) % 2 == 0 else -t)
+            rhs = gerstenhaber(gerstenhaber(A, B), C) + _signed(
+                gerstenhaber(B, gerstenhaber(A, C)), (A.arity - 1) * (B.arity - 1))
             return _equal(lhs, rhs)
 
         _run(checks, f"jacobi-{i}", jacobi)
@@ -424,33 +415,23 @@ def suite_cochain(dim=2, order=6, seed=0, samples=20, acap=2, ydeg=3):
 
 def suite_beta(data: FedosovData, seed=0, samples=10):
     """The projection to local operators: mult maps to the star product, the
-    cup morphism property, the tau-intertwining identity, and the flat
-    leading-symbol property."""
+    cup morphism property and the tau-intertwining identity."""
     rng = random.Random(seed)
     checks = []
     data.validate()
     dim, order = data.chart.dim, data.order
     work = order + 2
     chart = data.chart
-    # r two levels deeper than the cochain working order, for the slot
-    # consumption margin of the commutator action
-    r = solve_r(FedosovData(chart, data.omega_series, order + 2), validate=False)
-    sp = StarProduct(data, r.truncate(order + 2))
-
+    r, sp = _deep_connection(data)
     mu = product_cochain(chart, dim, work, work)
     E_mu = to_local_operator(mu, sp, validate=False)
 
-    def mu_is_star():
-        for e1 in range(0, 3):
-            for e2 in range(0, 3):
-                a = WeylElement.from_xpoly(XPoly.monomial(dim, (e1, e2) + (0,) * (dim - 2), 1), order)
-                b = WeylElement.from_xpoly(XPoly.monomial(dim, (0,) * (dim - 2) + (e2, e1), 1), order)
-                diff = _equal(E_mu(a, b), sp(a, b))
-                if diff:
-                    return diff
-        return None
-
-    _run(checks, "mult-maps-to-star", mu_is_star)
+    pad = (0,) * (dim - 2)
+    pairs = [(WeylElement.from_xpoly(XPoly.monomial(dim, (e1, e2) + pad, 1), order),
+              WeylElement.from_xpoly(XPoly.monomial(dim, pad + (e2, e1), 1), order))
+             for e1 in range(3) for e2 in range(3)]
+    _run(checks, "mult-maps-to-star",
+         lambda: _first(_equal(E_mu(a, b), sp(a, b)) for a, b in pairs))
 
     lifted = []
     for i in range(samples):
@@ -480,28 +461,21 @@ def suite_beta(data: FedosovData, seed=0, samples=10):
             E2 = to_local_operator(A2, sp, validate=False)
             E12 = to_local_operator(cup(A1, A2, chart), sp, validate=False)
             cupE = E1.cup(E2)
-            for _ in range(3):
-                args = [rand_poly_in_x(rng, dim, order, 1, nterms=2)
-                        for _ in range(E12.arity)]
-                diff = _equal(E12(*args), cupE(*args))
-                if diff:
-                    return diff
-            return None
+            draws = ([rand_poly_in_x(rng, dim, order, 1, nterms=2)
+                      for _ in range(E12.arity)] for _ in range(3))
+            return _first(_equal(E12(*args), cupE(*args)) for args in draws)
 
         _run(checks, f"cup-morphism-{i}", cup_morphism)
     return checks
 
 
-def suite_leading_symbol(seed=0, order=6, kmax=2):
+def suite_leading_symbol(dim=2, order=6, seed=0, kmax=2):
     """On flat data the lift of a function is its fiberwise Taylor expansion:
     d^mu_y tau(a)|_{y=0} = d^mu_x a for |mu| <= kmax."""
     rng = random.Random(seed)
     checks = []
-    dim = 2
     data = builtin_flat_data(dim, order)
     r = solve_r(data, validate=False)
-    from .cochains import _multidegrees
-
     for i in range(5):
         a = rand_poly_in_x(rng, dim, order, 3)
         t = tau(a, data, r)
@@ -509,12 +483,8 @@ def suite_leading_symbol(seed=0, order=6, kmax=2):
         def leading(a=a, t=t):
             for mu in _multidegrees(dim, kmax):
                 lhs = t.diff_y_multi(mu).at_y_zero()
-                rhs = a
-                for j, e in enumerate(mu):
-                    for _ in range(e):
-                        rhs = WeylElement(dim, order,
-                                          {key: c.diff(j + 1)
-                                           for key, c in rhs.terms.items()})
+                rhs = WeylElement(dim, order, {key: _diff_x(c, mu)
+                                               for key, c in a.terms.items()})
                 if lhs != rhs:
                     return f"mu={mu}: {_serialized(lhs - rhs)}"
             return None
@@ -525,20 +495,20 @@ def suite_leading_symbol(seed=0, order=6, kmax=2):
 
 def suite_transfer(data: FedosovData, seed=0, samples=10):
     """Exactness witnesses: for P = D(Q0) of positive exterior degree,
-    transfer returns Q with D Q = P."""
+    transfer returns Q with D Q = P.  A sample with D(Q0) = 0 records no
+    check."""
     rng = random.Random(seed)
     checks = []
     data.validate()
     dim, order = data.chart.dim, data.order
     work = order + 2
     chart = data.chart
-    r = solve_r(FedosovData(chart, data.omega_series, order + 2), validate=False)
+    r, _ = _deep_connection(data)
     for i in range(samples):
         k = rng.choice([0, 1])
         Q0 = rand_cochain(rng, dim, order, k, qs=(0, 1), nterms=3, work=work)
         P = fedosov_d_cochain(Q0, chart, r)
         if P.is_zero():
-            _run(checks, f"transfer-{i}", lambda: None)
             continue
 
         def roundtrip(P=P):
@@ -566,23 +536,19 @@ def suite_barkoszul(dim=2, order=6, seed=0, samples=10):
         a = rand_koszul(rng, ctx, m)
         _run(checks, f"koszul-d-squared-m{m}",
              lambda a=a: _vanishes(hh.koszul_d(ctx, hh.koszul_d(ctx, a))))
+
+    def contracting(x, m, d, h, aug):
+        # d h x + h (the augmentation of x in degree 0, else d x) = x
+        return _equal(d(ctx, h(x)) + h(aug(ctx, x) if m == 0 else d(ctx, x)), x)
+
     for m in (0, 1, 2, 3):
         b = rand_bar(rng, ctx, m)
-
-        def bar_contract(b=b, m=m):
-            tail = hh.bar_aug(ctx, b) if m == 0 else hh.bar_d(ctx, b)
-            return _equal(hh.bar_d(ctx, hh.bar_h(b)) + hh.bar_h(tail), b)
-
-        _run(checks, f"bar-contracting-m{m}", bar_contract)
+        _run(checks, f"bar-contracting-m{m}",
+             lambda b=b, m=m: contracting(b, m, hh.bar_d, hh.bar_h, hh.bar_aug))
     for m in (0, 1, 2):
         a = rand_koszul(rng, ctx, m)
-
-        def koszul_contract(a=a, m=m):
-            tail = hh.koszul_aug(ctx, a) if m == 0 else hh.koszul_d(ctx, a)
-            return _equal(hh.koszul_d(ctx, hh.koszul_h(ctx, a))
-                          + hh.koszul_h(ctx, tail), a)
-
-        _run(checks, f"koszul-contracting-m{m}", koszul_contract)
+        _run(checks, f"koszul-contracting-m{m}", lambda a=a, m=m: contracting(
+            a, m, hh.koszul_d, partial(hh.koszul_h, ctx), hh.koszul_aug))
     for i in range(samples):
         m = rng.choice([1, 2])
         a = rand_koszul(rng, ctx, m)
@@ -643,10 +609,8 @@ def suite_psi(dim=2, order=6, seed=0, samples=50):
         a = rand_psi(rng, ctx)
 
         def homot(a=a):
-            const = a.constant_part()
-            z = hh.PsiElement(ctx.dim,
-                              {(k, (0,) * ctx.dim, ()): c
-                               for k, c in const.terms.items()})
+            z = hh.PsiElement(ctx.dim, {(k, (0,) * ctx.dim, ()): c
+                                        for k, c in a.constant_part().terms.items()})
             got = z + hh.psi_d(ctx, hh.psi_h(ctx, a)) + hh.psi_h(ctx, hh.psi_d(ctx, a))
             return _equal(got, a)
 
@@ -683,14 +647,10 @@ def suite_chi(dim=2, order=6, seed=0, samples=10, window=2, ydeg=3):
         _run(checks, f"chi-identity-{i}", chi_identity)
 
     def zero_cocycles():
-        for _ in range(10):
-            w = rand_wcochain(rng, ctx, 0)
-            dw = hh.hh_hochschild_d(wctx, w)
-            if dw.is_zero() and not w.as_wseries().is_y_free():
-                return f"closed but not central: {_serialized(w)}"
         y1 = hh.WeylCochain(ctx.dim, 0, {(0, (1,) + (0,) * (ctx.dim - 1), ()): Fraction(1)})
-        if hh.hh_hochschild_d(wctx, y1).is_zero():
-            return f"closed but not central: {_serialized(y1)}"
+        for w in chain((rand_wcochain(rng, ctx, 0) for _ in range(10)), [y1]):
+            if hh.hh_hochschild_d(wctx, w).is_zero() and not w.as_wseries().is_y_free():
+                return f"closed but not central: {_serialized(w)}"
         central = hh.WeylCochain(ctx.dim, 0, {(-1, (0,) * ctx.dim, ()): Fraction(2)})
         return _vanishes(hh.hh_hochschild_d(ctx, central))
 
@@ -705,6 +665,9 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
     rng = random.Random(seed)
     checks = []
     ctx = hh.WeylContext.standard(dim, order)
+    flat = builtin_flat_data(2, order)
+    g0 = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]  # det 1
+    g0inv = _matrix_inverse(g0)
     for i in range(samples):
         g = rand_gl(rng, dim)
         ctx2 = hh.gl_transport_context(ctx, g)
@@ -732,105 +695,101 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
 
     # flat-chart symplectic push-forward: star and the projections commute
     def star_square():
-        data = builtin_flat_data(2, order)
-        sp = StarProduct(data)
-        g = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]  # det 1
-        ginv = _matrix_inverse(g)
+        sp = StarProduct(flat)
         rng2 = random.Random(seed + 1)
-        for _ in range(3):
-            a = rand_poly_in_x(rng2, 2, order, 2)
-            b = rand_poly_in_x(rng2, 2, order, 2)
-            lhs = transport_weyl(sp(a, b), ginv)
-            rhs = sp(transport_weyl(a, ginv), transport_weyl(b, ginv))
-            diff = _equal(lhs, rhs)
-            if diff:
-                return diff
-        return None
+        pairs = ((rand_poly_in_x(rng2, 2, order, 2), rand_poly_in_x(rng2, 2, order, 2))
+                 for _ in range(3))
+        return _first(_equal(transport_weyl(sp(a, b), g0inv),
+                             sp(transport_weyl(a, g0inv), transport_weyl(b, g0inv)))
+                      for a, b in pairs)
 
     _run(checks, "flat-star-equivariance", star_square)
 
     def beta_square():
-        data = builtin_flat_data(2, order)
         work = order + 2
-        r = solve_r(FedosovData(data.chart, {}, order + 2), validate=False)
-        sp = StarProduct(data, r.truncate(order + 2))
-        g = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]
-        ginv = _matrix_inverse(g)
+        r, sp = _deep_connection(flat)
         rng2 = random.Random(seed + 2)
         for _ in range(2):
             seedc = rand_cochain(rng2, 2, order, 1, qs=(0,), ydeg=0, acap=2,
                                  nterms=2, work=work)
             if seedc.is_zero():
                 continue
-            A = horizontal_lift_cochain(seedc, data.chart, r)
-            Ag = transport_cochain(A, g, ginv)
+            A = horizontal_lift_cochain(seedc, flat.chart, r)
+            Ag = transport_cochain(A, g0, g0inv)
             E = to_local_operator(A, sp, validate=False)
             Eg = to_local_operator(Ag, sp, validate=False)
-            for _ in range(3):
-                x = rand_poly_in_x(rng2, 2, order, 2)
-                lhs = transport_weyl(E(transport_weyl(x, [[Fraction(g[i][j]) for j in range(2)] for i in range(2)])), ginv)
-                # push-forward of the operator applied to x:
-                # (g_* E)(x) = g_*(E(g^{-1}_* x));  g^{-1}_* substitutes by g
-                diff = _equal(lhs, Eg(x))
-                if diff:
-                    return diff
+            # push-forward of the operator applied to x:
+            # (g_* E)(x) = g_*(E(g^{-1}_* x));  g^{-1}_* substitutes by g
+            xs = (rand_poly_in_x(rng2, 2, order, 2) for _ in range(3))
+            diff = _first(_equal(transport_weyl(E(transport_weyl(x, g0)), g0inv), Eg(x))
+                          for x in xs)
+            if diff:
+                return diff
         return None
 
     _run(checks, "flat-beta-equivariance", beta_square)
     return checks
 
 
+# name -> (suite, whether it takes a data file, {cap letter: keyword});
+# a cap left out of --caps keeps the default of the suite's signature
 SUITES = {
-    "hodge": lambda data, dim, order, seed, caps: suite_hodge(dim, order, seed),
-    "dsquare": lambda data, dim, order, seed, caps: suite_dsquare(data, seed),
-    "assoc": lambda data, dim, order, seed, caps: suite_assoc(data, seed),
-    "cochain": lambda data, dim, order, seed, caps: suite_cochain(
-        dim, order, seed, ydeg=caps.get("y", 3), acap=caps.get("a", 2)),
-    "beta": lambda data, dim, order, seed, caps: suite_beta(data, seed),
-    "transfer": lambda data, dim, order, seed, caps: suite_transfer(data, seed),
-    "barkoszul": lambda data, dim, order, seed, caps: suite_barkoszul(dim, order, seed),
-    "psi": lambda data, dim, order, seed, caps: suite_psi(dim, order, seed),
-    "chi": lambda data, dim, order, seed, caps: suite_chi(
-        dim, order, seed, window=caps.get("a", 2), ydeg=caps.get("y", 3)),
-    "equivariance": lambda data, dim, order, seed, caps: suite_equivariance(
-        dim, order, seed),
+    "hodge": (suite_hodge, False, {}),
+    "dsquare": (suite_dsquare, True, {}),
+    "assoc": (suite_assoc, True, {}),
+    "cochain": (suite_cochain, False, {"y": "ydeg", "a": "acap"}),
+    "beta": (suite_beta, True, {}),
+    "transfer": (suite_transfer, True, {}),
+    "barkoszul": (suite_barkoszul, False, {}),
+    "psi": (suite_psi, False, {}),
+    "chi": (suite_chi, False, {"y": "ydeg", "a": "window"}),
+    "equivariance": (suite_equivariance, False, {}),
+    "leading-symbol": (suite_leading_symbol, False, {}),
 }
-
-DATA_SUITES = {"dsquare", "assoc", "beta", "transfer"}
-CAPS_SUITES = {"cochain", "chi"}
 
 
 def parse_caps(text):
     """Parse a caps flag like "y:3" or "y:3,a:2"."""
     caps = {}
-    if not text:
-        return caps
-    for bit in text.split(","):
+    for bit in text.split(",") if text else ():
         name, _, value = bit.partition(":")
         name = name.strip()
         if name not in ("y", "a") or not value.strip().isdigit():
             raise ValueError(f"bad caps entry {bit!r}; expected y:<n> or a:<n>")
+        if name in caps:
+            raise ValueError(f"caps entry {name!r} given twice")
         caps[name] = int(value)
     return caps
 
 
+def _call(name, data, dim, order, seed, caps):
+    fn, takes_data, keywords = SUITES[name]
+    kw = {keywords[c]: v for c, v in caps.items() if c in keywords}
+    if takes_data:
+        return fn(data, seed=seed, **kw)
+    return fn(dim=dim, order=order, seed=seed, **kw)
+
+
 def run_suite(name, data=None, dim=2, order=6, seed=0, caps=None):
+    """The checks of one suite, or of every suite for "all", where the ids
+    carry the suite name and the data suites run on the built-in curved
+    chart unless data is given."""
     caps = caps or {}
     if name == "all":
+        data = builtin_curved_data(order) if data is None else data
         checks = []
         for sub in SUITES:
-            sub_data = data
-            if sub in DATA_SUITES and sub_data is None:
-                sub_data = builtin_curved_data(order)
-            for c in SUITES[sub](sub_data, dim, order, seed, caps):
+            for c in _call(sub, data, dim, order, seed, caps):
                 c.id = f"{sub}/{c.id}"
                 checks.append(c)
         return checks
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    if caps and name not in CAPS_SUITES:
+    _, takes_data, keywords = SUITES[name]
+    if caps and not keywords:
+        readers = sorted(n for n, (_, _, kw) in SUITES.items() if kw)
         raise ValueError(f"suite {name!r} has no generation caps; only "
-                         f"{' and '.join(sorted(CAPS_SUITES))} (and all) read them")
-    if name in DATA_SUITES and data is None:
+                         f"{' and '.join(readers)} (and all) read them")
+    if takes_data and data is None:
         raise ValueError(f"suite {name!r} requires a Fedosov data file")
-    return SUITES[name](data, dim, order, seed, caps)
+    return _call(name, data, dim, order, seed, caps)

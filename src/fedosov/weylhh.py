@@ -738,10 +738,13 @@ def lambda_hat(ctx: WeylContext, a, order=None) -> PsiElement:
     return PsiElement(ctx.dim, out)
 
 
-def _subsets(dim, size):
+def _subsets(dim, size=None):
+    """The increasing subsets of {1..dim} of the given size, or of every size
+    by increasing size."""
     from itertools import combinations
 
-    return [tuple(c) for c in combinations(range(1, dim + 1), size)]
+    sizes = range(dim + 1) if size is None else (size,)
+    return [c for q in sizes for c in combinations(range(1, dim + 1), q)]
 
 
 def cochain_from_values(ctx: WeylContext, fn, arity, rec_cap, order=None) -> WeylCochain:

@@ -43,6 +43,12 @@ MUTANTS = [
     ("insert-pair-skip-uses-max", "cochains.py",
      "if w - min(asize, sum(p2)) > order:",
      "if w - max(asize, sum(p2)) > order:"),
+    ("sampler-keeps-slots-over-the-cap", "verify.py",
+     "return None if any(sum(al) > acap for al in alphas) else (k, p, alphas)",
+     "return None if any(sum(al) > acap + 1 for al in alphas) else (k, p, alphas)"),
+    ("table-marks-transfer-data-free", "verify.py",
+     '"transfer": (suite_transfer, True, {}),',
+     '"transfer": (suite_transfer, False, {}),'),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

@@ -31,6 +31,7 @@ SEED = 0
 
 
 def _report(name, checks, budget, elapsed):
+    assert checks, f"{name}: no checks ran"
     failed = [c for c in checks if not c.ok]
     status = "PASS" if not failed else "FAIL"
     print(f"[{status}] {name}: {len(checks) - len(failed)}/{len(checks)} checks, "
@@ -166,7 +167,7 @@ def test_criterion_5_cochain_algebra():
 def test_criterion_6_beta_morphism():
     t0 = time.perf_counter()
     checks = suite_beta(builtin_curved_data(N), SEED, samples=10)
-    checks.extend(suite_leading_symbol(SEED, N, kmax=2))
+    checks.extend(suite_leading_symbol(2, N, SEED, kmax=2))
     _report("criterion-6 beta-morphism", checks, 120, time.perf_counter() - t0)
 
 

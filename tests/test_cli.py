@@ -336,7 +336,7 @@ def test_cli_fuzz_bad_invocations_exit_cleanly(tmp_path, curved_file):
     # the data file fixes the dimension
     refused += [["--order", "2", "verify", "assoc", "--data", curved_file, "--dim", "4"]]
     refused += [["--caps", caps, "--order", "2", "verify", "cochain"] for caps in
-                ["y", "y:", "y:x", "z:3", ",,", "y:3:4", "y:-1", ":"]]
+                ["y", "y:", "y:x", "z:3", ",,", "y:3:4", "y:-1", ":", "y:3,y:4"]]
     # only the cochain and chi suites read generation caps
     refused += [["--caps", "y:2", "--order", "2", "verify", suite] for suite in
                 ["psi", "hodge", "barkoszul", "equivariance"]]

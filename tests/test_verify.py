@@ -1,11 +1,18 @@
 """Failing checks carry their counterexample serialized with the io helpers;
-the chi, barkoszul, cochain and beta suites pass at low orders."""
+the chi, barkoszul, cochain and beta suites pass at low orders; the reports
+of verify all are pinned byte for byte."""
+
+import hashlib
+from pathlib import Path
 
 import pytest
 
 from fedosov import io as fio
 from fedosov import verify
 from fedosov import weylhh as hh
+from fedosov.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_failing_check_witness_is_the_serialized_difference(monkeypatch):
@@ -49,3 +56,17 @@ def test_suites_pass_at_low_orders_without_a_slot_cap(suite, order, seed):
     checks = verify.run_suite(suite, data=data, order=order, seed=seed)
     assert checks
     assert [(c.id, c.witness) for c in checks if not c.ok] == []
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--json", "--order", "2", "verify", "all"],
+     "422b251f951c42fa2e6d95576b63ee3d0c9e4691c36f4bd3b5fe6128a3705c11"),
+    (["--json", "--order", "3", "verify", "all", "--data", "bench/data/curved_omega.json"],
+     "a03df7486ee20fedb3787127f5c9513bfad18e719389cbe6f1fc19dd03791fb7")])
+def test_verify_all_report_bytes_are_pinned(argv, digest, monkeypatch, capsys):
+    # every generator's draws, every suite's checks and witnesses, and the
+    # suite table's order meet in these bytes; the data path is relative
+    # because the report echoes it
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
