@@ -250,14 +250,20 @@ def fedosov_data_to_json(data) -> dict:
     return out
 
 
+def _matrix(doc, name, n):
+    """The n x n matrix doc[name] of polynomials in n variables."""
+    rows = doc[name]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise SchemaError(f"{name} must have {n} rows of {n} entries")
+    return [[xpoly_from_json(p, n) for p in row] for row in rows]
+
+
 def fedosov_data_from_json(doc) -> FedosovData:
     with _schema("Fedosov data"):
         n = _int(doc["dim"])
         order = _int(doc["order"])
-        lower = [[xpoly_from_json(doc["omega_lower"][i][j], n) for j in range(n)]
-                 for i in range(n)]
-        upper = [[xpoly_from_json(doc["omega_upper"][i][j], n) for j in range(n)]
-                 for i in range(n)]
+        lower = _matrix(doc, "omega_lower", n)
+        upper = _matrix(doc, "omega_upper", n)
         christoffel = {}
         gammas = _decode(_CHRISTOFFEL, doc.get("christoffel", []), n)
         for (j, (i, k)), g in gammas.items():
@@ -353,117 +359,56 @@ class ParseError(ValueError):
     pass
 
 
+# a token is a sign, a "*" or a factor, a run of any other non-space
+# characters; a run that ends in "^" takes an optionally spaced "-" and the
+# next run as its exponent: "hbar^ - 1" is one token
+_TOKEN = re.compile(r"[-+*]|[^\s*+-]+(?:(?<=\^)\s*-\s*[^\s*+-]+)?")
+# hbar, hbar^k, x<i> or x<i>^e, with k, i and e Python int literals; any
+# other factor is a Fraction literal
+_FACTOR = re.compile(r"(?:hbar|x([^^]*))(?:\^\s*(-?)\s*(.*))?")
+
+
 def parse_poly(text: str, dim: int, order: int) -> WeylElement:
     """Parse expressions like "x1*x2 + 1/2 hbar - 3 x1^2" into a y-free
-    WeylElement (hbar-Laurent polynomial in x)."""
-    tokens = _tokenize(text)
+    WeylElement (hbar-Laurent polynomial in x).  A term is a product of
+    factors, with an optional "*" between two of them; its sign is the
+    product of the signs since the previous term."""
+    tokens = _TOKEN.findall(text)
+    if tokens and tokens[-1] in ("+", "-", "*"):
+        raise ParseError("expression ends with a dangling operator")
     result = WeylElement.zero(dim, order)
-    sign = 1
-    factors = []
-
-    def flush():
-        nonlocal factors, result
-        if not factors:
-            return
-        coeff = Fraction(sign)
-        k = 0
-        exps = [0] * dim
-        for kind, val in factors:
-            if kind == "num":
-                coeff *= val
-            elif kind == "hbar":
-                k += val
-            else:
-                i, e = val
-                if not 1 <= i <= dim:
-                    raise ParseError(f"variable x{i} out of range for dim {dim}")
-                exps[i - 1] += e
-        result = result + WeylElement(
-            dim, order, {(k, (0,) * dim): XPoly.monomial(dim, tuple(exps), coeff)})
-        factors = []
-
-    pending_sign = 1
-    prev = None
-    for tok in tokens:
-        # a "*" stands between two factors
+    sign, term, prev = 1, None, None
+    for tok in tokens + ["+"]:  # the appended "+" ends the last term
         if tok == "*" and prev in (None, "+", "-", "*") or prev == "*" and tok in "+-":
             raise ParseError("'*' must stand between two factors")
         prev = tok
         if tok in "+-":
-            if factors:
-                flush()
-                pending_sign = 1
+            if term:
+                coeff, k, exps = term
+                result = result + WeylElement(
+                    dim, order, {(k, (0,) * dim): XPoly.monomial(dim, tuple(exps), coeff)})
+                sign, term = 1, None
             if tok == "-":
-                pending_sign = -pending_sign
-            sign = pending_sign
-        elif tok == "*":
-            continue
-        else:
-            factors.append(_parse_factor(tok))
-    if prev == "*" or not factors and tokens:
-        raise ParseError("expression ends with a dangling operator")
-    flush()
+                sign = -sign
+        elif tok != "*":
+            coeff, k, exps = term or (Fraction(sign), 0, [0] * dim)
+            factor = _FACTOR.fullmatch(tok)
+            try:
+                if factor is None:
+                    coeff *= Fraction(tok)
+                else:
+                    var, minus, e = factor.groups()
+                    e = 1 if e is None else int(minus + e)
+                    if var is None:
+                        k += e
+                    elif e < 0 or not 1 <= int(var) <= dim:
+                        raise ValueError(f"want x<i>^e with 1 <= i <= {dim} and e >= 0")
+                    else:
+                        exps[int(var) - 1] += e
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"cannot parse factor {tok!r}: {exc}") from exc
+            term = coeff, k, exps
     return result
-
-
-def _tokenize(text: str):
-    out = []
-    cur = ""
-    for ch in text:
-        if ch in "+-" :
-            if cur:
-                out.append(cur)
-                cur = ""
-            out.append(ch)
-        elif ch.isspace() or ch == "*":
-            if cur:
-                out.append(cur)
-                cur = ""
-            if ch == "*":
-                out.append("*")
-        else:
-            cur += ch
-    if cur:
-        out.append(cur)
-    # re-attach exponent minus signs: "hbar^" "-1" -> "hbar^-1"
-    merged = []
-    i = 0
-    while i < len(out):
-        tok = out[i]
-        if tok.endswith("^") and i + 2 < len(out) and out[i + 1] == "-":
-            merged.append(tok + "-" + out[i + 2])
-            i += 3
-        else:
-            merged.append(tok)
-            i += 1
-    return merged
-
-
-def _parse_factor(tok: str):
-    if tok == "hbar":
-        return ("hbar", 1)
-    if tok.startswith("hbar^"):
-        try:
-            return ("hbar", int(tok[5:]))
-        except ValueError as exc:
-            raise ParseError(f"bad hbar power in {tok!r}") from exc
-    if tok.startswith("x"):
-        body = tok[1:]
-        if "^" in body:
-            var, exp = body.split("^", 1)
-        else:
-            var, exp = body, "1"
-        try:
-            var, exp = int(var), int(exp)
-        except ValueError as exc:
-            raise ParseError(f"bad variable token {tok!r}") from exc
-        if exp < 0:
-            raise ParseError(f"negative exponent in {tok!r}")
-        return ("var", (var, exp))
-    try:
-        return ("num", Fraction(tok))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"cannot parse token {tok!r}") from exc
 
 
 def dumps_canonical(obj) -> str:

@@ -91,7 +91,10 @@ def solve_r(data: FedosovData, validate: bool = True) -> FormWeyl:
 def tau(a: WeylElement, data: FedosovData, r: FormWeyl) -> WeylElement:
     """Horizontal lift: the unique fixed point of
     tau(a) = a + delta_inv(nabla tau(a) + (1/hbar)[r, tau(a)]), satisfying
-    sigma(tau(a)) = a and D(tau(a)) = 0."""
+    sigma(tau(a)) = a and D(tau(a)) = 0.  It is exact only to weight
+    W + 2k on the hbar^k terms of a, k < 0, where W = data.order + 2 is the
+    working order; a lift exact at data.order runs _star_depth(a) orders
+    deeper."""
     if not a.is_y_free():
         raise ValueError("tau expects an hbar-Laurent polynomial in x (no y)")
     work = data.order + WORK_HEADROOM
@@ -120,11 +123,12 @@ def star(a: WeylElement, b: WeylElement, data: FedosovData, r=None) -> WeylEleme
     return _sigma_product(tau(a, run, r), tau(b, run, r), data)
 
 
-def _star_depth(a: WeylElement, b: WeylElement) -> int:
-    """How far above the contract order N a * b must run: its weight-N part
-    needs the lifts of each factor to weight N + 2 neg(other factor), and
-    the lift of hbar^k x^e, k < 0, at working order W is exact to W + 2k."""
-    neg = sum(max(0, -(x.min_hbar() or 0)) for x in (a, b))
+def _star_depth(*factors: WeylElement) -> int:
+    """How far above the contract order N a product of the factors (or the
+    lift of one) must run: its weight-N part needs the lift of each factor
+    to weight N + 2 neg(the other factors), and the lift of hbar^k x^e,
+    k < 0, at working order W = N + 2 is exact to W + 2k."""
+    neg = sum(max(0, -(x.min_hbar() or 0)) for x in factors)
     return 2 * max(0, neg - 1)
 
 

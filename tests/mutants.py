@@ -49,6 +49,15 @@ MUTANTS = [
     ("table-marks-transfer-data-free", "verify.py",
      '"transfer": (suite_transfer, True, {}),',
      '"transfer": (suite_transfer, False, {}),'),
+    ("parser-keeps-the-sign-after-a-term", "io.py",
+     "sign, term = 1, None",
+     "term = None"),
+    ("parser-drops-the-star-check", "io.py",
+     'if tok == "*" and prev in (None, "+", "-", "*") or prev == "*" and tok in "+-":',
+     "if False:"),
+    ("tau-command-runs-at-the-order", "cli.py",
+     "data.order + _star_depth(a))",
+     "data.order)"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

@@ -6,7 +6,7 @@ import pytest
 from fedosov import io as fio
 from fedosov.cli import main
 from fedosov.poly import XPoly
-from fedosov.quantize import FedosovData, star
+from fedosov.quantize import FedosovData, solve_r, star, tau
 from fedosov.verify import builtin_curved_data, builtin_flat_data
 
 CURVED_OMEGA_FILE = str(Path(__file__).resolve().parents[1] / "bench" / "data"
@@ -72,6 +72,24 @@ def test_tau_command_negative_hbar_power(capsys):
     assert main(args + ["x1*x2"]) == 0
     plain = fio.weyl_from_json(json.loads(capsys.readouterr().out)["tau"])
     assert low.hbar_shift(1) == plain
+
+
+@pytest.fixture(scope="module")
+def curved_omega_r12():
+    """The curved data file at order 12 with its connection."""
+    data = fio.load_fedosov_data(CURVED_OMEGA_FILE)
+    data.order = 12
+    return data, solve_r(data)
+
+
+@pytest.mark.parametrize("text", ["hbar^-2*x1*x2", "hbar^-2*x1^2*x2", "hbar^-3*x2^3"])
+def test_tau_command_hbar_power_below_minus_one(text, curved_omega_r12, capsys):
+    """The lift of hbar^k with k <= -2 at --order 4 is the order-12 lift
+    truncated to 4: at order 12 it is exact to 14 + 2k >= 8."""
+    assert main(["--json", "--order", "4", "tau", CURVED_OMEGA_FILE, text]) == 0
+    got = fio.weyl_from_json(json.loads(capsys.readouterr().out)["tau"])
+    data, r = curved_omega_r12
+    assert got == tau(fio.parse_poly(text, 2, 12), data, r).truncate(4)
 
 
 def test_star_command_negative_hbar_power(capsys):
@@ -294,6 +312,9 @@ def _bad_data_files(tmp_path):
         "omega-float-coeff": lambda d: d.update(Omega=[
             {"hbar_power": 1, "form": [{"indices": [1, 2],
                                         "poly": [{"coeff": 0.1, "exps": [0, 0]}]}]}]),
+        # an omega matrix is dim rows of dim entries, with nothing beyond
+        "omega-lower-extra-row": lambda d: d["omega_lower"].append(d["omega_lower"][0]),
+        "omega-upper-extra-entry": lambda d: d["omega_upper"][0].append(one),
     }
     paths = {}
     for name, edit in edits.items():

@@ -183,6 +183,38 @@ def test_parse_poly_rejects_misplaced_star(text):
         fio.parse_poly(text, 2, 6)
 
 
+def _xw(*terms):
+    """The y-free WeylElement sum of coeff hbar^k x^exps, at dim 2, order 6."""
+    return sum((WeylElement(2, 6, {(k, (0, 0)): XPoly.monomial(2, exps, Fraction(c))})
+                for c, k, exps in terms), WeylElement.zero(2, 6))
+
+
+# the accepted language, pinned value by value: repeated signs multiply,
+# an exponent "-" may stand apart from its "^", a number is any Fraction
+# literal, and a variable index or exponent is any Python int literal
+@pytest.mark.parametrize("text, want", [
+    ("x1 x2", _xw((1, 0, (1, 1)))),
+    ("x1 - - x2", _xw((1, 0, (1, 0)), (1, 0, (0, 1)))),
+    ("--x1", _xw((1, 0, (1, 0)))),
+    ("hbar^ -1 x1", _xw((1, -1, (1, 0)))),
+    ("1.5 x1", _xw(("3/2", 0, (1, 0)))),
+    ("3/4", _xw(("3/4", 0, (0, 0)))),
+    ("x01^02", _xw((1, 0, (2, 0)))),
+    ("", _xw()),
+    ("2*x1 * x2*hbar^-1", _xw((2, -1, (1, 1)))),
+    ("x1x2", None),
+    ("x1 ^2", None),
+    ("hbar^--1", None),
+    ("hbar^+1", None),
+])
+def test_parse_poly_language(text, want):
+    if want is None:
+        with pytest.raises(fio.ParseError):
+            fio.parse_poly(text, 2, 6)
+    else:
+        assert fio.parse_poly(text, 2, 6) == want
+
+
 def test_parse_poly_rejects_zero_denominator():
     with pytest.raises(fio.ParseError):
         fio.parse_poly("1/0", 2, 6)
