@@ -480,16 +480,19 @@ def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
     return FiberwiseCochain(X.dim, order, X.arity, terms, max(rc.cap, X.cap))
 
 
-def _r_mult_parts(chart, r: FormWeyl, order, cap):
-    """(r as 0-cochain, ad_r = L_r - R_r) with L_r / R_r the left/right
-    multiplication 1-cochains a -> r o a and a -> a o r, r's dx index kept,
-    carried two levels above the target order for the hbar division.
-    L_r = r cup id and R_r = id cup r, so ad_r is a commutator with r."""
+def _r_mult_parts(chart, r: FormWeyl, P: FiberwiseCochain):
+    """(r as 0-cochain, ad_r = L_r - R_r) at P's order and cap, with L_r / R_r
+    the left/right multiplication 1-cochains a -> r o a and a -> a o r, r's
+    dx index kept, carried two levels above the target order for the hbar
+    division.  L_r = r cup id and R_r = id cup r, so ad_r is a commutator
+    with r.  Only slots read ad_r, so an arity-0 P (as in tau) gets None."""
     if r.exterior_degrees() not in ([], [1]):
         raise ValueError("r must be a 1-form")
-    work = order + 2
-    rc = FiberwiseCochain.from_form(r.truncate(work), cap)
-    ident = FiberwiseCochain.identity(r.dim, work, cap)
+    work = P.order + 2
+    rc = FiberwiseCochain.from_form(r.truncate(work), P.cap)
+    if not P.arity:
+        return rc, None
+    ident = FiberwiseCochain.identity(r.dim, work, P.cap)
     return rc, _r_cup_commutator(rc, ident, chart, work)
 
 
@@ -527,7 +530,7 @@ def fedosov_d_cochain(P: FiberwiseCochain, chart: SymplecticChart,
     out = nabla_cochain(P, chart) - delta_cochain(P)
     if r.is_zero():
         return out
-    return out + _commutator_action(P, chart, _r_mult_parts(chart, r, P.order, P.cap))
+    return out + _commutator_action(P, chart, _r_mult_parts(chart, r, P))
 
 
 def embed_forms(u: FormWeyl, cap=None) -> FiberwiseCochain:
@@ -557,8 +560,10 @@ def horizontal_lift_cochain(P: FiberwiseCochain, chart: SymplecticChart,
 def _fixed_point(first, chart, r, what):
     """The fixed point of A = first + delta_inv(nabla A + (1/hbar) K_r(A)).
     The recursion map is linear and strictly raises the filtration, so the
-    fixed point is the sum of the iterated increments."""
-    parts = None if r.is_zero() else _r_mult_parts(chart, r, first.order, first.cap)
+    fixed point is the sum of the iterated increments.  It is the one
+    horizontal-lift recursion: the cochain lift, the exactness witness and,
+    on an arity-0 first, quantize.tau, where K_r(A) is [r, A]."""
+    parts = None if r.is_zero() else _r_mult_parts(chart, r, first)
     total = inc = first
     # a term hbar^k with k < 0 starts at weight 2k: 2|k| more passes
     lowest = min((key[1] for key in first.terms), default=0)

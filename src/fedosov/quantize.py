@@ -10,11 +10,11 @@ reported results are truncated back to the contract order.
 
 from __future__ import annotations
 
-from .cochains import _slot_splits
+from .cochains import FiberwiseCochain, _fixed_point, _slot_splits
 from .poly import SparseTerms, XPoly, _acc, _mono_derivative
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
-                   curvature_R, delta_inv, moyal_product, nabla, product_over_hbar,
-                   sigma_project, vec_add, weyl_curvature_class)
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, curvature_R, delta_inv,
+                   moyal_product, nabla, product_over_hbar, sigma_project, vec_add,
+                   weyl_curvature_class)
 
 WORK_HEADROOM = 2
 
@@ -91,26 +91,16 @@ def solve_r(data: FedosovData, validate: bool = True) -> FormWeyl:
 def tau(a: WeylElement, data: FedosovData, r: FormWeyl) -> WeylElement:
     """Horizontal lift: the unique fixed point of
     tau(a) = a + delta_inv(nabla tau(a) + (1/hbar)[r, tau(a)]), satisfying
-    sigma(tau(a)) = a and D(tau(a)) = 0.  It is exact only to weight
-    W + 2k on the hbar^k terms of a, k < 0, where W = data.order + 2 is the
-    working order; a lift exact at data.order runs _star_depth(a) orders
-    deeper."""
+    sigma(tau(a)) = a and D(tau(a)) = 0: the cochain lift's fixed point on
+    a as an arity-0 cochain.  It is exact only to weight W + 2k on the
+    hbar^k terms of a, k < 0, where W = data.order + 2 is the working
+    order; a lift exact at data.order runs _star_depth(a) orders deeper."""
     if not a.is_y_free():
         raise ValueError("tau expects an hbar-Laurent polynomial in x (no y)")
-    work = data.order + WORK_HEADROOM
-    chart = data.chart
-    # the recursion map is linear and strictly raises the filtration: sum
-    # the iterated increments; a term hbar^k with k < 0 starts at weight
-    # 2k, so it needs 2|k| more passes
-    total = FormWeyl.from_weyl(a.truncate(work))
-    inc = total
-    for _ in range(work + 2 + 2 * max(0, -(a.min_hbar() or 0))):
-        update = nabla(inc, chart) + commutator_over_hbar(r, inc, chart)
-        inc = delta_inv(update)
-        if inc.is_zero():
-            return total.component(())
-        total = total + inc
-    raise RuntimeError("horizontal-lift recursion failed to stabilize")
+    first = FiberwiseCochain.from_form(FormWeyl.from_weyl(
+        a.truncate(data.order + WORK_HEADROOM)))
+    lift = _fixed_point(first, data.chart, r, "horizontal-lift recursion")
+    return lift.to_form().component(())
 
 
 def star(a: WeylElement, b: WeylElement, data: FedosovData, r=None) -> WeylElement:

@@ -772,11 +772,11 @@ def _call(name, data, dim, order, seed, caps):
 
 def run_suite(name, data=None, dim=2, order=6, seed=0, caps=None):
     """The checks of one suite, or of every suite for "all", where the ids
-    carry the suite name and the data suites run on the built-in curved
-    chart unless data is given."""
+    carry the suite name and the data suites run on the built-in chart of
+    dimension dim (see _builtin_data) unless data is given."""
     caps = caps or {}
     if name == "all":
-        data = builtin_curved_data(order) if data is None else data
+        data = _builtin_data(dim, order) if data is None else data
         checks = []
         for sub in SUITES:
             for c in _call(sub, data, dim, order, seed, caps):

@@ -12,8 +12,8 @@ from fedosov.quantize import (FedosovData, GaugeOperator, StarProduct,
                               solve_r, star, tau)
 from fedosov.verify import (builtin_curved_data, builtin_flat_data,
                             rand_fraction, rand_poly_in_x)
-from fedosov.weyl import (SymplecticChart, WeylElement, delta_inv,
-                          fedosov_D, moyal_product, sigma_project)
+from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
+                          delta_inv, fedosov_D, moyal_product, nabla, sigma_project)
 
 DIM, N = 2, 6
 FLAT_DATA = builtin_flat_data(DIM, N)
@@ -228,6 +228,34 @@ def test_star_product_rejects_y_dependence():
     with pytest.raises(ValueError):
         sp(x(1), y)
 
+
+
+# -- tau is the arity-0 cochain lift ---------------------------------------------
+
+def _ref_tau(a, data, r):
+    """The horizontal-lift loop on forms that tau ran before it became the
+    arity-0 case of the cochain lift's fixed point, written out."""
+    work = data.order + 2
+    total = inc = FormWeyl.from_weyl(a.truncate(work))
+    for _ in range(work + 2 + 2 * max(0, -(a.min_hbar() or 0))):
+        inc = delta_inv(nabla(inc, data.chart) + commutator_over_hbar(r, inc, data.chart))
+        if inc.is_zero():
+            return total.component(())
+        total = total + inc
+    raise RuntimeError("horizontal-lift recursion failed to stabilize")
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("make_data", [builtin_curved_data, _curved_omega_data],
+                         ids=["builtin_curved", "curved_omega"])
+def test_tau_matches_the_form_loop(make_data, order):
+    """Seeded y-free inputs with hbar powers -2..2, alone and mixed."""
+    data = make_data(order)
+    r = solve_r(data)
+    rng = random.Random(order)
+    for ks in [(-2,), (-1,), (0,), (1,), (2,), (-2, 0, 1), (-1, 2), (-2, -1, 2)]:
+        a = _laurent_poly(rng, order + 2, ks) + _laurent_poly(rng, order + 2, ks)
+        assert tau(a, data, r) == _ref_tau(a, data, r)
 
 # -- the characteristic class -------------------------------------------------
 

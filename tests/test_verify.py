@@ -70,3 +70,22 @@ def test_verify_all_report_bytes_are_pinned(argv, digest, monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_verify_all_runs_its_data_suites_in_the_requested_dim(monkeypatch, capsys):
+    # without --data, the data suites of all run on the built-in chart of
+    # --dim, the dim the report states
+    seen = {}
+
+    def spy(name, fn, takes_data):
+        def run(*args, **kw):
+            seen[name] = args[0].chart.dim if takes_data else kw["dim"]
+            return []
+        return run
+
+    monkeypatch.setattr(verify, "SUITES", {
+        name: (spy(name, fn, takes_data), takes_data, kw)
+        for name, (fn, takes_data, kw) in verify.SUITES.items()})
+    assert main(["--json", "--order", "2", "verify", "all", "--dim", "4"]) == 0
+    assert '"dim":4' in capsys.readouterr().out.replace(" ", "")
+    assert seen == dict.fromkeys(verify.SUITES, 4)
