@@ -67,7 +67,7 @@ from math import comb
 from .poly import SparseTerms, XPoly, _acc, _add_terms, _mono_derivative
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, _blocks,
                    _delta_inv_terms, _delta_terms, _fiber_product, _form_blocks,
-                   _form_op, _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
+                   _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
                    _subst_terms, _transpose, as_form, is_central, merge_subsets,
                    omega_matrix, vec_add)
 
@@ -79,6 +79,7 @@ class FiberwiseCochain(SparseTerms):
     golden digests hash); no operation truncates by it."""
 
     __slots__ = ("dim", "order", "arity", "cap", "terms")
+    KEY = FormWeyl.KEY
 
     def __init__(self, dim, order, arity, terms=None, cap=None):
         self.dim = dim
@@ -86,15 +87,13 @@ class FiberwiseCochain(SparseTerms):
         self.arity = arity
         self.cap = order if cap is None else cap
         clean = {}
-        for (S, m, p, alphas), c in (terms or {}).items():
+        for key, c in (terms or {}).items():
             if c.is_zero():
                 continue
-            if len(alphas) != arity:
+            if len(key[3]) != arity:
                 raise ValueError("wrong arity")
-            if 2 * m + sum(p) > self.order:
-                continue
-            clean[(tuple(S), m, tuple(p),
-                   tuple(tuple(al) for al in alphas))] = c
+            if 2 * key[1] + sum(key[2]) <= order:
+                clean[key] = c
         self.terms = clean
 
     def _empty(self):
@@ -668,22 +667,23 @@ def to_local_operator(P: FiberwiseCochain, star_product,
 # linear coordinate transport (push-forward along x -> g x)
 
 
-def _transport_terms(terms, ginv, gt=None):
+def _transport_terms(fields, terms, ginv, gt=None):
     """x, y and dx substitute by ginv, slot indices by gt."""
-    return _subst_terms({key: c.substitute_linear(ginv) for key, c in terms.items()},
+    return _subst_terms(fields, {key: c.substitute_linear(ginv) for key, c in terms.items()},
                         ginv, gt)
 
 
 def transport_weyl(w: WeylElement, ginv) -> WeylElement:
-    return transport_form(w, ginv).component(())
+    return WeylElement(w.dim, w.order, _transport_terms(w.KEY, w.terms, ginv))
 
 
 def transport_form(w: FormWeyl, ginv) -> FormWeyl:
-    return _form_op(_transport_terms, w, ginv)
+    w = as_form(w)
+    return FormWeyl.from_terms(w.dim, w.order, _transport_terms(w.KEY, w.terms, ginv))
 
 
 def transport_cochain(P: FiberwiseCochain, g, ginv) -> FiberwiseCochain:
     """Push-forward: y and x substitute by g^{-1}, dx expands by g^{-1},
     slot indices transform contravariantly (by g transposed)."""
     return FiberwiseCochain(P.dim, P.order, P.arity,
-                            _transport_terms(P.terms, ginv, _transpose(g)), P.cap)
+                            _transport_terms(P.KEY, P.terms, ginv, _transpose(g)), P.cap)

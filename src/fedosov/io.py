@@ -7,9 +7,10 @@ JSON conventions (bit-exact across runs):
     string or a boolean,
   * polynomials are lists of {"coeff": "p/q", "exps": [e1..e_{2n}]} sorted by
     exponent vector,
-  * each sparse type is described once, in LAYOUTS; to_json and from_json
-    read that table.  The decoder sums duplicate terms and checks every
-    vector and index set it reads.
+  * each sparse type is described once, in LAYOUTS, whose key fields are
+    the type's own KEY declaration (which the GL transport reads too);
+    to_json and from_json read that table.  The decoder sums duplicate
+    terms and checks every vector and index set it reads.
 """
 
 from __future__ import annotations
@@ -118,24 +119,27 @@ _FIELDS = {"hbar": _INT, "hbar_power": _INT, "upper": _INT, "lower": _INTS,
 
 # A document is the integer header fields and, under items, the list of
 # terms sorted by key (items None: the document is that list).  A term is
-# its key fields, in key order, then its coefficient field.  A layout with
-# group = (name, body, layout) writes the terms that share a first key
-# entry as one item {name: entry, body: the rest in that layout}.
+# its key fields, in key order, then its coefficient field; a sparse type
+# names its key fields once, in its KEY, which the transport reads too.  A
+# layout with group = (name, body, layout) writes the terms that share a
+# first key entry as one item {name: entry, body: the rest in that layout}.
 # build(terms=..., **header) makes the value; None means the type itself.
 Layout = namedtuple("Layout", "header fields items group build",
                     defaults=("terms", None, None))
-_WEYL = Layout(("dim", "order"), ("hbar", "ydeg", "poly"))
+_WEYL = Layout(("dim", "order"), WeylElement.KEY + ("poly",))
 LAYOUTS = {
     WeylElement: _WEYL,
-    FormWeyl: Layout(("dim", "order"), (), "components", ("dx", "value", _WEYL),
+    # a form is written by dx block, each block a WeylElement: its empty
+    # slots (the last key field) are not written
+    FormWeyl: Layout(("dim", "order"), (), "components", (FormWeyl.KEY[0], "value", _WEYL),
                      lambda terms, **head: FormWeyl.from_terms(
                          terms={key + ((),): c for key, c in terms.items()}, **head)),
     FiberwiseCochain: Layout(("dim", "order", "arity", "cap"),
-                             ("dx", "hbar", "ydeg", "slots", "poly")),
-    WeylCochain: Layout(("dim", "arity"), ("hbar", "ydeg", "slots", "coeff")),
-    BarChain: Layout(("dim", "degree"), ("hbar", "copies", "coeff")),
-    KoszulChain: Layout(("dim", "degree"), ("hbar", "y1", "y2", "C", "coeff")),
-    PsiElement: Layout(("dim",), ("hbar", "ydeg", "psi", "coeff")),
+                             FiberwiseCochain.KEY + ("poly",)),
+    WeylCochain: Layout(("dim", "arity"), WeylCochain.KEY + ("coeff",)),
+    BarChain: Layout(("dim", "degree"), BarChain.KEY + ("coeff",)),
+    KoszulChain: Layout(("dim", "degree"), KoszulChain.KEY + ("coeff",)),
+    PsiElement: Layout(("dim",), PsiElement.KEY + ("coeff",)),
     # a gauge file carries no dim: its reader is told it
     GaugeOperator: Layout((), ("hbar_power", "dx_multi_index", "poly"),
                           build=lambda terms, dim: GaugeOperator(dim, _nest(terms))),

@@ -83,7 +83,8 @@ def _mono_derivative(alpha, beta):
 class SparseTerms:
     """The linear structure of a sparse sum {key: coefficient}.  A subclass
     stores the sum in ``terms`` and defines ``_empty()``, the zero of the
-    same shape."""
+    same shape; one that GL transport moves names its key fields in ``KEY``,
+    which io reads too."""
 
     __slots__ = ()
 

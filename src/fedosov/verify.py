@@ -37,7 +37,7 @@ from .cochains import (FiberwiseCochain, _multidegrees, cochain_eval, cup,
 from .poly import XPoly, _acc
 from .quantize import (FedosovData, StarProduct, _diff_x, curvature_residual,
                        solve_r, tau)
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, _matmul, _matrix_inverse,
                    curvature_R, delta, delta_inv, fedosov_D, graded_commutator,
                    nabla, sigma_project)
 
@@ -684,11 +684,9 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
 
         def functorial(g=g, a=a):
             g2 = rand_gl(rng, dim)
-            comp = [[sum(g2[r_][k] * g[k][c] for k in range(dim))
-                     for c in range(dim)] for r_ in range(dim)]
             lhs = hh.gl_transport(hh.gl_transport_context(ctx, g), g2,
                                   hh.gl_transport(ctx, g, a))
-            rhs = hh.gl_transport(ctx, comp, a)
+            rhs = hh.gl_transport(ctx, _matmul(g2, g), a)
             return _equal(lhs, rhs)
 
         _run(checks, f"functorial-{i}", functorial)

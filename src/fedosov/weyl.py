@@ -15,8 +15,11 @@ The kernels are each written once: delta, delta_inv, sigma, nabla, the
 dx-block wedge around the pairing kernel, and linear substitution.  The form
 operators here and the cochain operators of `cochains` are thin calls into
 them on the stored terms, FormWeyl.from_terms truncating the result at the
-order; `weylhh` transports by the same substitution.  WeylElement and
-FormWeyl take their linear structure from poly.SparseTerms.
+order.  Linear substitution (_subst_terms) is one driver over the key
+fields that a type declares in KEY (named as in io); it moves all eight
+types that declare them, for the transports of `cochains` and for
+gl_transport of `weylhh`.  WeylElement and FormWeyl take their linear
+structure from poly.SparseTerms.
 
 One pairing kernel (_pairing_levels, summed by _pair_terms) runs the
 fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
@@ -95,18 +98,13 @@ class WeylElement(SparseTerms):
     """Section of the Weyl bundle: {(hbar_exp, y_multidegree): XPoly}."""
 
     __slots__ = ("dim", "order", "terms")
+    KEY = ("hbar", "ydeg")
 
     def __init__(self, dim: int, order: int, terms=None):
         self.dim = dim
         self.order = order
-        clean = {}
-        if terms:
-            for (k, p), c in terms.items():
-                if c.is_zero():
-                    continue
-                if 2 * k + sum(p) <= order:
-                    clean[(k, tuple(p))] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in (terms or {}).items()
+                      if not c.is_zero() and 2 * key[0] + sum(key[1]) <= order}
 
     # -- constructors -------------------------------------------------------
 
@@ -191,6 +189,7 @@ class FormWeyl(SparseTerms):
     on each access."""
 
     __slots__ = ("dim", "order", "terms")
+    KEY = ("dx", "hbar", "ydeg", "slots")
 
     def __init__(self, dim: int, order: int, components=None):
         """The form with components {dx_subset: WeylElement}, truncated at order."""
@@ -382,6 +381,16 @@ def _matrix_inverse(m):
                 a[r] = [v - f * w for v, w in zip(a[r], a[col])]
                 inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
     return inv
+
+
+def _transpose(m):
+    return [[m[j][i] for j in range(len(m))] for i in range(len(m))]
+
+
+def _matmul(a, b):
+    """The exact product of two constant matrices."""
+    return [[sum((as_fraction(a[i][k]) * as_fraction(b[k][j]) for k in range(len(b))),
+                 Fraction(0)) for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def omega_matrix(chart_or_theta, dim: int):
@@ -741,10 +750,6 @@ def is_central(a) -> bool:
 # linear substitution
 
 
-def _transpose(m):
-    return [[m[j][i] for j in range(len(m))] for i in range(len(m))]
-
-
 def _subst_multidegrees(ps, M):
     """_subst_multidegree on each entry of a tuple: {tuple: Fraction}."""
     out = {(): Fraction(1)}
@@ -757,12 +762,11 @@ def _subst_multidegrees(ps, M):
 def _subst_subset(S, M):
     """Expand prod_{i in S} (sum_j M[i][j] e_j) in an exterior algebra, each
     e_j multiplied from the right: {subset: Fraction} with ordering signs."""
-    dim = len(M)
     acc = {(): Fraction(1)}
     for i in S:
         nxt = {}
         for mono, c in acc.items():
-            for j in range(1, dim + 1):
+            for j in range(1, len(M) + 1):
                 f = as_fraction(M[i - 1][j - 1])
                 if not f or j in mono:
                     continue
@@ -773,14 +777,29 @@ def _subst_subset(S, M):
     return acc
 
 
-def _subst_terms(terms, ginv, gt=None):
-    """Linear substitution of a term dict: y and dx by ginv, slot indices
-    contravariantly by gt (read only when there are slots); coefficients
-    are multiplied, not substituted."""
+# how each key field (named as in io) moves under the substitution: its
+# expansion and whether it goes by gt (else by ginv); None: the field is kept
+_SUBST = {"hbar": None,
+          "ydeg": (_subst_multidegree, False), "y1": (_subst_multidegree, False),
+          "y2": (_subst_multidegree, False), "copies": (_subst_multidegrees, False),
+          "dx": (_subst_subset, False), "C": (_subst_subset, False),
+          "slots": (_subst_multidegrees, True), "psi": (_subst_subset, True)}
+
+
+def _subst_terms(fields, terms, ginv, gt=None):
+    """Linear substitution of a term dict whose key fields are named by
+    fields (a type's KEY): y-vectors and the dx and C sets by ginv, slot
+    vectors and the psi set contravariantly by gt (read only when such a
+    field is nonempty), hbar kept; coefficients are multiplied, not
+    substituted."""
+    rules = [_SUBST[name] for name in fields]
     out = {}
-    for (S, m, p, alphas), c in terms.items():
-        for S2, f0 in _subst_subset(S, ginv).items():
-            for mono, f1 in _subst_multidegree(p, ginv).items():
-                for done, f2 in _subst_multidegrees(alphas, gt).items():
-                    _acc(out, (S2, m, mono, done), c * (f0 * f1 * f2))
+    for key, c in terms.items():
+        images = {(): Fraction(1)}
+        for rule, v in zip(rules, key):
+            moved = rule[0](v, gt if rule[1] else ginv) if rule else {v: 1}
+            images = {done + (w,): f * fw for done, f in images.items()
+                      for w, fw in moved.items()}
+        for image, f in images.items():
+            _acc(out, image, c * f)
     return out

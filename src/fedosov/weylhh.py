@@ -27,9 +27,11 @@ cochain, evaluation, reconstruction from values) run on the kernel of
 `cochains` with Fraction coefficients: a WeylCochain is a fiberwise cochain
 with no dx part and constant coefficients.  The monomial product, cup,
 product cochain and the Koszul homotopy run on the Moyal pairing kernel of
-`weyl`.  A WSeries is an arity-0 WeylCochain, and GL transport of both is
-the linear substitution of `weyl` that also transports forms and fiberwise
-cochains.  All five types take their linear structure from poly.SparseTerms.
+`weyl`.  Each of the five types declares its key fields in KEY (the field
+names of io), and GL transport of every one of them is the linear
+substitution of `weyl` over those fields, the one that also transports
+forms and fiberwise cochains.  All five types take their linear structure
+from poly.SparseTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
 MonomialEvaluator that lives for one call.
 
@@ -46,11 +48,9 @@ from fractions import Fraction
 from math import comb, inf
 
 from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
-from .poly import (HbarScalar, SparseTerms, _acc, _mono_derivative, _subst_multidegree,
-                   as_fraction)
-from .weyl import (_matrix_inverse, _pair_terms, _pairing_levels, _subst_multidegrees,
-                   _subst_subset, _subst_terms, _transpose, contract_index,
-                   prepend_index, unit_vec, vec_add, vec_sub)
+from .poly import HbarScalar, SparseTerms, _acc, _mono_derivative, as_fraction
+from .weyl import (_matmul, _matrix_inverse, _pair_terms, _pairing_levels, _subst_terms,
+                   _transpose, contract_index, prepend_index, unit_vec, vec_add, vec_sub)
 
 ZERO = Fraction(0)
 
@@ -109,17 +109,12 @@ class WSeries(SparseTerms):
     """Element of the Weyl algebra: {(hbar_exp, y_multidegree): Fraction}."""
 
     __slots__ = ("dim", "terms")
+    KEY = ("hbar", "ydeg")
 
     def __init__(self, dim, terms=None, order=None):
         self.dim = dim
-        clean = {}
-        for (k, p), c in (terms or {}).items():
-            if not c:
-                continue
-            if order is not None and 2 * k + sum(p) > order:
-                continue
-            clean[(k, tuple(p))] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in (terms or {}).items()
+                      if c and (order is None or 2 * key[0] + sum(key[1]) <= order)}
 
     @classmethod
     def monomial(cls, dim, p, c=1, k=0):
@@ -168,18 +163,14 @@ class BarChain(SparseTerms):
     """Element of B_m = completed (m+2)-fold tensor power of W."""
 
     __slots__ = ("dim", "m", "terms")
+    KEY = ("hbar", "copies")
 
     def __init__(self, dim, m, terms=None):
         self.dim = dim
         self.m = m
-        clean = {}
-        for (k, ps), c in (terms or {}).items():
-            if not c:
-                continue
-            if len(ps) != m + 2:
-                raise ValueError("wrong number of tensor slots")
-            clean[(k, tuple(tuple(p) for p in ps))] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
+        if any(len(key[1]) != m + 2 for key in self.terms):
+            raise ValueError("wrong number of tensor slots")
 
     @classmethod
     def interior(cls, dim, betas, c=1, k=0):
@@ -244,18 +235,14 @@ class KoszulChain(SparseTerms):
     C indices 1-based, strictly increasing."""
 
     __slots__ = ("dim", "m", "terms")
+    KEY = ("hbar", "y1", "y2", "C")
 
     def __init__(self, dim, m, terms=None):
         self.dim = dim
         self.m = m
-        clean = {}
-        for (k, p1, p2, T), c in (terms or {}).items():
-            if not c:
-                continue
-            if len(T) != m:
-                raise ValueError("wrong Koszul degree")
-            clean[(k, tuple(p1), tuple(p2), tuple(T))] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
+        if any(len(key[3]) != m for key in self.terms):
+            raise ValueError("wrong Koszul degree")
 
     @classmethod
     def generator(cls, dim, T, c=1):
@@ -485,14 +472,11 @@ class PsiElement(SparseTerms):
     """Element of W[psi_1..psi_{2n}]: {(hbar_exp, p, psi_subset): Fraction}."""
 
     __slots__ = ("dim", "terms")
+    KEY = ("hbar", "ydeg", "psi")
 
     def __init__(self, dim, terms=None):
         self.dim = dim
-        clean = {}
-        for (k, p, T), c in (terms or {}).items():
-            if c:
-                clean[(k, tuple(p), tuple(T))] = c
-        self.terms = clean
+        self.terms = {key: c for key, c in (terms or {}).items() if c}
 
     def _empty(self):
         return PsiElement(self.dim)
@@ -560,21 +544,23 @@ class WeylCochain(SparseTerms):
     of the resulting series."""
 
     __slots__ = ("dim", "arity", "terms")
+    KEY = ("hbar", "ydeg", "slots")
 
     def __init__(self, dim, arity, terms=None, order=None, cap=None):
         self.dim = dim
         self.arity = arity
         clean = {}
-        for (k, p, alphas), c in (terms or {}).items():
+        for key, c in (terms or {}).items():
             if not c:
                 continue
+            k, p, alphas = key
             if len(alphas) != arity:
                 raise ValueError("wrong arity")
             if order is not None and 2 * k + sum(p) > order:
                 continue
             if cap is not None and any(sum(al) > cap for al in alphas):
                 continue
-            clean[(k, tuple(p), tuple(tuple(al) for al in alphas))] = c
+            clean[key] = c
         self.terms = clean
 
     def as_wseries(self) -> WSeries:
@@ -814,16 +800,7 @@ def hh_reduce(ctx: WeylContext, a: WeylCochain, rec_cap=None):
 
 def gl_push_theta(g, theta):
     """theta' = g theta g^T."""
-    n = len(theta)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = ZERO
-            for k in range(n):
-                for l in range(n):
-                    s += as_fraction(g[i][k]) * theta[k][l] * as_fraction(g[j][l])
-            out[i][j] = s
-    return tuple(tuple(row) for row in out)
+    return tuple(map(tuple, _matmul(_matmul(g, theta), _transpose(g))))
 
 
 def gl_transport_context(ctx: WeylContext, g) -> WeylContext:
@@ -831,40 +808,12 @@ def gl_transport_context(ctx: WeylContext, g) -> WeylContext:
 
 
 def gl_transport(ctx: WeylContext, g, obj):
-    """Push an object of W_theta along g in GL(2n, Q) to W_{g theta g^T}:
-    y-variables substitute by g^{-1} in every copy, anticommuting indices
-    transform compatibly with the Hom identifications; functorial in g."""
-    ginv = _matrix_inverse(g)
-    if isinstance(obj, WSeries):
-        out = _subst_terms({((), k, p, ()): c for (k, p), c in obj.terms.items()}, ginv)
-        return WSeries(obj.dim, {(k, p): c for (_, k, p, _), c in out.items()})
-    if isinstance(obj, BarChain):
-        out = {}
-        for (k, ps), c in obj.terms.items():
-            for done, cf in _subst_multidegrees(ps, ginv).items():
-                _acc(out, (k, done), c * cf)
-        return BarChain(obj.dim, obj.m, out)
-    if isinstance(obj, KoszulChain):
-        out = {}
-        for (k, p1, p2, T), c in obj.terms.items():
-            for (m1, m2), c12 in _subst_multidegrees((p1, p2), ginv).items():
-                for T2, c3 in _subst_subset(T, ginv).items():
-                    _acc(out, (k, m1, m2, T2), c * c12 * c3)
-        return KoszulChain(obj.dim, obj.m, out)
-    if isinstance(obj, PsiElement):
-        # psi_i are dual to C^i: (g_* f)(C'^T) = g_*(f(g^{-1}_* C'^T)),
-        # with g^{-1}_* C' = substitution by g.
-        out = {}
-        for (k, p, T), c in obj.terms.items():
-            for mono, cf in _subst_multidegree(p, ginv).items():
-                for T2, cf2 in _subst_subset(T, _transpose(g)).items():
-                    _acc(out, (k, mono, T2), c * cf * cf2)
-        return PsiElement(obj.dim, out)
-    if isinstance(obj, WeylCochain):
-        # slots transform contravariantly; |p| and |alpha| are kept, so the
-        # normalization drops exactly what the order drops from the values
-        out = _subst_terms({((),) + key: c for key, c in obj.terms.items()}, ginv,
-                           _transpose(g))
-        return WeylCochain(obj.dim, obj.arity, {key[1:]: c for key, c in out.items()},
-                           ctx.order)
-    raise TypeError(f"cannot transport {type(obj).__name__}")
+    """Push an object of W_theta along g in GL(2n, Q) to W_{g theta g^T}
+    by the substitution of its key fields (weyl._subst_terms): y-variables
+    by g^{-1} in every copy, C like y, psi (dual to C) and the slots
+    contravariantly by g^T; functorial in g.  A WeylCochain is normalized
+    at ctx.order, which drops exactly what the order drops from its values."""
+    if not isinstance(obj, (WSeries, BarChain, KoszulChain, PsiElement, WeylCochain)):
+        raise TypeError(f"cannot transport {type(obj).__name__}")
+    out = obj._with(_subst_terms(obj.KEY, obj.terms, _matrix_inverse(g), _transpose(g)))
+    return out.normalize(ctx.order) if isinstance(obj, WeylCochain) else out

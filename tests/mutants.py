@@ -76,6 +76,14 @@ MUTANTS = [
      "for _ in range(first.order + 2 + 2 * max(0, -lowest)):",
      "for _ in range(first.order + 2):",
      "tests/test_cli.py::test_tau_command_negative_hbar_power"),
+    ("psi-set-transported-by-g-inverse", "weyl.py",
+     '"psi": (_subst_subset, True)}',
+     '"psi": (_subst_subset, False)}',
+     "tests/test_weylhh.py::test_transports_intertwine_differentials"),
+    ("slots-transported-by-g-inverse", "weyl.py",
+     '"slots": (_subst_multidegrees, True)',
+     '"slots": (_subst_multidegrees, False)',
+     "tests/test_weylhh.py::test_homotopy_square_commutes"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

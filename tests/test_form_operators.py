@@ -2,7 +2,8 @@
 product and linear transport of form-valued sections are checked against
 their loops written out on their own, and against the cochain operators on
 the arity-0 cochain of the form; the substitution transport of Weyl cochains
-is checked against their reconstruction from transported values."""
+is checked against their reconstruction from transported values, and that of
+bar, Koszul and psi chains against its loops written out per type."""
 
 import random
 from fractions import Fraction
@@ -15,8 +16,8 @@ from fedosov.cochains import (FiberwiseCochain, _r_cup_commutator, cup,
                               sigma_cochain, transport_cochain, transport_form,
                               transport_weyl)
 from fedosov.poly import XPoly
-from fedosov.verify import (builtin_curved_data, rand_form, rand_gl, rand_wcochain,
-                            rand_weyl)
+from fedosov.verify import (builtin_curved_data, rand_bar, rand_form, rand_gl, rand_koszul,
+                            rand_psi, rand_wcochain, rand_weyl)
 from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
                           _pair_terms, as_form, contract_index, curvature_R, delta,
                           delta_inv, graded_commutator, is_central, merge_subsets,
@@ -199,6 +200,43 @@ def _ref_gl_transport(ctx, g, a):
                                       a.arity, rec_cap, ctx.order)
 
 
+def _ref_bar_transport(b, ginv):
+    """Every tensor copy substituted by ginv."""
+    out = {}
+    for (k, ps), c in b.terms.items():
+        images = {(): c}
+        for p in ps:
+            images = {done + (mono,): f * fm for done, f in images.items()
+                      for mono, fm in _ref_subst(p, ginv).items()}
+        for done, f in images.items():
+            out[(k, done)] = out.get((k, done), 0) + f
+    return weylhh.BarChain(b.dim, b.m, out)
+
+
+def _ref_koszul_transport(kz, ginv):
+    """y1, y2 and the C set substituted by ginv."""
+    out = {}
+    for (k, p1, p2, T), c in kz.terms.items():
+        for m1, f1 in _ref_subst(p1, ginv).items():
+            for m2, f2 in _ref_subst(p2, ginv).items():
+                for T2, f3 in _ref_subst_subset(T, ginv).items():
+                    key = (k, m1, m2, T2)
+                    out[key] = out.get(key, 0) + c * f1 * f2 * f3
+    return weylhh.KoszulChain(kz.dim, kz.m, out)
+
+
+def _ref_psi_transport(a, g):
+    """y substituted by g^{-1}; the psi_i are dual to the C^i, so the psi set
+    goes by g transposed."""
+    gt = [[g[j][i] for j in range(len(g))] for i in range(len(g))]
+    out = {}
+    for (k, p, T), c in a.terms.items():
+        for mono, f1 in _ref_subst(p, _matrix_inverse(g)).items():
+            for T2, f2 in _ref_subst_subset(T, gt).items():
+                out[(k, mono, T2)] = out.get((k, mono, T2), 0) + c * f1 * f2
+    return weylhh.PsiElement(a.dim, out)
+
+
 # -- the operators against the written-out loops ---------------------------------
 
 def test_delta_and_delta_inv_match_reference_loops():
@@ -244,6 +282,25 @@ def test_gl_transport_matches_reference(dim):
                 w = a.as_wseries()
                 assert weylhh.gl_transport(ctx, g, w) == \
                     _ref_wseries_transport(w, _matrix_inverse(g))
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_gl_transport_of_chains_matches_reference(dim):
+    ctx = weylhh.WeylContext.standard(dim, N)
+    rng = random.Random(30 + dim)
+    maxdeg = 2 if dim == 2 else 1
+    drawn = set()
+    for m in range(3):
+        g = rand_gl(rng, dim)
+        ginv = _matrix_inverse(g)
+        b = rand_bar(rng, ctx, m, maxdeg=maxdeg, nterms=6)
+        kz = rand_koszul(rng, ctx, m, maxdeg=maxdeg, nterms=6)
+        ps = rand_psi(rng, ctx, maxdeg=maxdeg + 1, nterms=6)
+        assert weylhh.gl_transport(ctx, g, b) == _ref_bar_transport(b, ginv)
+        assert weylhh.gl_transport(ctx, g, kz) == _ref_koszul_transport(kz, ginv)
+        assert weylhh.gl_transport(ctx, g, ps) == _ref_psi_transport(ps, g)
+        drawn |= {type(x) for x in (b, kz, ps) if not x.is_zero()}
+    assert len(drawn) == 3
 
 
 # -- the linear structure and the component view of the flat term dict -----------

@@ -1,21 +1,26 @@
 """Property tests of identities the seeded suites sample: star
 associativity on the built-in curved chart, cup associativity, the Hodge
-identity and d o d = 0 for both Hochschild differentials, at orders <= 4.
-Examples are derandomized so every run draws the same inputs."""
+identity, d o d = 0 for both Hochschild differentials, and GL functoriality
+of the transport of every transported type, at orders <= 4.  Examples are
+derandomized so every run draws the same inputs."""
 
 from fractions import Fraction
 from itertools import product
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedosov.cochains import FiberwiseCochain, cup, hochschild_d
+from fedosov.cochains import (FiberwiseCochain, cup, hochschild_d, transport_cochain,
+                              transport_form, transport_weyl)
 from fedosov.poly import XPoly
 from fedosov.quantize import StarProduct
 from fedosov.verify import builtin_curved_data
-from fedosov.weyl import (FormWeyl, WeylElement, delta, delta_inv,
-                          sigma_project)
-from fedosov.weylhh import WeylCochain, WeylContext, hh_hochschild_d
+from fedosov.weyl import (FormWeyl, WeylElement, _matmul, _matrix_inverse, delta,
+                          delta_inv, sigma_project)
+from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain, WeylContext,
+                            WSeries, _subsets, gl_transport, gl_transport_context,
+                            hh_hochschild_d)
 
 DIM = 2
 ORDER = 4
@@ -108,3 +113,75 @@ def test_hochschild_d_squares_to_zero(P):
 def test_weyl_hochschild_d_squares_to_zero(a):
     d = hh_hochschild_d
     assert d(LOW_CTX, d(LOW_CTX, a)).normalize(LOW).is_zero()
+
+
+# -- GL functoriality of the transports ----------------------------------------------
+
+CTX = WeylContext.standard(DIM, ORDER)
+IDENTITY = [[Fraction(int(i == j)) for j in range(DIM)] for i in range(DIM)]
+
+
+def _invertible(g):
+    try:
+        _matrix_inverse(g)
+    except ValueError:
+        return False
+    return True
+
+
+entries = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+gls = st.lists(st.lists(entries, min_size=DIM, max_size=DIM),
+               min_size=DIM, max_size=DIM).filter(_invertible)
+hbars = st.integers(0, 1)
+
+
+def _sums(keys, coeffs, build):
+    return st.dictionaries(keys, coeffs, min_size=1, max_size=2).map(build)
+
+
+# one strategy per transported type, each drawing small sums
+TRANSPORTED = {
+    "weyl": _sums(st.tuples(hbars, exps), xpolys,
+                  lambda terms: WeylElement(DIM, ORDER, terms)),
+    "form": _forms(ORDER),
+    "cochain": st.integers(0, 2).flatmap(lambda k: _cochains(k, ORDER)),
+    "wseries": _sums(st.tuples(hbars, exps), fractions, lambda terms: WSeries(DIM, terms)),
+    "bar": st.integers(0, 1).flatmap(lambda m: _sums(
+        st.tuples(hbars, st.tuples(*[exps] * (m + 2))), fractions,
+        lambda terms: BarChain(DIM, m, terms))),
+    "koszul": st.integers(0, 2).flatmap(lambda m: _sums(
+        st.tuples(hbars, exps, exps, st.sampled_from(_subsets(DIM, m))), fractions,
+        lambda terms: KoszulChain(DIM, m, terms))),
+    "psi": _sums(st.tuples(hbars, exps, subsets), fractions,
+                 lambda terms: PsiElement(DIM, terms)),
+    "wcochain": st.integers(0, 2).flatmap(_low_wcochains),
+}
+
+
+def _push(ctx, g, x):
+    """x pushed along g by the transport of its type."""
+    ginv = _matrix_inverse(g)
+    if isinstance(x, WeylElement):
+        return transport_weyl(x, ginv)
+    if isinstance(x, FormWeyl):
+        return transport_form(x, ginv)
+    if isinstance(x, FiberwiseCochain):
+        return transport_cochain(x, g, ginv)
+    return gl_transport(ctx, g, x)
+
+
+@pytest.mark.parametrize("kind", TRANSPORTED)
+@settings(SETTINGS, max_examples=30)
+@given(data=st.data())
+def test_transport_is_functorial(kind, data):
+    x, g, g2 = data.draw(TRANSPORTED[kind]), data.draw(gls), data.draw(gls)
+    assert _push(gl_transport_context(CTX, g), g2, _push(CTX, g, x)) == \
+        _push(CTX, _matmul(g2, g), x)
+
+
+@pytest.mark.parametrize("kind", TRANSPORTED)
+@settings(SETTINGS, max_examples=30)
+@given(data=st.data())
+def test_transport_along_the_identity_is_the_identity(kind, data):
+    x = data.draw(TRANSPORTED[kind])
+    assert _push(CTX, IDENTITY, x) == x
