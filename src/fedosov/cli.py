@@ -14,8 +14,8 @@ import sys
 
 from . import io as fio
 from . import verify
-from .quantize import (FedosovData, StarProduct, _star_depth, apply_gauge,
-                       curvature_residual, fedosov_class, solve_r, tau)
+from .quantize import (FedosovData, StarProduct, apply_gauge, curvature_residual,
+                       fedosov_class, solve_r)
 from .weyl import ChartValidationError
 
 DEFAULT_ORDER = 6
@@ -61,9 +61,7 @@ def cmd_star(args):
 def cmd_tau(args):
     data = _load_data(args.data, args.order)
     a = _parse_input(args.a, data.chart.dim, data.order)
-    # the lift of hbar^k, k <= -2, is exact to the order only when run deeper
-    run = FedosovData(data.chart, data.omega_series, data.order + _star_depth(a))
-    result = tau(a, run, solve_r(run, validate=False)).truncate(data.order)
+    result = StarProduct(data).tau(a).truncate(data.order)
     _emit(args, fio.weyl_text(result), tau=fio.to_json(result))
     return 0
 

@@ -31,7 +31,8 @@ components are a derived view).  delta, delta_inv, sigma, nabla, the
 dx-block wedge around the pairing kernel (cup) and linear substitution
 (transport) are the kernels that also run the form operators there, so
 moyal_product is exactly arity-0 cup.  FiberwiseCochain takes its linear
-structure from poly.SparseTerms; its sum goes through the constructor.
+structure and its filtration from poly.GradedTerms; its sum goes through
+the constructor, whose single pass checks the arity of every nonzero term.
 
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
@@ -64,15 +65,15 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
-from .poly import SparseTerms, XPoly, _acc, _add_terms, _mono_derivative
+from .poly import GradedTerms, XPoly, _acc, _add_terms, _mono_derivative
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, _blocks,
                    _delta_inv_terms, _delta_terms, _fiber_product, _form_blocks,
                    _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
-                   _subst_terms, _transpose, as_form, is_central, merge_subsets,
+                   _subst_terms, _transpose, as_form, merge_subsets,
                    omega_matrix, vec_add)
 
 
-class FiberwiseCochain(SparseTerms):
+class FiberwiseCochain(GradedTerms):
     """Form-valued fiberwise Hochschild cochain; arity 0 coincides with
     form-valued Weyl sections.  cap is a recorded value only (kept by the
     operations and written to the cochain JSON, which the benchmark's
@@ -95,9 +96,6 @@ class FiberwiseCochain(SparseTerms):
             if 2 * key[1] + sum(key[2]) <= order:
                 clean[key] = c
         self.terms = clean
-
-    def _empty(self):
-        return FiberwiseCochain(self.dim, self.order, self.arity, None, self.cap)
 
     # -- constructors -------------------------------------------------------
 
@@ -133,28 +131,21 @@ class FiberwiseCochain(SparseTerms):
                                 super().__add__(other).terms,
                                 max(self.cap, other.cap))
 
-    def hbar_shift(self, j: int):
-        return FiberwiseCochain(
-            self.dim, self.order, self.arity,
-            {(S, m + j, p, al): c for (S, m, p, al), c in self.terms.items()},
-            self.cap)
-
     def exterior_degrees(self):
         return sorted({len(S) for (S, _, _, _) in self.terms})
 
     def homogeneous_q(self, q):
         return self._with({k: c for k, c in self.terms.items() if len(k[0]) == q})
 
-    def min_term_weight(self):
-        return min((2 * m + sum(p) for (_, m, p, _) in self.terms), default=0)
-
     def restrict_slots(self, cap):
         return self._with({k: c for k, c in self.terms.items()
                            if all(sum(al) <= cap for al in k[3])})
 
     def truncate(self, order, cap=None):
-        return FiberwiseCochain(self.dim, order, self.arity, self.terms,
-                                self.cap if cap is None else cap)
+        out = super().truncate(order)
+        if cap is not None:
+            out.cap = cap
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, FiberwiseCochain)
@@ -426,11 +417,11 @@ def gerstenhaber(P1: FiberwiseCochain, P2: FiberwiseCochain) -> FiberwiseCochain
 def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
     """Fiberwise Hochschild differential with the (-1)^q exterior-degree
     prefactor; equals (-1)^{q+k+1} [mult, P]_G on each exterior component."""
-    t_max = max(0, P.order - min(0, P.min_term_weight()) + 1)
+    t_max = max(0, P.order - min(0, P.filtration_degree()) + 1)
     # an hbar^m term with m < 0 meets pairings of mu up to weight order - 2m
-    lowest = min((m for (_, m, _, _) in P.terms), default=0)
+    lowest = min(0, P.min_hbar() or 0)
     mu = _blocks(product_cochain(chart_or_theta, P.dim,
-                                 P.order - 2 * min(0, lowest), t_max, P.cap).terms)
+                                 P.order - 2 * lowest, t_max, P.cap).terms)
     out = {}
     for S, block in _blocks(P.terms).items():
         _add_terms(out, _hochschild_terms(block, P.arity, mu.get((), {}), P.order),
@@ -535,7 +526,7 @@ def fedosov_d_cochain(P: FiberwiseCochain, chart: SymplecticChart,
 def embed_forms(u: FormWeyl, cap=None) -> FiberwiseCochain:
     """Scalar exterior forms (y-free, hbar-Laurent coefficients) as arity-0
     cochains; intertwines d with D + Hochschild-d and wedge with cup."""
-    if not is_central(u):
+    if not u.is_y_free():
         raise ValueError("embedding expects y-free coefficients")
     return FiberwiseCochain.from_form(u, cap)
 
@@ -565,8 +556,7 @@ def _fixed_point(first, chart, r, what):
     parts = None if r.is_zero() else _r_mult_parts(chart, r, first)
     total = inc = first
     # a term hbar^k with k < 0 starts at weight 2k: 2|k| more passes
-    lowest = min((key[1] for key in first.terms), default=0)
-    for _ in range(first.order + 2 + 2 * max(0, -lowest)):
+    for _ in range(first.order + 2 - 2 * min(0, first.min_hbar() or 0)):
         upd = nabla_cochain(inc, chart)
         if parts is not None:
             upd = upd + _commutator_action(inc, chart, parts)

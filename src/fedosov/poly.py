@@ -4,8 +4,10 @@ the two monomial kernels every module calls: linear substitution and the
 derivative d^alpha y^beta.
 
 Every sparse type of the package stores a dictionary {key: coefficient} in
-``terms``.  SparseTerms gives all of them one add/neg/sub/scale; XPoly, the
-hottest type, keeps its own arithmetic.  Instances are treated as immutable
+``terms``.  SparseTerms gives all of them one add/neg/sub/scale and one
+copy; GradedTerms gives the five types graded by Fedosov's filtration one
+order clip, truncation, hbar shift and weight query.  XPoly, the hottest
+type, keeps its own arithmetic.  Instances are treated as immutable
 after construction; every operation returns a new, normalized object (no
 stored zero coefficients).
 """
@@ -13,7 +15,7 @@ stored zero coefficients).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import inf, perm
 
 Exps = tuple  # length-(2n) tuple of non-negative int exponents
 
@@ -82,16 +84,26 @@ def _mono_derivative(alpha, beta):
 
 class SparseTerms:
     """The linear structure of a sparse sum {key: coefficient}.  A subclass
-    stores the sum in ``terms`` and defines ``_empty()``, the zero of the
-    same shape; one that GL transport moves names its key fields in ``KEY``,
-    which io reads too."""
+    stores the sum in ``terms`` next to header slots (dim, order, arity,
+    ...) that every result of the structure copies; one that GL transport
+    moves names its key fields in ``KEY``, which io reads too."""
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._HEADER = tuple(name for name in cls.__slots__ if name != "terms")
+
     def _with(self, terms):
-        out = self._empty()
+        """A value with self's header slots and the given terms."""
+        out = object.__new__(type(self))
+        for name in self._HEADER:
+            setattr(out, name, getattr(self, name))
         out.terms = terms
         return out
+
+    def _empty(self):
+        return self._with({})
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -111,6 +123,57 @@ class SparseTerms:
 
     def is_zero(self):
         return not self.terms
+
+
+class GradedTerms(SparseTerms):
+    """A sparse sum in Fedosov's filtration: y has weight 1 and hbar weight
+    2, so a term hbar^k y^p weighs 2k + |p|, read from the key fields
+    ``hbar`` and ``ydeg`` that the type names in KEY.  hbar powers may be
+    negative (the coefficient field is C((hbar))).  A type with an
+    ``order`` slot keeps only the terms of weight <= order; one without
+    (order None) keeps them all."""
+
+    __slots__ = ()
+    order = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._HBAR, cls._YDEG = cls.KEY.index("hbar"), cls.KEY.index("ydeg")
+
+    def _clip(self, terms, order):
+        """terms without zero coefficients and, unless order is None,
+        without the terms of weight above order."""
+        if order is None:
+            return {key: c for key, c in terms.items() if c}
+        h, y = self._HBAR, self._YDEG
+        return {key: c for key, c in terms.items()
+                if c and 2 * key[h] + sum(key[y]) <= order}
+
+    def truncate(self, order):
+        out = self._with(self._clip(self.terms, order))
+        if self.order is not None:
+            out.order = order
+        return out
+
+    def hbar_shift(self, j: int):
+        """Multiply by hbar^j (j may be negative)."""
+        h = self._HBAR
+        return self._with(self._clip({key[:h] + (key[h] + j,) + key[h + 1:]: c
+                                      for key, c in self.terms.items()}, self.order))
+
+    def filtration_degree(self):
+        """The least weight 2k + |p| of a term; +inf for zero."""
+        h, y = self._HBAR, self._YDEG
+        return min((2 * key[h] + sum(key[y]) for key in self.terms), default=inf)
+
+    def min_hbar(self):
+        """The lowest hbar power of a term; None for zero."""
+        h = self._HBAR
+        return min((key[h] for key in self.terms), default=None)
+
+    def is_y_free(self):
+        y = self._YDEG
+        return not any(any(key[y]) for key in self.terms)
 
 
 class XPoly:
@@ -269,9 +332,6 @@ class HbarScalar(SparseTerms):
     @classmethod
     def hbar(cls, k: int = 1, c=1) -> "HbarScalar":
         return cls({k: as_fraction(c)})
-
-    def _empty(self):
-        return HbarScalar()
 
     @property
     def min_exp(self):

@@ -142,7 +142,9 @@ class StarProduct:
     The memo is filled lazily, through tau itself, and grows by one lifted
     element per distinct monomial that an instance meets.
 
-    StarProduct.tau (and so LocalCochainEvaluator) is not memoized yet.
+    StarProduct.tau (and so LocalCochainEvaluator) is exact at the contract
+    order: it runs plain tau on the instance that _star_depth(a) selects,
+    the one a product would use.  It is not memoized yet.
     bench/worker.py keeps every op's inputs for its traced replay, so a
     beta workload made faster by the memo completes more ops in its run
     and its peak_rss_mb grows past its bound; the switch waits on a
@@ -157,16 +159,23 @@ class StarProduct:
         self._lifts = {}
         self._deeper = {}
 
-    def tau(self, a: WeylElement) -> WeylElement:
-        return tau(a, self.data, self.r)
-
-    def __call__(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        depth = _star_depth(a, b)
+    def _at_depth(self, depth: int) -> "StarProduct":
+        """self, or the instance that runs depth orders deeper."""
         sp = self._deeper.get(depth) if depth else self
         if sp is None:
             data = self.data
             sp = self._deeper[depth] = StarProduct(
                 FedosovData(data.chart, data.omega_series, data.order + depth))
+        return sp
+
+    def tau(self, a: WeylElement) -> WeylElement:
+        """tau(a), exact at the contract order: plain tau, run _star_depth(a)
+        orders deeper."""
+        sp = self._at_depth(_star_depth(a))
+        return tau(a, sp.data, sp.r)
+
+    def __call__(self, a: WeylElement, b: WeylElement) -> WeylElement:
+        sp = self._at_depth(_star_depth(a, b))
         return _sigma_product(sp._lift(a), sp._lift(b), self.data)
 
     def _lift(self, a: WeylElement) -> WeylElement:
@@ -253,9 +262,6 @@ class GaugeOperator(SparseTerms):
                 if not p.is_zero():
                     clean[(k, mu)] = p
         self.terms = clean
-
-    def _empty(self):
-        return GaugeOperator(self.dim)
 
     @classmethod
     def identity(cls, dim: int) -> "GaugeOperator":

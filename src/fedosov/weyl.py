@@ -19,7 +19,8 @@ order.  Linear substitution (_subst_terms) is one driver over the key
 fields that a type declares in KEY (named as in io); it moves all eight
 types that declare them, for the transports of `cochains` and for
 gl_transport of `weylhh`.  WeylElement and FormWeyl take their linear
-structure from poly.SparseTerms.
+structure and their filtration (the order clip of their constructors,
+truncate, hbar_shift and the weight queries) from poly.GradedTerms.
 
 One pairing kernel (_pairing_levels, summed by _pair_terms) runs the
 fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
@@ -36,10 +37,9 @@ Conventions fixed here and verified by the Hodge-identity tests:
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
-from .poly import (SparseTerms, XPoly, _acc, _add_terms, _mono_derivative,
+from .poly import (GradedTerms, XPoly, _acc, _add_terms, _mono_derivative,
                    _subst_multidegree, as_fraction)
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def contract_index(k: int, S: tuple):
 # Weyl elements
 
 
-class WeylElement(SparseTerms):
+class WeylElement(GradedTerms):
     """Section of the Weyl bundle: {(hbar_exp, y_multidegree): XPoly}."""
 
     __slots__ = ("dim", "order", "terms")
@@ -103,8 +103,7 @@ class WeylElement(SparseTerms):
     def __init__(self, dim: int, order: int, terms=None):
         self.dim = dim
         self.order = order
-        self.terms = {key: c for key, c in (terms or {}).items()
-                      if not c.is_zero() and 2 * key[0] + sum(key[1]) <= order}
+        self.terms = self._clip(terms or {}, order)
 
     # -- constructors -------------------------------------------------------
 
@@ -132,26 +131,6 @@ class WeylElement(SparseTerms):
     def y_variable(cls, dim: int, order: int, i: int) -> "WeylElement":
         return cls.y_monomial(dim, order, unit_vec(dim, i))
 
-    def _empty(self):
-        return WeylElement(self.dim, self.order)
-
-    def hbar_shift(self, j: int) -> "WeylElement":
-        """Multiply by hbar^j (j may be negative)."""
-        return WeylElement(self.dim, self.order,
-                           {(k + j, p): c for (k, p), c in self.terms.items()})
-
-    def is_y_free(self) -> bool:
-        return all(not any(p) for (_, p) in self.terms)
-
-    def min_hbar(self):
-        return min((k for (k, _) in self.terms), default=None)
-
-    def filtration_degree(self):
-        """Min over stored terms of 2k + |p|; +inf for the zero element."""
-        if not self.terms:
-            return math.inf
-        return min(2 * k + sum(p) for (k, p) in self.terms)
-
     def diff_y_multi(self, alpha) -> "WeylElement":
         """d^alpha/dy^alpha."""
         alpha = tuple(alpha)
@@ -167,9 +146,6 @@ class WeylElement(SparseTerms):
         zero = (0,) * self.dim
         return self._with({key: c for key, c in self.terms.items() if key[1] == zero})
 
-    def truncate(self, order: int) -> "WeylElement":
-        return WeylElement(self.dim, order, self.terms)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, WeylElement) and self.dim == other.dim
                 and self.terms == other.terms)
@@ -182,7 +158,7 @@ class WeylElement(SparseTerms):
         return weyl_text(self)
 
 
-class FormWeyl(SparseTerms):
+class FormWeyl(GradedTerms):
     """Exterior-form-valued Weyl section, stored as the arity-0 term dict
     that the kernels read and write: {(dx_subset, hbar_exp, y_multidegree,
     ()): XPoly}.  components is the view {dx_subset: WeylElement}, rebuilt
@@ -195,19 +171,16 @@ class FormWeyl(SparseTerms):
         """The form with components {dx_subset: WeylElement}, truncated at order."""
         self.dim = dim
         self.order = order
-        self.terms = {(tuple(S), m, p, ()): c for S, w in (components or {}).items()
-                      for (m, p), c in w.terms.items() if 2 * m + sum(p) <= order}
+        self.terms = self._clip({(tuple(S), m, p, ()): c
+                                 for S, w in (components or {}).items()
+                                 for (m, p), c in w.terms.items()}, order)
 
     @classmethod
     def from_terms(cls, dim: int, order: int, terms) -> "FormWeyl":
         """The form of an arity-0 term dict, truncated at order."""
         out = cls(dim, order)
-        out.terms = {key: c for key, c in terms.items()
-                     if c and 2 * key[1] + sum(key[2]) <= order}
+        out.terms = out._clip(terms, order)
         return out
-
-    def _empty(self):
-        return FormWeyl(self.dim, self.order)
 
     @classmethod
     def zero(cls, dim: int, order: int) -> "FormWeyl":
@@ -231,21 +204,11 @@ class FormWeyl(SparseTerms):
         return {S: WeylElement(self.dim, self.order)._with(t)
                 for S, t in _form_blocks(self.terms).items()}
 
-    def hbar_shift(self, j: int) -> "FormWeyl":
-        return FormWeyl.from_terms(self.dim, self.order, {
-            (S, m + j, p, al): c for (S, m, p, al), c in self.terms.items()})
-
     def exterior_degrees(self):
         return sorted({len(key[0]) for key in self.terms})
 
     def homogeneous(self, q: int) -> "FormWeyl":
         return self._with({key: c for key, c in self.terms.items() if len(key[0]) == q})
-
-    def filtration_degree(self):
-        return min((2 * m + sum(p) for (_, m, p, _) in self.terms), default=math.inf)
-
-    def truncate(self, order: int) -> "FormWeyl":
-        return FormWeyl.from_terms(self.dim, order, self.terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, FormWeyl) and self.dim == other.dim
@@ -743,7 +706,7 @@ def weyl_curvature_class(chart: SymplecticChart, r: FormWeyl, order: int) -> For
 
 def is_central(a) -> bool:
     """A form-valued section is central iff it has no y-dependence."""
-    return all(not any(key[2]) for key in as_form(a).terms)
+    return as_form(a).is_y_free()
 
 
 # ---------------------------------------------------------------------------

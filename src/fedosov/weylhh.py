@@ -31,7 +31,8 @@ product cochain and the Koszul homotopy run on the Moyal pairing kernel of
 names of io), and GL transport of every one of them is the linear
 substitution of `weyl` over those fields, the one that also transports
 forms and fiberwise cochains.  All five types take their linear structure
-from poly.SparseTerms.
+from poly.SparseTerms, and WSeries and WeylCochain their filtration from
+poly.GradedTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
 MonomialEvaluator that lives for one call.
 
@@ -48,7 +49,7 @@ from fractions import Fraction
 from math import comb, inf
 
 from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
-from .poly import HbarScalar, SparseTerms, _acc, _mono_derivative, as_fraction
+from .poly import GradedTerms, HbarScalar, SparseTerms, _acc, _mono_derivative, as_fraction
 from .weyl import (_matmul, _matrix_inverse, _pair_terms, _pairing_levels, _subst_terms,
                    _transpose, contract_index, prepend_index, unit_vec, vec_add, vec_sub)
 
@@ -105,7 +106,7 @@ class WeylContext:
 # W-series
 
 
-class WSeries(SparseTerms):
+class WSeries(GradedTerms):
     """Element of the Weyl algebra: {(hbar_exp, y_multidegree): Fraction}."""
 
     __slots__ = ("dim", "terms")
@@ -113,8 +114,7 @@ class WSeries(SparseTerms):
 
     def __init__(self, dim, terms=None, order=None):
         self.dim = dim
-        self.terms = {key: c for key, c in (terms or {}).items()
-                      if c and (order is None or 2 * key[0] + sum(key[1]) <= order)}
+        self.terms = self._clip(terms or {}, order)
 
     @classmethod
     def monomial(cls, dim, p, c=1, k=0):
@@ -123,15 +123,6 @@ class WSeries(SparseTerms):
     @classmethod
     def const(cls, dim, c=1):
         return cls(dim, {(0, _zero(dim)): as_fraction(c)})
-
-    def _empty(self):
-        return WSeries(self.dim)
-
-    def is_y_free(self):
-        return all(not any(p) for (_, p) in self.terms)
-
-    def truncate(self, order):
-        return WSeries(self.dim, self.terms, order)
 
     def weyl_mul(self, other, ctx: WeylContext, order=None):
         """Moyal-type product in W_theta."""
@@ -177,9 +168,6 @@ class BarChain(SparseTerms):
         """1 (x) y^{beta_1} (x) ... (x) y^{beta_q} (x) 1."""
         ps = (_zero(dim),) + tuple(tuple(b) for b in betas) + (_zero(dim),)
         return cls(dim, len(betas), {(k, ps): as_fraction(c)})
-
-    def _empty(self):
-        return BarChain(self.dim, self.m)
 
     def __eq__(self, other):
         return (isinstance(other, BarChain) and self.m == other.m
@@ -247,9 +235,6 @@ class KoszulChain(SparseTerms):
     @classmethod
     def generator(cls, dim, T, c=1):
         return cls(dim, len(T), {(0, _zero(dim), _zero(dim), tuple(T)): as_fraction(c)})
-
-    def _empty(self):
-        return KoszulChain(self.dim, self.m)
 
     def __eq__(self, other):
         return (isinstance(other, KoszulChain) and self.m == other.m
@@ -478,9 +463,6 @@ class PsiElement(SparseTerms):
         self.dim = dim
         self.terms = {key: c for key, c in (terms or {}).items() if c}
 
-    def _empty(self):
-        return PsiElement(self.dim)
-
     def constant_part(self) -> HbarScalar:
         """Terms with y = psi = 0."""
         z = _zero(self.dim)
@@ -537,7 +519,7 @@ def psi_h(ctx: WeylContext, a: PsiElement) -> PsiElement:
 # Weyl cochains
 
 
-class WeylCochain(SparseTerms):
+class WeylCochain(GradedTerms):
     """Arity-q continuous cochain of W in its unique polydifferential form:
     {(hbar_exp, y_multidegree, (alpha_1..alpha_q)): Fraction}; evaluation is
     c y^p (d^{alpha_1} a_1) ... (d^{alpha_q} a_q) with commutative products
@@ -549,18 +531,13 @@ class WeylCochain(SparseTerms):
     def __init__(self, dim, arity, terms=None, order=None, cap=None):
         self.dim = dim
         self.arity = arity
-        clean = {}
-        for key, c in (terms or {}).items():
-            if not c:
-                continue
-            k, p, alphas = key
-            if len(alphas) != arity:
-                raise ValueError("wrong arity")
-            if order is not None and 2 * k + sum(p) > order:
-                continue
-            if cap is not None and any(sum(al) > cap for al in alphas):
-                continue
-            clean[key] = c
+        terms = terms or {}
+        if any(len(key[2]) != arity for key, c in terms.items() if c):
+            raise ValueError("wrong arity")
+        clean = self._clip(terms, order)
+        if cap is not None:
+            clean = {key: c for key, c in clean.items()
+                     if all(sum(al) <= cap for al in key[2])}
         self.terms = clean
 
     def as_wseries(self) -> WSeries:
@@ -568,18 +545,12 @@ class WeylCochain(SparseTerms):
             raise ValueError("not an arity-0 cochain")
         return WSeries(self.dim, {(k, p): c for (k, p, _), c in self.terms.items()})
 
-    def _empty(self):
-        return WeylCochain(self.dim, self.arity)
-
     def normalize(self, order, cap=None):
         return WeylCochain(self.dim, self.arity, self.terms, order, cap)
 
     def restrict(self, cap):
         """Keep terms with every |alpha_s| <= cap (window comparison)."""
         return WeylCochain(self.dim, self.arity, self.terms, None, cap)
-
-    def min_term_weight(self):
-        return min((2 * k + sum(p) for (k, p, _) in self.terms), default=0)
 
     def eval(self, args, order=None) -> WSeries:
         """Evaluate on WSeries arguments."""
@@ -629,7 +600,7 @@ def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None) -> WeylCochain
     (dPhi)(a_1..a_{q+1}) = a_1 o Phi(a_2..) - Phi(a_1 o a_2, ..) + ...
     + (-)^q Phi(a_1, .., a_q o a_{q+1}) + (-)^{q+1} Phi(a_1..a_q) o a_{q+1}."""
     order = ctx.order if order is None else order
-    t_max = max(0, order - min(0, a.min_term_weight()) + 1)
+    t_max = max(0, order - min(0, a.filtration_degree()) + 1)
     out = _hochschild_terms(a.terms, a.arity, product_cochain(ctx, t_max).terms, order)
     return WeylCochain(ctx.dim, a.arity + 1, out, order)
 

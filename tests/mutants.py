@@ -68,14 +68,22 @@ MUTANTS = [
      'if tok == "*" and prev in (None, "+", "-", "*") or prev == "*" and tok in "+-":',
      "if False:",
      "tests/test_cli.py::test_cli_fuzz_bad_invocations_exit_cleanly"),
-    ("tau-command-runs-at-the-order", "cli.py",
-     "data.order + _star_depth(a))",
-     "data.order)",
+    ("tau-command-runs-at-the-order", "quantize.py",
+     "sp = self._at_depth(_star_depth(a))",
+     "sp = self._at_depth(0)",
      "tests/test_cli.py::test_tau_command_hbar_power_below_minus_one[hbar^-2*x1*x2]"),
     ("fixed-point-drops-negative-hbar-passes", "cochains.py",
-     "for _ in range(first.order + 2 + 2 * max(0, -lowest)):",
+     "for _ in range(first.order + 2 - 2 * min(0, first.min_hbar() or 0)):",
      "for _ in range(first.order + 2):",
      "tests/test_cli.py::test_tau_command_negative_hbar_power"),
+    ("weight-clip-drops-the-order", "poly.py",
+     "if c and 2 * key[h] + sum(key[y]) <= order}",
+     "if c and 2 * key[h] + sum(key[y]) < order}",
+     "tests/test_cli.py::test_data_file_order_is_used_unless_order_given"),
+    ("min-hbar-takes-the-max", "poly.py",
+     "return min((key[h] for key in self.terms), default=None)",
+     "return max((key[h] for key in self.terms), default=None)",
+     "tests/test_graded_terms.py::test_min_hbar_matches_the_per_type_body[WeylElement-0]"),
     ("psi-set-transported-by-g-inverse", "weyl.py",
      '"psi": (_subst_subset, True)}',
      '"psi": (_subst_subset, False)}',

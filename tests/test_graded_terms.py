@@ -1,0 +1,258 @@
+"""Reference tests for the copy and the filtration that the sparse types
+share.  Each reference below is a per-type body written out as it stood in
+its class before SparseTerms held one `_empty` and the graded types one
+truncation, hbar shift and weight query; the shared methods must agree with
+it on seeded values, negative hbar powers and zero values included.  A
+comparison runs only where the type had that body of its own."""
+
+import random
+from fractions import Fraction
+from math import inf
+
+import pytest
+
+from fedosov.cochains import FiberwiseCochain
+from fedosov.poly import HbarScalar, XPoly
+from fedosov.quantize import GaugeOperator
+from fedosov.verify import rand_cochain, rand_fraction, rand_wcochain, rand_weyl
+from fedosov.weyl import FormWeyl, WeylElement
+from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain, WeylContext,
+                            WSeries)
+
+DIM, ORDER = 2, 6
+CTX = WeylContext.standard(DIM, ORDER)
+
+
+def _state(x):
+    """Type, header slots and terms: everything a value holds."""
+    return type(x), {name: getattr(x, name) for name in type(x).__slots__}
+
+
+# -- the per-type bodies ------------------------------------------------------
+
+def _weyl_hbar_shift(a, j):
+    return WeylElement(a.dim, a.order, {(k + j, p): c for (k, p), c in a.terms.items()})
+
+
+def _weyl_is_y_free(a):
+    return all(not any(p) for (_, p) in a.terms)
+
+
+def _weyl_min_hbar(a):
+    return min((k for (k, _) in a.terms), default=None)
+
+
+def _weyl_filtration_degree(a):
+    if not a.terms:
+        return inf
+    return min(2 * k + sum(p) for (k, p) in a.terms)
+
+
+def _form_hbar_shift(f, j):
+    return FormWeyl.from_terms(f.dim, f.order, {
+        (S, m + j, p, al): c for (S, m, p, al), c in f.terms.items()})
+
+
+def _form_filtration_degree(f):
+    return min((2 * m + sum(p) for (_, m, p, _) in f.terms), default=inf)
+
+
+def _cochain_hbar_shift(P, j):
+    return FiberwiseCochain(
+        P.dim, P.order, P.arity,
+        {(S, m + j, p, al): c for (S, m, p, al), c in P.terms.items()}, P.cap)
+
+
+def _cochain_min_term_weight(P):
+    return min((2 * m + sum(p) for (_, m, p, _) in P.terms), default=0)
+
+
+def _wseries_is_y_free(a):
+    return all(not any(p) for (_, p) in a.terms)
+
+
+def _wcochain_min_term_weight(a):
+    return min((2 * k + sum(p) for (k, p, _) in a.terms), default=0)
+
+
+EMPTY = {
+    HbarScalar: lambda a: HbarScalar(),
+    WeylElement: lambda a: WeylElement(a.dim, a.order),
+    FormWeyl: lambda f: FormWeyl(f.dim, f.order),
+    FiberwiseCochain: lambda P: FiberwiseCochain(P.dim, P.order, P.arity, None, P.cap),
+    WSeries: lambda a: WSeries(a.dim),
+    BarChain: lambda b: BarChain(b.dim, b.m),
+    KoszulChain: lambda k: KoszulChain(k.dim, k.m),
+    PsiElement: lambda a: PsiElement(a.dim),
+    WeylCochain: lambda a: WeylCochain(a.dim, a.arity),
+    GaugeOperator: lambda q: GaugeOperator(q.dim),
+}
+
+TRUNCATE = {
+    WeylElement: lambda a, n: WeylElement(a.dim, n, a.terms),
+    FormWeyl: lambda f, n: FormWeyl.from_terms(f.dim, n, f.terms),
+    FiberwiseCochain: lambda P, n: FiberwiseCochain(P.dim, n, P.arity, P.terms, P.cap),
+    WSeries: lambda a, n: WSeries(a.dim, a.terms, n),
+}
+
+HBAR_SHIFT = {WeylElement: _weyl_hbar_shift, FormWeyl: _form_hbar_shift,
+              FiberwiseCochain: _cochain_hbar_shift}
+IS_Y_FREE = {WeylElement: _weyl_is_y_free, WSeries: _wseries_is_y_free}
+MIN_HBAR = {WeylElement: _weyl_min_hbar}
+FILTRATION_DEGREE = {WeylElement: _weyl_filtration_degree,
+                     FormWeyl: _form_filtration_degree}
+# compared with filtration_degree under min(0, .): a zero value reads 0
+# here and +inf there
+MIN_TERM_WEIGHT = {FiberwiseCochain: _cochain_min_term_weight,
+                   WeylCochain: _wcochain_min_term_weight}
+
+
+# -- seeded values ------------------------------------------------------------
+
+def _lowered(terms, at, rng):
+    """terms with the hbar power at key position at lowered by 0..3."""
+    return {key[:at] + (key[at] - rng.randint(0, 3),) + key[at + 1:]: c
+            for key, c in terms.items()}
+
+
+def _graded_values(seed):
+    """Seeded values of the five graded types, with hbar powers down to -3,
+    y-free ones among them, and each type's zero."""
+    rng = random.Random(seed)
+    out = []
+    for ydeg in (2, 0):
+        w = rand_weyl(rng, DIM, ORDER, hmin=-3, hmax=2)
+        if not ydeg:
+            w = w.at_y_zero()
+        out.append(w)
+        out.append(FormWeyl(DIM, ORDER, {
+            S: rand_weyl(rng, DIM, ORDER, nterms=3, hmin=-2, hmax=2)
+            for S in [(), (1,), (1, 2)][:rng.randint(1, 3)]}))
+        for arity in (0, 1, 2):
+            P = rand_cochain(rng, DIM, ORDER, arity, ydeg=ydeg, nterms=5)
+            out.append(FiberwiseCochain(DIM, ORDER, arity, _lowered(P.terms, 1, rng),
+                                        cap=rng.choice([None, 3])))
+            out.append(rand_wcochain(rng, CTX, arity, ydeg=ydeg, hmin=-3, hmax=2))
+        series = rand_wcochain(rng, CTX, 0, ydeg=ydeg, hmin=-3, hmax=2).as_wseries()
+        out.append(series)
+    out += [x.scale(0) for x in out]
+    return out
+
+
+def _other_values(seed):
+    """Seeded values of the five types without a filtration."""
+    rng = random.Random(seed)
+
+    def frac():
+        return rand_fraction(rng)
+
+    return [
+        HbarScalar({k: frac() for k in range(-2, 2)}),
+        BarChain(DIM, 1, {(0, ((1, 0), (0, 1), (0, 0))): frac()}),
+        KoszulChain(DIM, 1, {(1, (0, 1), (1, 0), (2,)): frac()}),
+        PsiElement(DIM, {(-1, (1, 1), (1,)): frac()}),
+        GaugeOperator(DIM, {1: {(1, 0): XPoly.const(DIM, frac())}}),
+    ]
+
+
+SEEDS = range(4)
+
+
+def _cases(table):
+    return [pytest.param(seed, cls, id=f"{cls.__name__}-{seed}")
+            for cls in table for seed in SEEDS]
+
+
+def _of(cls, seed):
+    values = [x for x in _graded_values(seed) + _other_values(seed) if type(x) is cls]
+    assert values
+    return values
+
+
+def test_seeded_values_cover_negative_hbar_and_zero():
+    values = _graded_values(0)
+    assert {type(x) for x in values} == {WeylElement, FormWeyl, FiberwiseCochain,
+                                          WSeries, WeylCochain}
+    assert any(x.is_zero() for x in values)
+    powers = {key[1] if isinstance(x, (FormWeyl, FiberwiseCochain)) else key[0]
+              for x in values for key in x.terms}
+    assert min(powers) <= -3 and max(powers) >= 1
+
+
+# -- the copy ---------------------------------------------------------------
+
+@pytest.mark.parametrize("seed,cls", _cases(EMPTY))
+def test_empty_matches_the_per_type_body(seed, cls):
+    for x in _of(cls, seed):
+        assert _state(x._empty()) == _state(EMPTY[cls](x))
+
+
+@pytest.mark.parametrize("seed,cls", _cases(EMPTY))
+def test_with_keeps_every_header_slot(seed, cls):
+    for x in _of(cls, seed):
+        terms = dict(list(x.terms.items())[:1])
+        typ, state = _state(x._with(terms))
+        assert typ is cls and state.pop("terms") is terms
+        assert state == {k: v for k, v in _state(x)[1].items() if k != "terms"}
+
+
+def test_cochain_copies_keep_the_cap():
+    P = FiberwiseCochain(DIM, ORDER, 1, {((), 0, (1, 0), ((0, 1),)): XPoly.const(DIM, 1)},
+                         cap=3)
+    for Q in (P._empty(), P._with({}), -P, P.scale(2), P + P, P.hbar_shift(-1)):
+        assert (Q.order, Q.arity, Q.cap) == (ORDER, 1, 3)
+    assert (P.truncate(4).order, P.truncate(4).cap) == (4, 3)
+    assert (P.truncate(4, 5).order, P.truncate(4, 5).cap) == (4, 5)
+
+
+# -- the filtration -----------------------------------------------------------
+
+@pytest.mark.parametrize("seed,cls", _cases(TRUNCATE))
+def test_truncate_matches_the_per_type_body(seed, cls):
+    for x in _of(cls, seed):
+        for n in (-4, -1, 0, 3, ORDER, ORDER + 2):
+            assert _state(x.truncate(n)) == _state(TRUNCATE[cls](x, n))
+
+
+@pytest.mark.parametrize("seed,cls", _cases(HBAR_SHIFT))
+def test_hbar_shift_matches_the_per_type_body(seed, cls):
+    for x in _of(cls, seed):
+        for j in (-3, -1, 0, 1, 2):
+            assert _state(x.hbar_shift(j)) == _state(HBAR_SHIFT[cls](x, j))
+
+
+@pytest.mark.parametrize("seed,cls", _cases(IS_Y_FREE))
+def test_is_y_free_matches_the_per_type_body(seed, cls):
+    values = _of(cls, seed)
+    assert any(IS_Y_FREE[cls](x) for x in values)
+    for x in values:
+        assert x.is_y_free() == IS_Y_FREE[cls](x)
+
+
+@pytest.mark.parametrize("seed,cls", _cases(MIN_HBAR))
+def test_min_hbar_matches_the_per_type_body(seed, cls):
+    for x in _of(cls, seed):
+        assert x.min_hbar() == MIN_HBAR[cls](x)
+
+
+@pytest.mark.parametrize("seed,cls", _cases(FILTRATION_DEGREE))
+def test_filtration_degree_matches_the_per_type_body(seed, cls):
+    for x in _of(cls, seed):
+        assert x.filtration_degree() == FILTRATION_DEGREE[cls](x)
+
+
+@pytest.mark.parametrize("seed,cls", _cases(MIN_TERM_WEIGHT))
+def test_filtration_degree_matches_min_term_weight_below_zero(seed, cls):
+    for x in _of(cls, seed):
+        # min_term_weight is the older name of the query on these types
+        query = getattr(x, "filtration_degree", None) or x.min_term_weight
+        assert min(0, query()) == min(0, MIN_TERM_WEIGHT[cls](x))
+
+
+def test_weights_of_a_known_value():
+    w = WeylElement(DIM, ORDER, {(-2, (1, 0)): XPoly.const(DIM, 1),
+                                 (1, (0, 0)): XPoly.const(DIM, Fraction(1, 2))})
+    assert w.filtration_degree() == -3 and w.min_hbar() == -2 and not w.is_y_free()
+    assert w.truncate(-3).terms == {(-2, (1, 0)): XPoly.const(DIM, 1)}
+    assert w.truncate(-4).is_zero() and w.truncate(-4).order == -4
+    assert w.hbar_shift(3).terms == {(1, (1, 0)): XPoly.const(DIM, 1)}

@@ -1,9 +1,11 @@
 """Property tests of identities the seeded suites sample: star
-associativity on the built-in curved chart, cup associativity, the Hodge
-identity, d o d = 0 for both Hochschild differentials, and GL functoriality
-of the transport of every transported type, at orders <= 4.  Examples are
+associativity and tau horizontality on the built-in curved chart, cup
+associativity, the Hodge identity, d o d = 0 for both Hochschild
+differentials, and GL functoriality of the transport of every transported
+type, at orders <= 4.  Examples are
 derandomized so every run draws the same inputs."""
 
+import functools
 from fractions import Fraction
 from itertools import product
 
@@ -14,10 +16,10 @@ from hypothesis import strategies as st
 from fedosov.cochains import (FiberwiseCochain, cup, hochschild_d, transport_cochain,
                               transport_form, transport_weyl)
 from fedosov.poly import XPoly
-from fedosov.quantize import StarProduct
+from fedosov.quantize import StarProduct, solve_r, tau
 from fedosov.verify import builtin_curved_data
 from fedosov.weyl import (FormWeyl, WeylElement, _matmul, _matrix_inverse, delta,
-                          delta_inv, sigma_project)
+                          delta_inv, fedosov_D, sigma_project)
 from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain, WeylContext,
                             WSeries, _subsets, gl_transport, gl_transport_context,
                             hh_hochschild_d)
@@ -82,6 +84,24 @@ def _low_wcochains(arity):
 def test_star_associativity_on_curved_chart(a, b, c):
     sp = StarProduct(CURVED)
     assert sp(sp(a, b), c) == sp(a, sp(b, c))
+
+
+@functools.cache
+def _curved_with_r(order):
+    data = builtin_curved_data(order)
+    return data, solve_r(data)
+
+
+@SETTINGS
+@given(st.sampled_from((3, 4)), _x_polys(2))
+def test_tau_is_horizontal(order, a):
+    """sigma(tau a) = a and D tau a = 0 at the order, for y-free a with
+    hbar powers >= 0."""
+    data, r = _curved_with_r(order)
+    a = a.truncate(order)
+    t = tau(a, data, r)
+    assert sigma_project(t).truncate(order) == a
+    assert fedosov_D(t, data.chart, r).truncate(order).is_zero()
 
 
 @SETTINGS

@@ -230,6 +230,26 @@ def test_star_product_rejects_y_dependence():
 
 
 
+@pytest.fixture(scope="module")
+def curved_omega_r12():
+    """The curved data file at order 12 with its connection."""
+    data = _curved_omega_data(12)
+    return data, solve_r(data)
+
+
+def test_star_product_tau_is_exact_at_the_order(curved_omega_r12):
+    """StarProduct.tau on seeded y-free inputs with hbar powers -3..2 is the
+    order-12 lift truncated to order 4: at order 12, the lift of hbar^k is
+    exact to 14 + 2k >= 8."""
+    order = 4
+    sp = StarProduct(_curved_omega_data(order))
+    deep, r = curved_omega_r12
+    rng = random.Random(5)
+    for ks in [(-3,), (-2,), (-1,), (0,), (2,), (-3, 0, 2), (-2, -1, 1)]:
+        a = _laurent_poly(rng, order, ks)
+        assert sp.tau(a).truncate(order) == tau(a, deep, r).truncate(order)
+
+
 # -- tau is the arity-0 cochain lift ---------------------------------------------
 
 def _ref_tau(a, data, r):
