@@ -14,6 +14,7 @@ import sys
 
 from . import io as fio
 from . import verify
+from .poly import ExponentOverflow
 from .quantize import (FedosovData, StarProduct, apply_gauge, curvature_residual,
                        fedosov_class, solve_r)
 from .weyl import ChartValidationError
@@ -200,7 +201,7 @@ def main(argv=None):
         if args.order is not None and args.order < 0:
             raise CliError(f"--order must be >= 0, got {args.order}")
         return args.fn(args)
-    except (CliError, fio.SchemaError, OSError) as exc:
+    except (CliError, fio.SchemaError, ExponentOverflow, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -420,13 +420,28 @@ def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
     t_max = max(0, P.order - min(0, P.filtration_degree()) + 1)
     # an hbar^m term with m < 0 meets pairings of mu up to weight order - 2m
     lowest = min(0, P.min_hbar() or 0)
-    mu = _blocks(product_cochain(chart_or_theta, P.dim,
-                                 P.order - 2 * lowest, t_max, P.cap).terms)
+    mu = _product_terms(chart_or_theta, P.dim, P.order - 2 * lowest, t_max, P.cap)
     out = {}
     for S, block in _blocks(P.terms).items():
-        _add_terms(out, _hochschild_terms(block, P.arity, mu.get((), {}), P.order),
+        _add_terms(out, _hochschild_terms(block, P.arity, mu, P.order),
                    (-1) ** len(S), (S,))
     return FiberwiseCochain(P.dim, P.order, P.arity + 1, out, P.cap)
+
+
+_MU_CACHE = {}
+
+
+def _product_terms(chart_or_theta, dim, order, t_max, cap):
+    """The dx-free term dict of product_cochain(chart_or_theta, dim, order,
+    t_max, cap), built once per omega matrix and kept in a module table;
+    callers only read it."""
+    omega = omega_matrix(chart_or_theta, dim)
+    key = (tuple(map(tuple, omega)), dim, order, t_max, cap)
+    hit = _MU_CACHE.get(key)
+    if hit is None:
+        mu = product_cochain(omega, dim, order, t_max, cap)
+        hit = _MU_CACHE[key] = _blocks(mu.terms).get((), {})
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -594,9 +609,13 @@ class LocalCochainEvaluator:
         return self.cochain.arity
 
     def __call__(self, *args) -> WeylElement:
+        from .quantize import _star_depth, tau
         from .weyl import sigma_project
 
-        lifted = [self.star_product.tau(a) for a in args]
+        # with negative hbar powers the weight-N part of the value needs
+        # every lift as deep as a product of all the arguments runs
+        sp = self.star_product._at_depth(_star_depth(*args))
+        lifted = [tau(a, sp.data, sp.r) for a in args]
         # sigma keeps only the dx- and y-free part of the value, and only
         # the dx- and y-free terms of the cochain reach it
         val = cochain_eval(sigma_cochain(self.cochain), lifted)

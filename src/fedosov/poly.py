@@ -7,15 +7,22 @@ Every sparse type of the package stores a dictionary {key: coefficient} in
 ``terms``.  SparseTerms gives all of them one add/neg/sub/scale and one
 copy; GradedTerms gives the five types graded by Fedosov's filtration one
 order clip, truncation, hbar shift and weight query.  XPoly, the hottest
-type, keeps its own arithmetic.  Instances are treated as immutable
-after construction; every operation returns a new, normalized object (no
+type, keeps its own exact layout and arithmetic: each monomial is one
+Kronecker-packed int with a fixed field of FIELD bits per variable, and
+the coefficients are integer numerators over one positive denominator,
+gcd-normalized after every operation (Monagan and Pearce's sparse layout,
+ISSAC 2009).  An exponent above MAX_EXP, given or produced by a product,
+raises ExponentOverflow instead of carrying into the next field.  Its
+``terms`` is a derived view {exponent tuple: Fraction}, so the kernels
+and io never see the layout.  Instances are treated as immutable after
+construction; every operation returns a new, normalized object (no
 stored zero coefficients).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, perm
+from math import gcd, inf, lcm, perm
 
 Exps = tuple  # length-(2n) tuple of non-negative int exponents
 
@@ -176,22 +183,90 @@ class GradedTerms(SparseTerms):
         return not any(any(key[y]) for key in self.terms)
 
 
-class XPoly:
-    """Polynomial in the base coordinates x^1..x^{2n} with rational coefficients."""
+# XPoly's packed monomials: the exponent of x^{i+1} fills the FIELD bits at
+# FIELD * i of one int.  No stored exponent exceeds MAX_EXP, so the top bit
+# of every field (a guard) is clear, and the sum of two packed monomials --
+# their product -- cannot carry into the next field; a product term that
+# sets a guard has an exponent that does not fit.
+FIELD = 15
+MAX_EXP = (1 << (FIELD - 1)) - 1
+MAX_VARS = 64
+_MASK = (1 << FIELD) - 1
+_GUARDS = sum(1 << (FIELD * i + FIELD - 1) for i in range(MAX_VARS))
+_new = object.__new__
 
-    __slots__ = ("nvars", "terms")
+
+class ExponentOverflow(ValueError):
+    """An exponent of x does not fit XPoly's packed field (MAX_EXP)."""
+
+
+def _pack(nvars, exps) -> int:
+    if len(exps) != nvars:
+        raise ValueError("exponent vector has wrong length")
+    e = 0
+    for i, k in enumerate(exps):
+        if k < 0:
+            raise ValueError(f"negative exponent {k} of x{i + 1}")
+        if k > MAX_EXP:
+            raise ExponentOverflow(f"exponent {k} of x{i + 1} exceeds {MAX_EXP}")
+        e |= k << FIELD * i
+    return e
+
+
+def _unpack(nvars, e) -> Exps:
+    return tuple(e >> FIELD * i & _MASK for i in range(nvars))
+
+
+def _reduced(nvars, num, den) -> "XPoly":
+    """num / den with the common factor of den and the numerators divided
+    out (den 1 for zero)."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    out = _new(XPoly)
+    out.nvars = nvars
+    out._num = num
+    out._den = den
+    return out
+
+
+class XPoly:
+    """Polynomial in the base coordinates x^1..x^{2n} with rational
+    coefficients.
+
+    Only this module sees the layout: ``_num`` maps each packed monomial
+    (see FIELD) to an integer numerator and ``_den`` is one positive
+    denominator of every term, the polynomial being sum _num[e] / _den x^e.
+    Every operation divides out the gcd of ``_den`` and the numerators and
+    stores no zero numerator (zero has ``_den`` 1), so equal polynomials
+    have equal fields.  ``terms`` is the view {exponent tuple: Fraction},
+    built on each access."""
+
+    __slots__ = ("nvars", "_num", "_den")
 
     def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
+        if not 0 <= nvars <= MAX_VARS:
+            raise ValueError(f"XPoly takes 0..{MAX_VARS} variables, not {nvars}")
+        fracs = {}
         if terms:
             for exps, c in terms.items():
                 c = as_fraction(c)
                 if c:
-                    if len(exps) != nvars:
-                        raise ValueError("exponent vector has wrong length")
-                    clean[tuple(exps)] = c
-        self.terms = clean
+                    fracs[_pack(nvars, exps)] = c
+        # over the lcm of the denominators the numerators are already coprime
+        # to the denominator
+        den = lcm(*(c.denominator for c in fracs.values()))
+        self.nvars = nvars
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in fracs.items()}
+        self._den = den
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: Fraction}, a new dict on each access."""
+        n, den = self.nvars, self._den
+        return {_unpack(n, e): Fraction(c, den) for e, c in self._num.items()}
 
     @classmethod
     def zero(cls, nvars: int) -> "XPoly":
@@ -199,77 +274,108 @@ class XPoly:
 
     @classmethod
     def const(cls, nvars: int, c) -> "XPoly":
-        return cls(nvars, {(0,) * nvars: as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "XPoly":
         """x^i with 1-based index i."""
         e = [0] * nvars
         e[i - 1] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps, c=1) -> "XPoly":
-        return cls(nvars, {tuple(exps): as_fraction(c)})
+        return cls(nvars, {tuple(exps): c})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._num)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(_unpack(self.nvars, e)) for e in self._num), default=-1)
 
     def __add__(self, other: "XPoly") -> "XPoly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            _acc(terms, e, c)
-        out = XPoly(self.nvars)
-        out.terms = terms
-        return out
+        da, db = self._den, other._den
+        if da == db:
+            num, fb = self._num.copy(), 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            num = {e: c * fa for e, c in self._num.items()}
+            da *= fa
+        for e, c in other._num.items():
+            if fb != 1:
+                c *= fb
+            prev = num.get(e)
+            if prev is None:
+                num[e] = c
+            else:
+                c += prev
+                if c:
+                    num[e] = c
+                else:
+                    del num[e]
+        return _reduced(self.nvars, num, da)
 
     def __neg__(self) -> "XPoly":
-        out = XPoly(self.nvars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _reduced(self.nvars, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other: "XPoly") -> "XPoly":
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, XPoly):
-            terms = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    _acc(terms, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-            out = XPoly(self.nvars)
-            out.terms = terms
-            return out
-        return self.scale(other)
+        if other.__class__ is not XPoly:
+            return self.scale(other)
+        a, b = self._num, other._num
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            (e2, c2), = b.items()
+            num = {e + e2: c * c2 for e, c in a.items()}
+        else:
+            num = {}
+            for e2, c2 in b.items():
+                for e1, c1 in a.items():
+                    e, c = e1 + e2, c1 * c2
+                    prev = num.get(e)
+                    if prev is None:
+                        num[e] = c
+                    else:
+                        c += prev
+                        if c:
+                            num[e] = c
+                        else:
+                            del num[e]
+        for e in num:
+            if e & _GUARDS:
+                raise ExponentOverflow(f"a product has an exponent above {MAX_EXP}")
+        return _reduced(self.nvars, num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "XPoly":
-        c = as_fraction(c)
-        out = XPoly(self.nvars)
-        if c:
-            out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        if c.__class__ is int:
+            p, q = c, 1
+        else:
+            c = as_fraction(c)
+            p, q = c.numerator, c.denominator
+        if not p:
+            return _reduced(self.nvars, {}, 1)
+        return _reduced(self.nvars, {e: v * p for e, v in self._num.items()}, self._den * q)
 
     def diff(self, i: int) -> "XPoly":
         """d/dx^i with 1-based index i."""
-        terms = {}
-        for e, c in self.terms.items():
-            k = e[i - 1]
+        shift = FIELD * (i - 1)
+        unit = 1 << shift
+        num = {}
+        for e, c in self._num.items():
+            k = e >> shift & _MASK
             if k:
-                _acc(terms, e[: i - 1] + (k - 1,) + e[i:], c * k)
-        out = XPoly(self.nvars)
-        out.terms = terms
-        return out
+                num[e - unit] = c * k
+        return _reduced(self.nvars, num, self._den)
 
     def substitute_linear(self, matrix) -> "XPoly":
         """Substitute x^i -> sum_j matrix[i][j] x^j (matrix of Fractions)."""
@@ -277,9 +383,7 @@ class XPoly:
         for e, c in self.terms.items():
             for mono, f in _subst_multidegree(e, matrix).items():
                 _acc(terms, mono, c * f)
-        out = XPoly(self.nvars)
-        out.terms = terms
-        return out
+        return XPoly(self.nvars, terms)
 
     def eval_rational(self, point) -> Fraction:
         total = Fraction(0)
@@ -291,17 +395,19 @@ class XPoly:
         return total
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, XPoly) and self.nvars == other.nvars and self.terms == other.terms
+        return (isinstance(other, XPoly) and self.nvars == other.nvars
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         bits = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
+        for e in sorted(terms):
+            c = terms[e]
             mono = "*".join(f"x{i+1}" + (f"^{k}" if k > 1 else "")
                             for i, k in enumerate(e) if k)
             bits.append(f"{c}" + (f"*{mono}" if mono else ""))

@@ -142,9 +142,10 @@ class StarProduct:
     The memo is filled lazily, through tau itself, and grows by one lifted
     element per distinct monomial that an instance meets.
 
-    StarProduct.tau (and so LocalCochainEvaluator) is exact at the contract
-    order: it runs plain tau on the instance that _star_depth(a) selects,
-    the one a product would use.  It is not memoized yet.
+    StarProduct.tau is exact at the contract order: it runs plain tau on
+    the instance that _star_depth(a) selects, the one a product would use.
+    It is not memoized yet.  LocalCochainEvaluator lifts every argument of
+    a tuple on the instance that _star_depth of the whole tuple selects.
     bench/worker.py keeps every op's inputs for its traced replay, so a
     beta workload made faster by the memo completes more ops in its run
     and its peak_rss_mb grows past its bound; the switch waits on a

@@ -38,6 +38,7 @@ Conventions fixed here and verified by the Hodge-identity tests:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 
 from .poly import (GradedTerms, XPoly, _acc, _add_terms, _mono_derivative,
                    _subst_multidegree, as_fraction)
@@ -46,11 +47,11 @@ from .poly import (GradedTerms, XPoly, _acc, _add_terms, _mono_derivative,
 # small index helpers
 
 def vec_add(p, q):
-    return tuple(a + b for a, b in zip(p, q))
+    return tuple(map(add, p, q))
 
 
 def vec_sub(p, q):
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(sub, p, q))
 
 
 def unit_vec(dim: int, i: int):

@@ -84,6 +84,14 @@ MUTANTS = [
      "return min((key[h] for key in self.terms), default=None)",
      "return max((key[h] for key in self.terms), default=None)",
      "tests/test_graded_terms.py::test_min_hbar_matches_the_per_type_body[WeylElement-0]"),
+    ("xpoly-skips-the-gcd-normalization", "poly.py",
+     "        if g != 1:",
+     "        if False:",
+     "tests/test_poly.py::test_xpoly_ring_ops_match_reference[2]"),
+    ("xpoly-packs-overlapping-fields", "poly.py",
+     "e |= k << FIELD * i",
+     "e |= k << (FIELD - 2) * i",
+     "tests/test_poly.py::test_xpoly_ring_ops_match_reference[2]"),
     ("psi-set-transported-by-g-inverse", "weyl.py",
      '"psi": (_subst_subset, True)}',
      '"psi": (_subst_subset, False)}',

@@ -181,6 +181,12 @@ def test_bad_polynomial_exits_2(flat_file, capsys):
     assert main(["star", flat_file, "x9", "x2"]) == 2
 
 
+@pytest.mark.parametrize("a, b", [("x1^20000", "x2"), ("x1^9000", "x1^9000")])
+def test_exponent_beyond_the_packed_field_exits_2(flat_file, a, b, capsys):
+    assert main(["--order", "2", "star", flat_file, a, b]) == 2
+    assert "exponent" in capsys.readouterr().err
+
+
 def test_verify_suite_pass(capsys):
     assert main(["verify", "hodge", "--dim", "2"]) == 0
     out = capsys.readouterr().out

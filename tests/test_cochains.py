@@ -1,8 +1,12 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from fedosov import cochains
+from fedosov import io as fio
 from fedosov.cochains import (FiberwiseCochain, cochain_eval, cup,
                               delta_cochain, delta_inv_cochain, embed_forms,
                               fedosov_d_cochain, gerstenhaber, hochschild_d,
@@ -12,7 +16,7 @@ from fedosov.cochains import (FiberwiseCochain, cochain_eval, cup,
                               transport_cochain, transport_weyl)
 from fedosov.poly import XPoly
 from fedosov.quantize import FedosovData, StarProduct, solve_r
-from fedosov.verify import (builtin_curved_data, builtin_flat_data,
+from fedosov.verify import (_deep_connection, builtin_curved_data, builtin_flat_data,
                             rand_cochain, rand_poly_in_x)
 from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, as_form,
                           fedosov_D, moyal_product)
@@ -22,6 +26,7 @@ WORK = N + 2
 FLAT = SymplecticChart.standard_flat(DIM)
 CURVED_DATA = builtin_curved_data(N)
 CURVED = CURVED_DATA.chart
+CURVED_OMEGA_FILE = Path(__file__).resolve().parents[1] / "bench" / "data" / "curved_omega.json"
 
 
 def y_mono(p, c=1, k=0, order=WORK):
@@ -148,6 +153,27 @@ def test_hochschild_d_squares_to_zero():
     for k in (0, 1, 2):
         P = rand_cochain(rng, DIM, N, k, work=WORK)
         assert hochschild_d(hochschild_d(P, CURVED), CURVED).truncate(N).is_zero()
+
+
+def test_hochschild_d_builds_each_product_cochain_once(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return product_cochain(*args)
+
+    monkeypatch.setattr(cochains, "_MU_CACHE", {})
+    monkeypatch.setattr(cochains, "product_cochain", counted)
+    P = rand_cochain(random.Random(11), DIM, N, 1, work=WORK)
+    first = hochschild_d(P, CURVED)
+    assert len(built) == 1
+    assert hochschild_d(P, CURVED) == first
+    assert hochschild_d(P, CURVED.omega_upper) == first
+    assert len(built) == 1
+    # the cached mu gives what a product cochain built afresh gives
+    monkeypatch.setattr(cochains, "_MU_CACHE", {})
+    assert hochschild_d(P, CURVED) == first
+    assert len(built) == 2
 
 
 def test_cup_derivation_rule():
@@ -386,6 +412,18 @@ def test_beta_of_multiplication_is_star(solved_r):
             a = WeylElement.from_xpoly(XPoly.monomial(DIM, (e1, e2), 1), N)
             b = WeylElement.from_xpoly(XPoly.monomial(DIM, (e2, 1), 1), N)
             assert E(a, b) == sp(a, b)
+
+
+@pytest.mark.parametrize("a, b", [("hbar^-2 x1 x2", "x1"), ("hbar^-2 x1^2", "x2^2"),
+                                  ("hbar^-3 x1 x2^2", "x1^2")])
+def test_beta_of_multiplication_is_star_for_negative_hbar_powers(a, b):
+    """Every argument is lifted at the depth the whole tuple needs."""
+    data = fio.fedosov_data_from_json(json.loads(CURVED_OMEGA_FILE.read_text()))
+    data.order = 4
+    _, sp = _deep_connection(data)
+    E = to_local_operator(product_cochain(data.chart, DIM, 6, 6), sp, validate=False)
+    a, b = (fio.parse_poly(t, DIM, 4) for t in (a, b))
+    assert E(a, b) == sp(a, b)
 
 
 def test_beta_of_unit_cochain(solved_r):
