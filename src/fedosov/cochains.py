@@ -70,7 +70,7 @@ from .weyl import (FormWeyl, SymplecticChart, WeylElement, _blocks,
                    _delta_inv_terms, _delta_terms, _fiber_product, _form_blocks,
                    _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
                    _subst_terms, _transpose, as_form, merge_subsets,
-                   omega_matrix, vec_add)
+                   omega_matrix, sigma_project, vec_add)
 
 
 class FiberwiseCochain(GradedTerms):
@@ -490,9 +490,12 @@ def _r_mult_parts(chart, r: FormWeyl, P: FiberwiseCochain):
     the left/right multiplication 1-cochains a -> r o a and a -> a o r, r's
     dx index kept, carried two levels above the target order for the hbar
     division.  L_r = r cup id and R_r = id cup r, so ad_r is a commutator
-    with r.  Only slots read ad_r, so an arity-0 P (as in tau) gets None."""
+    with r.  Only slots read ad_r, so an arity-0 P (as in tau) gets None.
+    Every use of a nonzero r passes here, the one check of r."""
     if r.exterior_degrees() not in ([], [1]):
         raise ValueError("r must be a 1-form")
+    if r.filtration_degree() < 3:
+        raise ValueError("r must have filtration weight >= 3")
     work = P.order + 2
     rc = FiberwiseCochain.from_form(r.truncate(work), P.cap)
     if not P.arity:
@@ -609,13 +612,7 @@ class LocalCochainEvaluator:
         return self.cochain.arity
 
     def __call__(self, *args) -> WeylElement:
-        from .quantize import _star_depth, tau
-        from .weyl import sigma_project
-
-        # with negative hbar powers the weight-N part of the value needs
-        # every lift as deep as a product of all the arguments runs
-        sp = self.star_product._at_depth(_star_depth(*args))
-        lifted = [tau(a, sp.data, sp.r) for a in args]
+        lifted = self.star_product.lifts(*args)
         # sigma keeps only the dx- and y-free part of the value, and only
         # the dx- and y-free terms of the cochain reach it
         val = cochain_eval(sigma_cochain(self.cochain), lifted)

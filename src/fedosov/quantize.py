@@ -5,15 +5,18 @@ series, and gauge equivalence of star products.
 Working order: the recursions are run two filtration levels above the
 requested order (delta lowers the weight by one, so curvature-class and
 horizontality statements at order N need r and tau known to weight N + 2);
-reported results are truncated back to the contract order.
+reported results are truncated back to the contract order.  tau is the
+arity-0 case of the cochain lift, and r o r is (1/2)[r, r], r being odd.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .cochains import FiberwiseCochain, _fixed_point, _slot_splits
-from .poly import SparseTerms, XPoly, _acc, _mono_derivative
-from .weyl import (FormWeyl, SymplecticChart, WeylElement, curvature_R, delta_inv,
-                   moyal_product, nabla, product_over_hbar, sigma_project, vec_add,
+from .poly import SparseTerms, XPoly, _acc
+from .weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
+                   curvature_R, delta_inv, moyal_product, nabla, sigma_project, vec_add,
                    weyl_curvature_class)
 
 WORK_HEADROOM = 2
@@ -70,7 +73,8 @@ class FedosovData:
 def solve_r(data: FedosovData, validate: bool = True) -> FormWeyl:
     """Solve r = delta_inv(R - Omega) + delta_inv(nabla r + (1/hbar) r o r)
     by iteration; the unique fixed point with delta_inv(r) = 0 and
-    filtration weight >= 3, carried to order data.order + 2."""
+    filtration weight >= 3, carried to order data.order + 2.  r is an odd
+    form, so r o r = (1/2)[r, r]."""
     if validate:
         data.validate()
     chart = data.chart
@@ -80,7 +84,7 @@ def solve_r(data: FedosovData, validate: bool = True) -> FormWeyl:
     base = delta_inv(R - Om)
     r = base
     for _ in range(work + 2):
-        update = nabla(r, chart) + product_over_hbar(r, r, chart)
+        update = nabla(r, chart) + commutator_over_hbar(r, r, chart).scale(Fraction(1, 2))
         r_next = base + delta_inv(update)
         if r_next == r:
             return r
@@ -142,14 +146,14 @@ class StarProduct:
     The memo is filled lazily, through tau itself, and grows by one lifted
     element per distinct monomial that an instance meets.
 
-    StarProduct.tau is exact at the contract order: it runs plain tau on
-    the instance that _star_depth(a) selects, the one a product would use.
-    It is not memoized yet.  LocalCochainEvaluator lifts every argument of
-    a tuple on the instance that _star_depth of the whole tuple selects.
-    bench/worker.py keeps every op's inputs for its traced replay, so a
-    beta workload made faster by the memo completes more ops in its run
-    and its peak_rss_mb grows past its bound; the switch waits on a
-    benchmark that measures memory at a fixed op count.
+    StarProduct.lifts owns the depth of a lift taken outside a product: it
+    runs plain tau on the instance that its factors' product would use, so
+    each lift is exact at the contract order.  StarProduct.tau and
+    LocalCochainEvaluator lift through it.  It is not memoized yet (the
+    switch is sp._lift in its one line): bench/worker.py keeps every op's
+    inputs, so a beta workload made faster completes more ops and its
+    peak_rss_mb grows past its bound; the switch waits on a benchmark
+    that measures memory at a fixed op count.
     """
 
     __slots__ = ("data", "r", "_lifts", "_deeper")
@@ -169,11 +173,15 @@ class StarProduct:
                 FedosovData(data.chart, data.omega_series, data.order + depth))
         return sp
 
+    def lifts(self, *factors: WeylElement) -> list:
+        """tau of each factor, exact at the contract order in a product of
+        all of them: plain tau, run _star_depth(*factors) orders deeper."""
+        sp = self._at_depth(_star_depth(*factors))
+        return [tau(a, sp.data, sp.r) for a in factors]
+
     def tau(self, a: WeylElement) -> WeylElement:
-        """tau(a), exact at the contract order: plain tau, run _star_depth(a)
-        orders deeper."""
-        sp = self._at_depth(_star_depth(a))
-        return tau(a, sp.data, sp.r)
+        """tau(a), exact at the contract order."""
+        return self.lifts(a)[0]
 
     def __call__(self, a: WeylElement, b: WeylElement) -> WeylElement:
         sp = self._at_depth(_star_depth(a, b))
@@ -303,13 +311,11 @@ class GaugeOperator(SparseTerms):
 
 
 def _diff_x(p: XPoly, mu) -> XPoly:
-    """d^mu/dx^mu of p."""
-    terms = {}
-    for e, c in p.terms.items():
-        d = _mono_derivative(mu, e)
-        if d is not None:
-            terms[d[1]] = c * d[0]
-    return XPoly(p.nvars, terms)
+    """d^mu/dx^mu of p, one packed d/dx^i at a time."""
+    for i, k in enumerate(mu, 1):
+        for _ in range(k):
+            p = p.diff(i)
+    return p
 
 
 class GaugedStarProduct:

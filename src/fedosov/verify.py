@@ -665,8 +665,12 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
     rng = random.Random(seed)
     checks = []
     ctx = hh.WeylContext.standard(dim, order)
-    flat = builtin_flat_data(2, order)
-    g0 = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]  # det 1
+    flat = builtin_flat_data(dim, order)
+    # g0 acts on each pair (x_{2b-1}, x_{2b}) of the standard omega by a
+    # block of det 1, so it is symplectic
+    block = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(1, 2)]]
+    g0 = [[block[i % 2][j % 2] if i // 2 == j // 2 else Fraction(0)
+           for j in range(dim)] for i in range(dim)]
     g0inv = _matrix_inverse(g0)
     for i in range(samples):
         g = rand_gl(rng, dim)
@@ -695,7 +699,7 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
     def star_square():
         sp = StarProduct(flat)
         rng2 = random.Random(seed + 1)
-        pairs = ((rand_poly_in_x(rng2, 2, order, 2), rand_poly_in_x(rng2, 2, order, 2))
+        pairs = ((rand_poly_in_x(rng2, dim, order, 2), rand_poly_in_x(rng2, dim, order, 2))
                  for _ in range(3))
         return _first(_equal(transport_weyl(sp(a, b), g0inv),
                              sp(transport_weyl(a, g0inv), transport_weyl(b, g0inv)))
@@ -708,7 +712,7 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
         r, sp = _deep_connection(flat)
         rng2 = random.Random(seed + 2)
         for _ in range(2):
-            seedc = rand_cochain(rng2, 2, order, 1, qs=(0,), ydeg=0, acap=2,
+            seedc = rand_cochain(rng2, dim, order, 1, qs=(0,), ydeg=0, acap=2,
                                  nterms=2, work=work)
             if seedc.is_zero():
                 continue
@@ -718,7 +722,7 @@ def suite_equivariance(dim=2, order=6, seed=0, samples=5):
             Eg = to_local_operator(Ag, sp, validate=False)
             # push-forward of the operator applied to x:
             # (g_* E)(x) = g_*(E(g^{-1}_* x));  g^{-1}_* substitutes by g
-            xs = (rand_poly_in_x(rng2, 2, order, 2) for _ in range(3))
+            xs = (rand_poly_in_x(rng2, dim, order, 2) for _ in range(3))
             diff = _first(_equal(transport_weyl(E(transport_weyl(x, g0)), g0inv), Eg(x))
                           for x in xs)
             if diff:

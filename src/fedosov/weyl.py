@@ -10,7 +10,8 @@ operator (delta, nabla, a 1-form r) are wedged in from the left.
 A form is an arity-0 cochain, and FormWeyl stores exactly that: the flat
 term dict {(S, m, p, alphas): coeff} (dx subset, hbar power, y-multidegree,
 slot multidegrees; a form has alphas = ()) that the private kernels read and
-write.  Its components {S: WeylElement} are a view derived on each access.
+write.  Its components {S: WeylElement} are a view derived on each access, and
+fedosov_D is the extended Fedosov differential of `cochains` on it.
 The kernels are each written once: delta, delta_inv, sigma, nabla, the
 dx-block wedge around the pairing kernel, and linear substitution.  The form
 operators here and the cochain operators of `cochains` are thin calls into
@@ -532,14 +533,6 @@ def commutator_over_hbar(a, b, chart_or_theta) -> FormWeyl:
     return out.hbar_shift(-1).truncate(fa.order)
 
 
-def product_over_hbar(a, b, chart_or_theta) -> FormWeyl:
-    """(1/hbar)(a o b), exact at the operands' order."""
-    fa, fb = as_form(a), as_form(b)
-    work = fa.order + 2
-    out = moyal_product(fa.truncate(work), fb.truncate(work), chart_or_theta)
-    return out.hbar_shift(-1).truncate(fa.order)
-
-
 # ---------------------------------------------------------------------------
 # the operators delta, delta_inv, sigma, nabla
 
@@ -681,27 +674,19 @@ def curvature_R(chart: SymplecticChart, order: int) -> FormWeyl:
 
 def fedosov_D(a, chart: SymplecticChart, r: FormWeyl) -> FormWeyl:
     """D a = nabla a - delta a + (1/hbar)[r, a] for r in Omega^1 of filtration
-    weight >= 3.  r solved at a higher order is truncated to a's order."""
-    if r.exterior_degrees() not in ([], [1]):
-        raise ValueError("r must be a 1-form")
-    if not r.is_zero() and r.filtration_degree() < 3:
-        raise ValueError("r must have filtration weight >= 3")
-    f = as_form(a)
-    out = nabla(f, chart) - delta(f)
-    if not r.is_zero():
-        # r two levels deeper than a's order participates exactly
-        comm = commutator_over_hbar(r.truncate(f.order + 2),
-                                    f.truncate(f.order + 2), chart)
-        out = out + comm.truncate(f.order)
-    return out
+    weight >= 3: the extended Fedosov differential on a as an arity-0
+    cochain.  r solved at a higher order is truncated to a's order."""
+    from .cochains import FiberwiseCochain, fedosov_d_cochain
+    return fedosov_d_cochain(FiberwiseCochain.from_form(as_form(a)), chart, r).to_form()
 
 
 def weyl_curvature_class(chart: SymplecticChart, r: FormWeyl, order: int) -> FormWeyl:
-    """R - delta r + nabla r + (1/hbar) r o r; central iff y-free."""
+    """R - delta r + nabla r + (1/hbar) r o r; central iff y-free.  r is an
+    odd form, so r o r = (1/2)[r, r]."""
     out = curvature_R(chart, order) - delta(r).truncate(order) \
         + nabla(r, chart).truncate(order)
     if not r.is_zero():
-        out = out + product_over_hbar(r, r, chart).truncate(order)
+        out = out + commutator_over_hbar(r, r, chart).scale(Fraction(1, 2)).truncate(order)
     return out
 
 

@@ -69,7 +69,7 @@ MUTANTS = [
      "if False:",
      "tests/test_cli.py::test_cli_fuzz_bad_invocations_exit_cleanly"),
     ("tau-command-runs-at-the-order", "quantize.py",
-     "sp = self._at_depth(_star_depth(a))",
+     "sp = self._at_depth(_star_depth(*factors))",
      "sp = self._at_depth(0)",
      "tests/test_cli.py::test_tau_command_hbar_power_below_minus_one[hbar^-2*x1*x2]"),
     ("fixed-point-drops-negative-hbar-passes", "cochains.py",
@@ -92,6 +92,14 @@ MUTANTS = [
      "e |= k << FIELD * i",
      "e |= k << (FIELD - 2) * i",
      "tests/test_poly.py::test_xpoly_ring_ops_match_reference[2]"),
+    ("solve-r-drops-the-half", "quantize.py",
+     "commutator_over_hbar(r, r, chart).scale(Fraction(1, 2))",
+     "commutator_over_hbar(r, r, chart)",
+     "tests/test_quantize.py::test_solve_r_matches_the_product_over_hbar_loop[builtin_curved-4]"),
+    ("r-check-drops-the-weight", "cochains.py",
+     "if r.filtration_degree() < 3:",
+     "if False:",
+     "tests/test_cochains.py::test_light_r_is_refused_by_every_use[tau]"),
     ("psi-set-transported-by-g-inverse", "weyl.py",
      '"psi": (_subst_subset, True)}',
      '"psi": (_subst_subset, False)}',

@@ -15,7 +15,7 @@ from fedosov.cochains import (FiberwiseCochain, cochain_eval, cup,
                               to_local_operator, transfer_exactness,
                               transport_cochain, transport_weyl)
 from fedosov.poly import XPoly
-from fedosov.quantize import FedosovData, StarProduct, solve_r
+from fedosov.quantize import FedosovData, StarProduct, solve_r, tau
 from fedosov.verify import (_deep_connection, builtin_curved_data, builtin_flat_data,
                             rand_cochain, rand_poly_in_x)
 from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, as_form,
@@ -319,6 +319,26 @@ def test_extend_D_rejects_non_one_form_r(solved_r):
     P = rand_cochain(random.Random(15), DIM, N, 1, work=WORK)
     with pytest.raises(ValueError, match="1-form"):
         fedosov_d_cochain(P, CURVED, solved_r + as_form(y_mono((2, 1))))
+
+
+# every use of r refuses a 1-form of filtration weight < 3
+LIGHT_USES = {
+    "tau": lambda r: tau(WeylElement.x_variable(DIM, N, 1), CURVED_DATA, r),
+    "horizontal_lift_cochain": lambda r: horizontal_lift_cochain(
+        FiberwiseCochain.identity(DIM, WORK), CURVED, r),
+    "transfer_exactness": lambda r: transfer_exactness(
+        FiberwiseCochain.from_form(FormWeyl.from_component((1,), y_mono((0, 0)))),
+        CURVED, r, validate=False),
+    "fedosov_d_cochain": lambda r: fedosov_d_cochain(
+        FiberwiseCochain.identity(DIM, WORK), CURVED, r),
+}
+
+
+@pytest.mark.parametrize("use", LIGHT_USES)
+def test_light_r_is_refused_by_every_use(use, solved_r):
+    light = FormWeyl.from_component((1,), y_mono((1, 1)))  # weight 2
+    with pytest.raises(ValueError, match="filtration weight"):
+        LIGHT_USES[use](solved_r + light)
 
 
 # -- embedding of scalar forms ------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedosov.poly import MAX_EXP, ExponentOverflow, HbarScalar, XPoly, _mono_derivative
+from fedosov.quantize import _diff_x
 
 
 def test_xpoly_basic_ring_ops():
@@ -184,6 +185,12 @@ def test_xpoly_scale_and_diff_match_reference(dim, data):
     check(c * P, want)
     for i in range(1, dim + 1):
         check(P.diff(i), ref_diff(p, i))
+    mu = data.draw(st.tuples(*[st.integers(0, 3)] * dim))
+    want = p
+    for i, k in enumerate(mu, 1):
+        for _ in range(k):
+            want = ref_diff(want, i)
+    check(_diff_x(P, mu), want)
 
 
 @pytest.mark.parametrize("dim", [2, 4])

@@ -1,7 +1,8 @@
 """Property tests of identities the seeded suites sample: star
 associativity and tau horizontality on the built-in curved chart, cup
 associativity, the Hodge identity, d o d = 0 for both Hochschild
-differentials, and GL functoriality of the transport of every transported
+differentials, D o D = 0 for the extended Fedosov differential, and GL
+functoriality of the transport of every transported
 type, at orders <= 4.  Examples are
 derandomized so every run draws the same inputs."""
 
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedosov.cochains import (FiberwiseCochain, cup, hochschild_d, transport_cochain,
-                              transport_form, transport_weyl)
+from fedosov.cochains import (FiberwiseCochain, cup, fedosov_d_cochain, hochschild_d,
+                              transport_cochain, transport_form, transport_weyl)
 from fedosov.poly import XPoly
 from fedosov.quantize import StarProduct, solve_r, tau
-from fedosov.verify import builtin_curved_data
+from fedosov.verify import _deep_connection, builtin_curved_data
 from fedosov.weyl import (FormWeyl, WeylElement, _matmul, _matrix_inverse, delta,
                           delta_inv, fedosov_D, sigma_project)
 from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain, WeylContext,
@@ -126,6 +127,22 @@ def test_hodge_identity(a):
 def test_hochschild_d_squares_to_zero(P):
     chart = CURVED.chart
     assert hochschild_d(hochschild_d(P, chart), chart).truncate(LOW).is_zero()
+
+
+@functools.cache
+def _deep_r(order):
+    return _deep_connection(builtin_curved_data(order))[0]
+
+
+@SETTINGS
+@given(st.integers(0, 2).flatmap(lambda k: _cochains(k, ORDER)))
+def test_fedosov_d_cochain_squares_to_zero(P):
+    # drawn at the order and carried two levels above it: D consumes slot
+    # degree, so D o D at the order needs the terms above it exact
+    P = P.truncate(ORDER + 2)
+    chart, r = CURVED.chart, _deep_r(ORDER)
+    D = fedosov_d_cochain
+    assert D(D(P, chart, r), chart, r).truncate(ORDER).is_zero()
 
 
 @SETTINGS

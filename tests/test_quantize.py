@@ -12,8 +12,10 @@ from fedosov.quantize import (FedosovData, GaugeOperator, StarProduct,
                               solve_r, star, tau)
 from fedosov.verify import (builtin_curved_data, builtin_flat_data,
                             rand_fraction, rand_poly_in_x)
-from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
-                          delta_inv, fedosov_D, moyal_product, nabla, sigma_project)
+from fedosov.verify import rand_form
+from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, as_form,
+                          commutator_over_hbar, curvature_R, delta, delta_inv, fedosov_D,
+                          moyal_product, nabla, sigma_project, weyl_curvature_class)
 
 DIM, N = 2, 6
 FLAT_DATA = builtin_flat_data(DIM, N)
@@ -57,8 +59,6 @@ def test_solve_r_curved_residual_zero():
 
 
 def test_fedosov_D_nilpotent_given_solved_r():
-    from fedosov.verify import rand_form
-
     r = solve_r(CURVED_DATA)
     rng = random.Random(7)
     for _ in range(10):
@@ -276,6 +276,96 @@ def test_tau_matches_the_form_loop(make_data, order):
     for ks in [(-2,), (-1,), (0,), (1,), (2,), (-2, 0, 1), (-1, 2), (-2, -1, 2)]:
         a = _laurent_poly(rng, order + 2, ks) + _laurent_poly(rng, order + 2, ks)
         assert tau(a, data, r) == _ref_tau(a, data, r)
+
+
+def test_star_product_lifts_run_at_the_depth_of_the_whole_product():
+    """lifts(a, b) lifts both factors on the instance that their product
+    runs on, so sigma of their product is sp(a, b)."""
+    order = 4
+    sp = StarProduct(_curved_omega_data(order))
+    rng = random.Random(3)
+    for ks_a, ks_b in [((0,), (1,)), ((-2,), (0,)), ((-1,), (-1, 2)), ((-2, 1), (-1,))]:
+        a, b = _laurent_poly(rng, order, ks_a), _laurent_poly(rng, order, ks_b)
+        ta, tb = sp.lifts(a, b)
+        assert sigma_project(moyal_product(ta, tb, sp.data.chart)).truncate(order) \
+            == sp(a, b)
+
+
+# -- fedosov_D is the arity-0 cochain D, r o r is (1/2)[r, r] ----------------------
+
+def _ref_product_over_hbar(a, b, chart):
+    """(1/hbar)(a o b), exact at the operands' order: the product that
+    solve_r and weyl_curvature_class ran before r o r became (1/2)[r, r]."""
+    fa, fb = as_form(a), as_form(b)
+    work = fa.order + 2
+    out = moyal_product(fa.truncate(work), fb.truncate(work), chart)
+    return out.hbar_shift(-1).truncate(fa.order)
+
+
+def _ref_fedosov_D(a, chart, r):
+    """nabla a - delta a + (1/hbar)[r, a] on forms, the commutator run at a's
+    order + 4: fedosov_D before it became the arity-0 cochain D."""
+    f = as_form(a)
+    out = nabla(f, chart) - delta(f)
+    if not r.is_zero():
+        comm = commutator_over_hbar(r.truncate(f.order + 2), f.truncate(f.order + 2), chart)
+        out = out + comm.truncate(f.order)
+    return out
+
+
+def _ref_solve_r(data):
+    work = data.order + 2
+    base = delta_inv(curvature_R(data.chart, work) - data.omega_form(work))
+    r = base
+    for _ in range(work + 2):
+        update = nabla(r, data.chart) + _ref_product_over_hbar(r, r, data.chart)
+        r_next = base + delta_inv(update)
+        if r_next == r:
+            return r
+        r = r_next
+    raise RuntimeError("connection recursion failed to stabilize")
+
+
+def _flat4_omega_data(order):
+    """Flat dim 4 with the closed Omega = hbar (dx1 dx2 + x3 dx3 dx4)."""
+    return FedosovData(SymplecticChart.standard_flat(4), {1: {
+        (1, 2): XPoly.const(4, 1), (3, 4): XPoly.variable(4, 3)}}, order)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8])
+@pytest.mark.parametrize("make_data", [builtin_curved_data, _curved_omega_data,
+                                       _flat4_omega_data],
+                         ids=["builtin_curved", "curved_omega", "flat4_omega"])
+def test_solve_r_matches_the_product_over_hbar_loop(make_data, order):
+    """r o r as (1/2)[r, r] gives the r, and the curvature class, of the
+    plain product."""
+    data = make_data(order)
+    r = solve_r(data)
+    assert not r.is_zero()
+    assert r == _ref_solve_r(data)
+    work = order + 2
+    want = (curvature_R(data.chart, work) - delta(r).truncate(work)
+            + nabla(r, data.chart).truncate(work)
+            + _ref_product_over_hbar(r, r, data.chart).truncate(work))
+    assert weyl_curvature_class(data.chart, r, work) == want
+
+
+@pytest.mark.parametrize("order", [4, 6])
+@pytest.mark.parametrize("make_data", [builtin_curved_data, _curved_omega_data],
+                         ids=["builtin_curved", "curved_omega"])
+def test_fedosov_D_matches_the_form_loop(make_data, order):
+    """Seeded forms of exterior degree 0-2, with the solved r and with
+    r = 0, at the order and carried two levels above it."""
+    data = make_data(order)
+    r = solve_r(data)
+    zero = FormWeyl.zero(DIM, r.order)
+    rng = random.Random(order)
+    forms = [rand_form(rng, DIM, order) for _ in range(6)]
+    assert {q for f in forms for q in f.exterior_degrees()} == {0, 1, 2}
+    for f in forms:
+        for a in (f, f.truncate(order + 2)):
+            for rr in (r, zero):
+                assert fedosov_D(a, data.chart, rr) == _ref_fedosov_D(a, data.chart, rr)
 
 # -- the characteristic class -------------------------------------------------
 

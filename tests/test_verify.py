@@ -3,6 +3,7 @@ the chi, barkoszul, cochain and beta suites pass at low orders; the reports
 of verify all are pinned byte for byte."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -89,3 +90,26 @@ def test_verify_all_runs_its_data_suites_in_the_requested_dim(monkeypatch, capsy
     assert main(["--json", "--order", "2", "verify", "all", "--dim", "4"]) == 0
     assert '"dim":4' in capsys.readouterr().out.replace(" ", "")
     assert seen == dict.fromkeys(verify.SUITES, 4)
+
+
+
+def test_verify_equivariance_runs_its_flat_checks_in_the_requested_dim(monkeypatch,
+                                                                     capsys):
+    # the flat star and beta squares push dim-4 inputs along g0, repeated
+    # block-diagonally; seed 3 draws a nonzero seed cochain for the beta square
+    pushed = set()
+
+    def spy(name, real):
+        def push(x, *args):
+            pushed.add((name, x.dim))
+            return real(x, *args)
+        return push
+
+    for name in ("transport_weyl", "transport_cochain"):
+        monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
+    argv = ["--json", "--order", "4", "--seed", "3", "verify", "equivariance", "--dim", "4"]
+    assert main(argv) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert {"flat-star-equivariance", "flat-beta-equivariance"} <= {c["id"] for c in checks}
+    assert all(c["status"] == "pass" for c in checks)
+    assert pushed == {("transport_weyl", 4), ("transport_cochain", 4)}
