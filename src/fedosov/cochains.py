@@ -31,8 +31,9 @@ components are a derived view).  delta, delta_inv, sigma, nabla, the
 dx-block wedge around the pairing kernel (cup) and linear substitution
 (transport) are the kernels that also run the form operators there, so
 moyal_product is exactly arity-0 cup.  FiberwiseCochain takes its linear
-structure and its filtration from poly.GradedTerms; its sum goes through
-the constructor, whose single pass checks the arity of every nonzero term.
+structure, equality and filtration from poly.GradedTerms; its sum goes
+through the constructor, whose single pass checks the arity of every
+nonzero term.
 
 Sign conventions (pinned by the identity suite, see the module tests):
   * insertions wedge dx^{S_1} dx^{S_2} with no extra sign,
@@ -146,10 +147,6 @@ class FiberwiseCochain(GradedTerms):
         if cap is not None:
             out.cap = cap
         return out
-
-    def __eq__(self, other):
-        return (isinstance(other, FiberwiseCochain)
-                and self.arity == other.arity and self.terms == other.terms)
 
     def __repr__(self):
         from .io import cochain_slot_text
@@ -612,14 +609,21 @@ class LocalCochainEvaluator:
         return self.cochain.arity
 
     def __call__(self, *args) -> WeylElement:
-        lifted = self.star_product.lifts(*args)
+        return self._value(self.star_product, args)
+
+    def _value(self, sp, args) -> WeylElement:
+        """sigma(P(tau a_1, .., tau a_k)), exact at the order of the star
+        product sp, which may run deeper than self.star_product."""
+        lifted = sp.lifts(*args)
         # sigma keeps only the dx- and y-free part of the value, and only
         # the dx- and y-free terms of the cochain reach it
         val = cochain_eval(sigma_cochain(self.cochain), lifted)
-        return sigma_project(val).truncate(self.star_product.order)
+        return sigma_project(val).truncate(sp.order)
 
     def cup(self, other: "LocalCochainEvaluator"):
-        """(E1 cup E2)(a..) = E1(first) * E2(rest) under the star product."""
+        """(E1 cup E2)(a..) = E1(first) * E2(rest) under the star product.
+        Each side is evaluated deep enough for the other's negative hbar
+        powers (StarProduct._beside)."""
         return _CupEvaluator(self, other)
 
     def coefficients(self, max_order: int):
@@ -653,15 +657,23 @@ class _CupEvaluator:
         return self.left.arity + self.right.arity
 
     def __call__(self, *args):
-        k1 = self.left.arity
-        a = self.left(*args[:k1])
-        b = self.right(*args[k1:])
-        return self.left.star_product(a, b)
+        left, right = self.left, self.right
+        first, rest = args[:left.arity], args[left.arity:]
+        a = left._value(left.star_product._beside(*rest), first)
+        b = right._value(right.star_product._beside(*first), rest)
+        return left.star_product(a, b)
 
 
 def to_local_operator(P: FiberwiseCochain, star_product,
                       validate: bool = True) -> LocalCochainEvaluator:
-    """beta: D-closed cochains of exterior degree 0 to local operators."""
+    """beta: D-closed cochains of exterior degree 0 to local operators.
+
+    At the star product's order N, P held at N + 2 is enough for beta(P).
+    In a cup beta(P) cup beta(P') the side of P is evaluated at order
+    N + 2 neg, neg summing the negative hbar powers of the other side's
+    arguments, so there P held at N + 2 + 2 neg is enough.  Less can do:
+    lifted cochains held at N + 2 gave exact cups, the product cochain
+    held at N + 2 did not."""
     if validate:
         D = fedosov_d_cochain(P, star_product.data.chart, star_product.r)
         if not D.truncate(P.order - 1).is_zero():

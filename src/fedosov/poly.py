@@ -4,19 +4,21 @@ the two monomial kernels every module calls: linear substitution and the
 derivative d^alpha y^beta.
 
 Every sparse type of the package stores a dictionary {key: coefficient} in
-``terms``.  SparseTerms gives all of them one add/neg/sub/scale and one
-copy; GradedTerms gives the five types graded by Fedosov's filtration one
-order clip, truncation, hbar shift and weight query.  XPoly, the hottest
-type, keeps its own exact layout and arithmetic: each monomial is one
-Kronecker-packed int with a fixed field of FIELD bits per variable, and
-the coefficients are integer numerators over one positive denominator,
-gcd-normalized after every operation (Monagan and Pearce's sparse layout,
-ISSAC 2009).  An exponent above MAX_EXP, given or produced by a product,
-raises ExponentOverflow instead of carrying into the next field.  Its
-``terms`` is a derived view {exponent tuple: Fraction}, so the kernels
-and io never see the layout.  Instances are treated as immutable after
-construction; every operation returns a new, normalized object (no
-stored zero coefficients).
+``terms``.  SparseTerms gives all of them one add/neg/sub/scale, one
+copy, and one ==, hash and plain repr, under one rule: two values are
+equal when they have the same type, terms and header slots, ``order`` and
+``cap`` aside.  GradedTerms gives the five types graded by Fedosov's
+filtration one order clip, truncation, hbar shift and weight query.
+XPoly, the hottest type, keeps its own exact layout, arithmetic and
+equality: each monomial is one Kronecker-packed int with a fixed field of
+FIELD bits per variable, and the coefficients are integer numerators over
+one positive denominator, gcd-normalized after every operation (Monagan
+and Pearce's sparse layout, ISSAC 2009).  An exponent above MAX_EXP, given
+or produced by a product, raises ExponentOverflow instead of carrying into
+the next field.  Its ``terms`` is a derived view {exponent tuple:
+Fraction}, so the kernels and io never see the layout.  Instances are
+treated as immutable after construction; every operation returns a new,
+normalized object (no stored zero coefficients).
 """
 
 from __future__ import annotations
@@ -90,16 +92,34 @@ def _mono_derivative(alpha, beta):
 
 
 class SparseTerms:
-    """The linear structure of a sparse sum {key: coefficient}.  A subclass
-    stores the sum in ``terms`` next to header slots (dim, order, arity,
-    ...) that every result of the structure copies; one that GL transport
-    moves names its key fields in ``KEY``, which io reads too."""
+    """The linear structure, equality, hash and plain repr of a sparse sum
+    {key: coefficient}.  A subclass stores the sum in ``terms`` next to
+    header slots (dim, order, arity, ...) that every result of the
+    structure copies; one that GL transport moves names its key fields in
+    ``KEY``, which io reads too.  Two values are equal when they have the
+    same type, the same terms and the same header slots other than
+    ``order`` and ``cap``, which only record how far a value is known."""
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._HEADER = tuple(name for name in cls.__slots__ if name != "terms")
+        cls._COMPARED = tuple(name for name in cls._HEADER if name not in ("order", "cap"))
+
+    def _compared(self):
+        return tuple(getattr(self, name) for name in self._COMPARED)
+
+    def __eq__(self, other):
+        return (type(other) is type(self) and self._compared() == other._compared()
+                and self.terms == other.terms)
+
+    def __hash__(self):
+        return hash((type(self), self._compared(), frozenset(self.terms.items())))
+
+    def __repr__(self):
+        head = "".join(f"{name}={getattr(self, name)!r}, " for name in self._COMPARED)
+        return f"{type(self).__name__}({head}{self.terms!r})"
 
     def _with(self, terms):
         """A value with self's header slots and the given terms."""
@@ -456,12 +476,6 @@ class HbarScalar(SparseTerms):
 
     def truncate(self, order: int) -> "HbarScalar":
         return HbarScalar({k: c for k, c in self.terms.items() if 2 * k <= order})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HbarScalar) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

@@ -117,13 +117,18 @@ def star(a: WeylElement, b: WeylElement, data: FedosovData, r=None) -> WeylEleme
     return _sigma_product(tau(a, run, r), tau(b, run, r), data)
 
 
+def _neg(factors) -> int:
+    """neg(factors): the sum of max(0, -k) over the lowest power hbar^k of
+    each factor."""
+    return sum(max(0, -(x.min_hbar() or 0)) for x in factors)
+
+
 def _star_depth(*factors: WeylElement) -> int:
     """How far above the contract order N a product of the factors (or the
     lift of one) must run: its weight-N part needs the lift of each factor
     to weight N + 2 neg(the other factors), and the lift of hbar^k x^e,
     k < 0, at working order W = N + 2 is exact to W + 2k."""
-    neg = sum(max(0, -(x.min_hbar() or 0)) for x in factors)
-    return 2 * max(0, neg - 1)
+    return 2 * max(0, _neg(factors) - 1)
 
 
 def _sigma_product(ta: WeylElement, tb: WeylElement, data: FedosovData) -> WeylElement:
@@ -178,6 +183,13 @@ class StarProduct:
         all of them: plain tau, run _star_depth(*factors) orders deeper."""
         sp = self._at_depth(_star_depth(*factors))
         return [tau(a, sp.data, sp.r) for a in factors]
+
+    def _beside(self, *others: WeylElement) -> "StarProduct":
+        """The instance 2 neg(others) orders deeper: a factor known to its
+        order gives a product with others that is exact at the contract
+        order, since others' negative hbar powers lower the weight of the
+        factor's terms by up to 2 neg(others)."""
+        return self._at_depth(2 * _neg(others))
 
     def tau(self, a: WeylElement) -> WeylElement:
         """tau(a), exact at the contract order."""
@@ -305,9 +317,6 @@ class GaugeOperator(SparseTerms):
                     _acc(terms, (k1 + k2, vec_add(rest, nu)),
                          (p1 * _diff_x(p2, gamma)).scale(c))
         return self._with(terms)
-
-    def __eq__(self, other):
-        return isinstance(other, GaugeOperator) and self.terms == other.terms
 
 
 def _diff_x(p: XPoly, mu) -> XPoly:

@@ -148,13 +148,6 @@ class WeylElement(GradedTerms):
         zero = (0,) * self.dim
         return self._with({key: c for key, c in self.terms.items() if key[1] == zero})
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WeylElement) and self.dim == other.dim
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.dim, frozenset((k, p, c) for (k, p), c in self.terms.items())))
-
     def __repr__(self):
         from .io import weyl_text
         return weyl_text(self)
@@ -211,10 +204,6 @@ class FormWeyl(GradedTerms):
 
     def homogeneous(self, q: int) -> "FormWeyl":
         return self._with({key: c for key, c in self.terms.items() if len(key[0]) == q})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FormWeyl) and self.dim == other.dim
-                and self.terms == other.terms)
 
     def __repr__(self):
         from .io import form_text
@@ -285,14 +274,12 @@ class SymplecticChart:
         n = self.dim
         if n < 2 or n % 2:
             raise ChartValidationError(f"dimension must be even and >= 2, got {n}")
-        for i in range(n):
-            for j in range(n):
-                if self.omega_lower[i][j] != -self.omega_lower[j][i]:
-                    raise ChartValidationError(
-                        f"omega_lower not antisymmetric at ({i + 1},{j + 1})")
-                if self.omega_upper[i][j] != -self.omega_upper[j][i]:
-                    raise ChartValidationError(
-                        f"omega_upper not antisymmetric at ({i + 1},{j + 1})")
+        # the first bad entry of either matrix, omega_lower first on a tie
+        bad = [(at, name) for name in ("omega_lower", "omega_upper")
+               if (at := _asymmetric_at(getattr(self, name), n)) is not None]
+        if bad:
+            (i, j), name = min(bad)
+            raise ChartValidationError(f"{name} not antisymmetric at ({i + 1},{j + 1})")
         for i in range(n):
             for j in range(n):
                 acc = XPoly.zero(n)
@@ -374,11 +361,10 @@ def omega_matrix(chart_or_theta, dim: int):
 # the Moyal-type fiberwise product
 
 
-def _check_antisymmetric(omega, dim):
-    for i in range(dim):
-        for j in range(dim):
-            if omega[i][j] != -omega[j][i]:
-                raise ValueError("Poisson tensor must be antisymmetric")
+def _asymmetric_at(m, n):
+    """The first (i, j), 0-based and row by row, with m[i][j] != -m[j][i];
+    None for an antisymmetric n x n matrix m."""
+    return next(((i, j) for i in range(n) for j in range(n) if m[i][j] != -m[j][i]), None)
 
 
 def _derive_targets(seen, p, alphas, slots_ok):
@@ -511,7 +497,8 @@ def moyal_product(a, b, chart_or_theta, *, commutator=False):
     if fa.dim != fb.dim or fa.order != fb.order:
         raise ValueError("operands must share dim and order")
     omega = omega_matrix(chart_or_theta, fa.dim)
-    _check_antisymmetric(omega, fa.dim)
+    if _asymmetric_at(omega, fa.dim) is not None:
+        raise ValueError("Poisson tensor must be antisymmetric")
     out = FormWeyl.from_terms(fa.dim, fa.order, _fiber_product(
         fa.terms, fb.terms, omega, fa.order, odd_only=commutator))
     return out.component(()) if plain else out

@@ -30,9 +30,10 @@ product cochain and the Koszul homotopy run on the Moyal pairing kernel of
 `weyl`.  Each of the five types declares its key fields in KEY (the field
 names of io), and GL transport of every one of them is the linear
 substitution of `weyl` over those fields, the one that also transports
-forms and fiberwise cochains.  All five types take their linear structure
-from poly.SparseTerms, and WSeries and WeylCochain their filtration from
-poly.GradedTerms.
+forms and fiberwise cochains.  All five types take their linear structure,
+==, hash and repr from poly.SparseTerms (equal values share the dim, the
+m or arity where the type has one, and the terms), and WSeries and
+WeylCochain their filtration from poly.GradedTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
 MonomialEvaluator that lives for one call.
 
@@ -50,8 +51,9 @@ from math import comb, inf
 
 from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
 from .poly import GradedTerms, HbarScalar, SparseTerms, _acc, _mono_derivative, as_fraction
-from .weyl import (_matmul, _matrix_inverse, _pair_terms, _pairing_levels, _subst_terms,
-                   _transpose, contract_index, prepend_index, unit_vec, vec_add, vec_sub)
+from .weyl import (_asymmetric_at, _matmul, _matrix_inverse, _pair_terms, _pairing_levels,
+                   _subst_terms, _transpose, contract_index, prepend_index, unit_vec,
+                   vec_add, vec_sub)
 
 ZERO = Fraction(0)
 
@@ -68,10 +70,8 @@ class WeylContext:
     def __init__(self, theta, order: int):
         self.dim = len(theta)
         self.theta = tuple(tuple(as_fraction(c) for c in row) for row in theta)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.theta[i][j] != -self.theta[j][i]:
-                    raise ValueError("theta must be antisymmetric")
+        if _asymmetric_at(self.theta, self.dim) is not None:
+            raise ValueError("theta must be antisymmetric")
         self.theta_lower = _matrix_inverse(self.theta)
         self.order = order
         self._mono_cache = {}
@@ -139,12 +139,6 @@ class WSeries(GradedTerms):
             raise ValueError("series has y-dependence")
         return HbarScalar({k: c for (k, _), c in self.terms.items()})
 
-    def __eq__(self, other):
-        return isinstance(other, WSeries) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"WSeries({self.terms})"
-
 
 # ---------------------------------------------------------------------------
 # bar resolution
@@ -168,13 +162,6 @@ class BarChain(SparseTerms):
         """1 (x) y^{beta_1} (x) ... (x) y^{beta_q} (x) 1."""
         ps = (_zero(dim),) + tuple(tuple(b) for b in betas) + (_zero(dim),)
         return cls(dim, len(betas), {(k, ps): as_fraction(c)})
-
-    def __eq__(self, other):
-        return (isinstance(other, BarChain) and self.m == other.m
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"BarChain(m={self.m}, {self.terms})"
 
 
 def bar_d(ctx: WeylContext, b: BarChain) -> BarChain:
@@ -235,13 +222,6 @@ class KoszulChain(SparseTerms):
     @classmethod
     def generator(cls, dim, T, c=1):
         return cls(dim, len(T), {(0, _zero(dim), _zero(dim), tuple(T)): as_fraction(c)})
-
-    def __eq__(self, other):
-        return (isinstance(other, KoszulChain) and self.m == other.m
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"KoszulChain(m={self.m}, {self.terms})"
 
 
 def koszul_d(ctx: WeylContext, a: KoszulChain) -> KoszulChain:
@@ -469,12 +449,6 @@ class PsiElement(SparseTerms):
         return HbarScalar({k: c for (k, p, T), c in self.terms.items()
                            if p == z and not T})
 
-    def __eq__(self, other):
-        return isinstance(other, PsiElement) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"PsiElement({self.terms})"
-
 
 def psi_d(ctx: WeylContext, a: PsiElement) -> PsiElement:
     """hbar psi_i omega^{ij} d/dy^j with left psi multiplication;
@@ -557,13 +531,6 @@ class WeylCochain(GradedTerms):
         if len(args) != self.arity:
             raise ValueError("arity mismatch")
         return WSeries(self.dim, _eval_terms(self.terms, [a.terms for a in args]), order)
-
-    def __eq__(self, other):
-        return (isinstance(other, WeylCochain) and self.arity == other.arity
-                and self.terms == other.terms)
-
-    def __repr__(self):
-        return f"WeylCochain(arity={self.arity}, {self.terms})"
 
 
 def product_cochain(ctx: WeylContext, t_max: int) -> WeylCochain:

@@ -108,6 +108,26 @@ MUTANTS = [
      '"slots": (_subst_multidegrees, True)',
      '"slots": (_subst_multidegrees, False)',
      "tests/test_weylhh.py::test_homotopy_square_commutes"),
+    ("equality-ignores-the-header", "poly.py",
+     "type(other) is type(self) and self._compared() == other._compared()",
+     "type(other) is type(self)",
+     "tests/test_graded_terms.py::test_zeros_of_another_arity_or_degree_differ"),
+    ("omega-matrix-keeps-the-constant-part", "weyl.py",
+     "return chart_or_theta.omega_upper",
+     "return [[XPoly.const(dim, p.terms.get((0,) * dim, 0)) for p in row]\n"
+     "                for row in chart_or_theta.omega_upper]",
+     "tests/test_verify.py::test_x_dependent_omega_chart_passes_dsquare"),
+    ("curvature-reads-the-constant-omega", "weyl.py",
+     "om = chart.omega_lower[k - 1][m - 1]",
+     "om = XPoly.const(n, chart.omega_lower[k - 1][m - 1].terms.get((0,) * n, 0))",
+     "tests/test_verify.py::test_x_dependent_omega_chart_passes_dsquare"),
+    ("cup-evaluates-both-sides-at-the-star-depth", "cochains.py",
+     "a = left._value(left.star_product._beside(*rest), first)\n"
+     "        b = right._value(right.star_product._beside(*first), rest)",
+     "from .quantize import _star_depth\n"
+     "        sp = left.star_product._at_depth(_star_depth(*args))\n"
+     "        a, b = left._value(sp, first), right._value(sp, rest)",
+     "tests/test_cochains.py::test_cup_of_local_operators_for_negative_hbar_powers"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

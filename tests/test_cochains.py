@@ -446,6 +446,22 @@ def test_beta_of_multiplication_is_star_for_negative_hbar_powers(a, b):
     assert E(a, b) == sp(a, b)
 
 
+def test_cup_of_local_operators_for_negative_hbar_powers():
+    """(E cup E)(a, b, c, d) = (a * b) * (c * d) with E = beta(mu): each side
+    is evaluated deep enough for the other side's negative hbar powers, and
+    mu is held at order 10 >= N + 2 + 2 neg(other side)."""
+    data = fio.fedosov_data_from_json(json.loads(CURVED_OMEGA_FILE.read_text()))
+    data.order = 4
+    _, sp = _deep_connection(data)
+    E = to_local_operator(product_cochain(data.chart, DIM, 10, 10), sp, validate=False)
+    ref = StarProduct(FedosovData(data.chart, data.omega_series, 10))
+    for args in [("x1", "x2", "hbar^-2 x1 x2", "x1"), ("hbar^-2 x1", "x2", "x1", "x2^2"),
+                 ("x1 x2", "x1^2", "hbar^-1 x2", "hbar^-1 x1"), ("x1", "x2", "x1", "x2")]:
+        a, b, c, d = (fio.parse_poly(t, DIM, 10) for t in args)
+        want = ref(ref(a, b), ref(c, d)).truncate(4)
+        assert E.cup(E)(*(x.truncate(4) for x in (a, b, c, d))) == want, args
+
+
 def test_beta_of_unit_cochain(solved_r):
     sp = StarProduct(CURVED_DATA, solved_r.truncate(N + 2))
     one = FiberwiseCochain.from_form(

@@ -1,9 +1,10 @@
-"""Reference tests for the copy and the filtration that the sparse types
-share.  Each reference below is a per-type body written out as it stood in
-its class before SparseTerms held one `_empty` and the graded types one
-truncation, hbar shift and weight query; the shared methods must agree with
-it on seeded values, negative hbar powers and zero values included.  A
-comparison runs only where the type had that body of its own."""
+"""Reference tests for the copy, the equality and the filtration that the
+sparse types share.  Each reference below is a per-type body written out
+as it stood in its class before SparseTerms held one `_empty` and one
+`==`, and the graded types one truncation, hbar shift and weight query;
+the shared methods must agree with it on seeded values, negative hbar
+powers and zero values included.  A comparison runs only where the type
+had that body of its own."""
 
 import random
 from fractions import Fraction
@@ -107,6 +108,29 @@ MIN_TERM_WEIGHT = {FiberwiseCochain: _cochain_min_term_weight,
                    WeylCochain: _wcochain_min_term_weight}
 
 
+def _eq_terms(cls):
+    return lambda a, b: isinstance(b, cls) and a.terms == b.terms
+
+
+def _eq_header(cls, name):
+    return lambda a, b: (isinstance(b, cls) and getattr(a, name) == getattr(b, name)
+                         and a.terms == b.terms)
+
+
+EQ = {
+    HbarScalar: _eq_terms(HbarScalar),
+    WeylElement: _eq_header(WeylElement, "dim"),
+    FormWeyl: _eq_header(FormWeyl, "dim"),
+    FiberwiseCochain: _eq_header(FiberwiseCochain, "arity"),
+    GaugeOperator: _eq_terms(GaugeOperator),
+    WSeries: _eq_terms(WSeries),
+    BarChain: _eq_header(BarChain, "m"),
+    KoszulChain: _eq_header(KoszulChain, "m"),
+    PsiElement: _eq_terms(PsiElement),
+    WeylCochain: _eq_header(WeylCochain, "arity"),
+}
+
+
 # -- seeded values ------------------------------------------------------------
 
 def _lowered(terms, at, rng):
@@ -146,13 +170,21 @@ def _other_values(seed):
     def frac():
         return rand_fraction(rng)
 
-    return [
+    out = [
         HbarScalar({k: frac() for k in range(-2, 2)}),
         BarChain(DIM, 1, {(0, ((1, 0), (0, 1), (0, 0))): frac()}),
         KoszulChain(DIM, 1, {(1, (0, 1), (1, 0), (2,)): frac()}),
         PsiElement(DIM, {(-1, (1, 1), (1,)): frac()}),
         GaugeOperator(DIM, {1: {(1, 0): XPoly.const(DIM, frac())}}),
     ]
+    return out + [x.scale(0) for x in out]
+
+
+def _zeros_of_another_dim():
+    """Zero values in dim 4, next to the dim-2 zeros of the seeded values."""
+    return [WeylElement(4, ORDER), FormWeyl(4, ORDER), FiberwiseCochain(4, ORDER, 1),
+            WSeries(4), BarChain(4, 1), KoszulChain(4, 1), PsiElement(4),
+            WeylCochain(4, 1), GaugeOperator(4)]
 
 
 SEEDS = range(4)
@@ -203,6 +235,65 @@ def test_cochain_copies_keep_the_cap():
         assert (Q.order, Q.arity, Q.cap) == (ORDER, 1, 3)
     assert (P.truncate(4).order, P.truncate(4).cap) == (4, 3)
     assert (P.truncate(4, 5).order, P.truncate(4, 5).cap) == (4, 5)
+
+
+# -- the equality -------------------------------------------------------------
+
+def _eq_values(seed):
+    """Every seeded value, a copy of each, and zeros of two dims."""
+    values = _graded_values(seed) + _other_values(seed) + _zeros_of_another_dim()
+    return values + [x._with(dict(x.terms)) for x in values]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equality_matches_the_per_type_body_but_on_zeros_of_another_dim(seed):
+    values = _eq_values(seed)
+    assert {type(x) for x in values} == set(EQ)
+    differ = set()
+    for a in values:
+        for b in values:
+            if (a == b) != EQ[type(a)](a, b):
+                differ.add(type(a))
+                # the one change: zero values of different dims are unequal
+                assert a.is_zero() and b.is_zero() and type(a) is type(b)
+                assert a.dim != b.dim and EQ[type(a)](a, b) and a != b
+    # every type whose body compared no dim
+    assert differ == {FiberwiseCochain, GaugeOperator, WSeries, BarChain, KoszulChain,
+                      PsiElement, WeylCochain}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_equal_values_have_equal_hashes(seed):
+    values = _eq_values(seed)
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_order_and_cap_are_not_compared(seed):
+    for x in _graded_values(seed):
+        for name in ("order", "cap"):
+            if name in type(x).__slots__:
+                y = x._with(x.terms)
+                setattr(y, name, getattr(x, name) + 3)
+                assert x == y and hash(x) == hash(y) and repr(x) == repr(y)
+
+
+def test_zeros_of_another_arity_or_degree_differ():
+    assert FiberwiseCochain(DIM, ORDER, 1) != FiberwiseCochain(DIM, ORDER, 2)
+    assert WeylCochain(DIM, 1) != WeylCochain(DIM, 2)
+    assert BarChain(DIM, 1) != BarChain(DIM, 2)
+    assert KoszulChain(DIM, 1) != KoszulChain(DIM, 2)
+    assert FiberwiseCochain(DIM, ORDER, 1) == FiberwiseCochain(DIM, ORDER + 2, 1, cap=1)
+
+
+def test_plain_repr_shows_the_compared_header():
+    assert repr(BarChain(DIM, 1)) == "BarChain(dim=2, m=1, {})"
+    assert repr(WSeries.const(DIM, 3)) == "WSeries(dim=2, {(0, (0, 0)): Fraction(3, 1)})"
+    assert repr(GaugeOperator(DIM)) == "GaugeOperator(dim=2, {})"
+    assert repr(HbarScalar.hbar(-1, 2)) == "2*hbar^-1"
 
 
 # -- the filtration -----------------------------------------------------------

@@ -4,6 +4,7 @@ of verify all are pinned byte for byte."""
 
 import hashlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ from fedosov import io as fio
 from fedosov import verify
 from fedosov import weylhh as hh
 from fedosov.cli import main
+from fedosov.poly import XPoly
+from fedosov.quantize import FedosovData
+from fedosov.weyl import SymplecticChart
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -113,3 +117,36 @@ def test_verify_equivariance_runs_its_flat_checks_in_the_requested_dim(monkeypat
     assert {"flat-star-equivariance", "flat-beta-equivariance"} <= {c["id"] for c in checks}
     assert all(c["status"] == "pass" for c in checks)
     assert pushed == {("transport_weyl", 4), ("transport_cochain", 4)}
+
+
+def _x_dependent_omega_chart():
+    """The dim-4 chart with the closed form omega = omega0 + (x4^2 + x1 x3)
+    dx1^dx3 + 2 x3 x4 dx1^dx4, its exact inverse and the standard
+    torsion-free symplectic connection
+    Gamma^l_ij = (1/3) sum_k (d_i omega_jk + d_j omega_ik) omega^kl."""
+    n = 4
+    x = [None] + [XPoly.variable(n, i) for i in range(1, n + 1)]
+    zero, one = XPoly.zero(n), XPoly.const(n, 1)
+    f, g = x[4] * x[4] + x[1] * x[3], (x[3] * x[4]).scale(2)
+    lower = [[zero, -one, f, g], [one, zero, zero, zero],
+             [-f, zero, zero, -one], [-g, zero, one, zero]]
+    upper = [[zero, one, zero, zero], [-one, zero, -g, f],
+             [zero, g, zero, one], [zero, -f, -one, zero]]
+    gamma = {}
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                c = zero
+                for k in range(n):
+                    c = c + (lower[j][k].diff(i + 1) + lower[i][k].diff(j + 1)) * upper[k][l]
+                if c:
+                    gamma[(l + 1, i + 1, j + 1)] = c.scale(Fraction(1, 3))
+    return SymplecticChart(n, lower, upper, gamma)
+
+
+def test_x_dependent_omega_chart_passes_dsquare():
+    chart = _x_dependent_omega_chart()
+    chart.validate()
+    assert len(chart.christoffel) == 18
+    checks = verify.suite_dsquare(FedosovData(chart, {}, 3), seed=0, samples=10)
+    assert checks and all(c.ok for c in checks), [c.id for c in checks if not c.ok]
