@@ -149,12 +149,15 @@ class FiberwiseCochain(GradedTerms):
         return out
 
     def __repr__(self):
+        """FiberwiseCochain(dim=.., arity=..: terms), showing the header
+        slots that == compares."""
         from .io import cochain_slot_text
         bits = []
         for (S, m, p, alphas), c in sorted(self.terms.items()):
             slot = "|".join(cochain_slot_text(al) for al in alphas)
             bits.append(f"dx{S} hbar^{m} y{p} [{slot}] * ({c})")
-        return "FiberwiseCochain(" + ("; ".join(bits) or "0") + ")"
+        head = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._COMPARED)
+        return f"FiberwiseCochain({head}: " + ("; ".join(bits) or "0") + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +473,41 @@ def nabla_cochain(P: FiberwiseCochain, chart: SymplecticChart) -> FiberwiseCocha
                             P.cap)
 
 
+_R_TABLES = {}
+
+
 def _r_cup_commutator(rc: FiberwiseCochain, X: FiberwiseCochain, chart,
                       order) -> FiberwiseCochain:
     """r cup X - (-)^q X cup r for the 1-form r (as the 0-cochain rc) and X
     of exterior degree q.  dx^{S_X} dx^{S_r} = (-)^q dx^{S_r} dx^{S_X}, so
     each block pair is a plain commutator of r with X's values: the odd
     pairing orders of r cup X, doubled, in one pass (see
-    weyl._pairing_levels)."""
-    terms = _fiber_product(rc.terms, X.terms, omega_matrix(chart, X.dim), order,
-                           odd_only=True)
-    return FiberwiseCochain(X.dim, order, X.arity, terms, max(rc.cap, X.cap))
+    weyl._pairing_levels).
+
+    The commutator is linear over x-functions and hbar: on a term
+    c hbar^m y^p d^alpha dx^S of X it is c hbar^m times its value on the
+    fiber monomial y^p d^alpha, with r's dx wedged before dx^S.  Those
+    values are kept in a module table per (r, omega), keyed by (p, alpha)
+    and the room order - 2m that hbar^m leaves: every pairing the kernel
+    keeps or drops shifts its weight by exactly 2m, so the entry at that
+    room is the kernel's truncation.  Entries are filled lazily by that
+    kernel."""
+    omega = omega_matrix(chart, X.dim)
+    table = _R_TABLES.setdefault(
+        (frozenset(rc.terms.items()), tuple(map(tuple, omega))), {})
+    out = {}
+    for (S, m, p, alphas), c in X.terms.items():
+        room = order - 2 * m
+        key = (p, alphas, room)
+        entry = table.get(key)
+        if entry is None:
+            entry = table[key] = _fiber_product(rc.terms, {((), 0, p, alphas): 1},
+                                                omega, room, odd_only=True)
+        for (Sr, mr, pr, ar), e in entry.items():
+            wedge = merge_subsets(Sr, S)
+            if wedge is not None:
+                _acc(out, (wedge[1], mr + m, pr, ar), c * e if wedge[0] > 0 else -(c * e))
+    return FiberwiseCochain(X.dim, order, X.arity, out, max(rc.cap, X.cap))
 
 
 def _r_mult_parts(chart, r: FormWeyl, P: FiberwiseCochain):

@@ -128,6 +128,18 @@ MUTANTS = [
      "        sp = left.star_product._at_depth(_star_depth(*args))\n"
      "        a, b = left._value(sp, first), right._value(sp, rest)",
      "tests/test_cochains.py::test_cup_of_local_operators_for_negative_hbar_powers"),
+    ("r-table-entry-drops-the-room", "cochains.py",
+     "key = (p, alphas, room)",
+     "key = (p, alphas)",
+     "tests/test_form_operators.py::test_r_commutator_table_matches_the_kernel[curved]"),
+    ("r-table-keyed-by-omega-only", "cochains.py",
+     "(frozenset(rc.terms.items()), tuple(map(tuple, omega))), {})",
+     "tuple(map(tuple, omega)), {})",
+     "tests/test_form_operators.py::test_r_commutator_table_is_keyed_by_r"),
+    ("r-table-drops-the-dx-sign", "cochains.py",
+     "c * e if wedge[0] > 0 else -(c * e)",
+     "c * e",
+     "tests/test_form_operators.py::test_r_commutator_table_matches_the_kernel[curved]"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

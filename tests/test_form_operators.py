@@ -5,24 +5,29 @@ the arity-0 cochain of the form; the substitution transport of Weyl cochains
 is checked against their reconstruction from transported values, and that of
 bar, Koszul and psi chains against its loops written out per type."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from test_verify import _x_dependent_omega_chart
 
-from fedosov import weylhh
-from fedosov.cochains import (FiberwiseCochain, _r_cup_commutator, cup,
+from fedosov import cochains, weylhh
+from fedosov import io as fio
+from fedosov.cochains import (FiberwiseCochain, _multidegrees, _r_cup_commutator, cup,
                               delta_cochain, delta_inv_cochain, nabla_cochain,
                               sigma_cochain, transport_cochain, transport_form,
                               transport_weyl)
 from fedosov.poly import XPoly
-from fedosov.verify import (builtin_curved_data, rand_bar, rand_form, rand_gl, rand_koszul,
-                            rand_psi, rand_wcochain, rand_weyl)
-from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, _matrix_inverse,
-                          _pair_terms, as_form, contract_index, curvature_R, delta,
-                          delta_inv, graded_commutator, is_central, merge_subsets,
-                          moyal_product, nabla, prepend_index, sigma_project, unit_vec,
-                          vec_add, vec_sub)
+from fedosov.quantize import FedosovData, solve_r
+from fedosov.verify import (_rand_terms, builtin_curved_data, rand_bar, rand_form, rand_gl,
+                            rand_koszul, rand_psi, rand_wcochain, rand_weyl, rand_xpoly)
+from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, _fiber_product,
+                          _matrix_inverse, _pair_terms, as_form, contract_index,
+                          curvature_R, delta, delta_inv, graded_commutator, is_central,
+                          merge_subsets, moyal_product, nabla, omega_matrix, prepend_index,
+                          sigma_project, unit_vec, vec_add, vec_sub)
 
 DIM, N = 2, 6
 CURVED = builtin_curved_data(N).chart
@@ -402,3 +407,75 @@ def test_moyal_product_is_arity_zero_cup(chart):
         r = a.homogeneous(1)
         assert _cochain(graded_commutator(r, b, chart)) == \
             _r_cup_commutator(_cochain(r), _cochain(b), chart, N)
+
+
+def _ref_r_cup_commutator(rc, X, chart, order):
+    """The commutator with r by the pairing kernel on every (r term, X term)
+    pair, as computed before the table of _r_cup_commutator."""
+    return FiberwiseCochain(X.dim, order, X.arity,
+                            _fiber_product(rc.terms, X.terms, omega_matrix(chart, X.dim),
+                                           order, odd_only=True),
+                            max(rc.cap, X.cap))
+
+
+def _r_chart(name):
+    """A chart and its solved r, carried two levels above the data order."""
+    if name == "curved":
+        data = builtin_curved_data(4)
+    elif name == "curved_omega":
+        path = Path(__file__).resolve().parents[1] / "bench" / "data" / "curved_omega.json"
+        data = fio.fedosov_data_from_json(json.loads(path.read_text()))
+        data.order = 4
+    else:
+        data = FedosovData(_x_dependent_omega_chart(), {}, 2)
+    return data.chart, solve_r(data, validate=False)
+
+
+def _laurent_cochains(seed, dim, order):
+    """Seeded cochains of each arity 0-2 and exterior degree 0-2, with hbar
+    powers -2..1."""
+    rng = random.Random(seed)
+    ys, slots = _multidegrees(dim, 3), _multidegrees(dim, 2)
+    out = []
+    for arity in range(3):
+        for q in range(3):
+            def key(rng):
+                m, p = rng.randint(-2, 1), rng.choice(ys)
+                alphas = tuple(rng.choice(slots) for _ in range(arity))
+                S = rng.choice(weylhh._subsets(dim, q))
+                return None if 2 * m + sum(p) > order else (S, m, p, alphas)
+            out.append(FiberwiseCochain(dim, order, arity, _rand_terms(
+                rng, 6, key, lambda rng: rand_xpoly(rng, dim, 1))))
+    return out
+
+
+@pytest.mark.parametrize("name", ["curved", "curved_omega", "x_dependent_omega"])
+def test_r_commutator_table_matches_the_kernel(name, monkeypatch):
+    """The tabulated commutator with r equals the pairing kernel run on every
+    (r term, X term) pair, on a cold table and on one warmed by other
+    cochains, for hbar powers -2..1, exterior degrees 0-2 and arities 0-2."""
+    monkeypatch.setattr(cochains, "_R_TABLES", {})
+    chart, r = _r_chart(name)
+    rc = FiberwiseCochain.from_form(r)
+    Xs = _laurent_cochains(11, r.dim, r.order)
+    assert {m for X in Xs for (_, m, _, _) in X.terms} == {-2, -1, 0, 1}
+    want = [_ref_r_cup_commutator(rc, X, chart, r.order) for X in Xs]
+    assert any(not w.is_zero() for w in want)
+    for X, w in zip(Xs, want):
+        cochains._R_TABLES.clear()
+        assert _r_cup_commutator(rc, X, chart, r.order) == w
+    for _ in range(2):  # the second pass reads a table filled by every X
+        assert [_r_cup_commutator(rc, X, chart, r.order) for X in Xs] == want
+    assert len(cochains._R_TABLES) == 1
+
+
+def test_r_commutator_table_is_keyed_by_r(monkeypatch):
+    """r and 2r read different tables, so their commutators differ by exactly
+    the factor 2."""
+    monkeypatch.setattr(cochains, "_R_TABLES", {})
+    chart, r = _r_chart("curved")
+    rc, rc2 = FiberwiseCochain.from_form(r), FiberwiseCochain.from_form(r.scale(2))
+    for X in _laurent_cochains(12, r.dim, r.order):
+        once = _r_cup_commutator(rc, X, chart, r.order)
+        assert _r_cup_commutator(rc2, X, chart, r.order) == once.scale(2)
+    assert len(cochains._R_TABLES) == 2

@@ -289,6 +289,13 @@ def test_zeros_of_another_arity_or_degree_differ():
     assert FiberwiseCochain(DIM, ORDER, 1) == FiberwiseCochain(DIM, ORDER + 2, 1, cap=1)
 
 
+def test_cochain_text_repr_shows_the_compared_header():
+    """Unequal zero cochains read differently."""
+    one, two = FiberwiseCochain(DIM, ORDER, 1), FiberwiseCochain(DIM, ORDER, 2)
+    assert repr(one) == f"FiberwiseCochain(dim={DIM}, arity=1: 0)"
+    assert repr(one) != repr(two)
+
+
 def test_plain_repr_shows_the_compared_header():
     assert repr(BarChain(DIM, 1)) == "BarChain(dim=2, m=1, {})"
     assert repr(WSeries.const(DIM, 3)) == "WSeries(dim=2, {(0, (0, 0)): Fraction(3, 1)})"
