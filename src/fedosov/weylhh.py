@@ -35,19 +35,25 @@ forms and fiberwise cochains.  All five types take their linear structure,
 m or arity where the type has one, and the terms), and WSeries and
 WeylCochain their filtration from poly.GradedTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
-MonomialEvaluator that lives for one call.
+MonomialEvaluator that lives for one call and indexes its slot groups by
+their first slot, so that a tuple visits only the groups whose first slot
+lies below its own.  On the tuple 1 (x) y^beta_1 .. y^beta_q (x) 1, nu and
+rho are the generator images the context caches, and nu-hat and rho-hat
+read those images in place.
 
 Every map between the resolutions and W is a bimodule map, fixed by its
 values on generators: _bimodule_terms is the one extension that multiplies
-y-monomials into the outer tensor factors of those values.  lambda, nu,
-rho, both augmentations and both evaluations (eval_on_bar,
-eval_psi_on_koszul) call it.
+y-monomials into the outer tensor factors of those values, and skips a zero
+value before any work.  lambda, nu, rho, both augmentations and both
+evaluations (eval_on_bar, eval_psi_on_koszul) call it.  The t-integrals of
+the Koszul homotopy depend on no theta and are kept in one module table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, inf
+from operator import le
 
 from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
 from .poly import GradedTerms, HbarScalar, SparseTerms, _acc, _mono_derivative, as_fraction
@@ -299,31 +305,34 @@ def koszul_h(ctx: WeylContext, a) -> KoszulChain:
                 for (ks, pb1, _, pb2, _), cs in state.items():
                     for w in range(s + 1):
                         cw = cs * comb(s, w) * (-1 if w % 2 else 1)
-                        _collect_subst(out, dim, ks, pb1, pb2, T2, cw, w + tpow_T)
+                        _collect_subst(out, ks, pb1, pb2, T2, cw, w + tpow_T)
     return KoszulChain(dim, a.m + 1, out)
 
 
-def _collect_subst(out, dim, k, p1, p2, T, coeff, base_tpow):
-    """Expand y1 -> y2 + t(y1 - y2) on y1^{p1}, integrate t exactly, and
-    accumulate results."""
-    # per coordinate: (y2 + t(y1-y2))^{p} =
-    #   sum_{v <= u <= p} C(p,u) C(u,v) (-1)^{u-v} t^u y1^v y2^{p-v}
-    combos = [((), 0, Fraction(1))]  # (v-tuple, t-degree, coeff)
-    for c_idx in range(dim):
-        p = p1[c_idx]
-        nxt = []
+_SUBST_CACHE = {}
+
+
+def _collect_subst(out, k, p1, p2, T, coeff, base_tpow):
+    """Substitute y1 -> y2 + t(y1 - y2) in y1^{p1}, integrate t^base_tpow dt
+    over [0, 1] exactly, and accumulate the results.  The expansion of each
+    (p1, base_tpow), as (v, p1 - v, coefficient of y1^v y2^{p1 - v}), is
+    computed once and kept in a module table."""
+    key = (p1, base_tpow)
+    table = _SUBST_CACHE.get(key)
+    if table is None:
+        # per coordinate: (y2 + t(y1-y2))^{p} =
+        #   sum_{v <= u <= p} C(p,u) C(u,v) (-1)^{u-v} t^u y1^v y2^{p-v}
+        combos = [((), 0, 1)]  # (v-tuple, t-degree, coeff)
+        for p in p1:
+            combos = [(v_t + (v,), tdeg + u, cf * comb(p, u) * comb(u, v) * (-1) ** (u - v))
+                      for v_t, tdeg, cf in combos for u in range(p + 1) for v in range(u + 1)]
+        integrals = {}
         for v_t, tdeg, cf in combos:
-            for u in range(p + 1):
-                for v in range(u + 1):
-                    cc = cf * comb(p, u) * comb(u, v) * (-1 if (u - v) % 2 else 1)
-                    nxt.append((v_t + (v,), tdeg + u, cc))
-        combos = nxt
-    for v_t, tdeg, cf in combos:
-        if not cf:
-            continue
-        d = base_tpow + tdeg
-        newp2 = vec_add(p2, vec_sub(p1, v_t))
-        _acc(out, (k, v_t, newp2, T), coeff * cf * Fraction(1, d + 1))
+            _acc(integrals, v_t, Fraction(cf, base_tpow + tdeg + 1))
+        table = _SUBST_CACHE[key] = [(v_t, vec_sub(p1, v_t), c)
+                                     for v_t, c in integrals.items()]
+    for v_t, rest, c in table:
+        _acc(out, (k, v_t, vec_add(p2, rest), T), coeff * c)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +356,8 @@ def _bimodule_terms(ctx: WeylContext, items):
     tensor factor and y^right its last; a zero exponent multiplies nothing."""
     out = {}
     for k, left, val, right, c in items:
+        if not val.terms:
+            continue
         split, join = _FACTORS[type(val)]
         terms = {}
         for key, cv in val.terms.items():
@@ -391,14 +402,13 @@ def _lambda_gen(ctx: WeylContext, T) -> BarChain:
 def bar_to_koszul(ctx: WeylContext, b: BarChain) -> KoszulChain:
     """nu: identity on B_0, nu(g) = h_K(nu(bar_d g)) on interior monomial
     generators (unit first and last slots), extended as a bimodule map."""
-    if b.m == 0:
-        return KoszulChain(b.dim, 0, {(k, ps[0], ps[1], ()): c
-                                      for (k, ps), c in b.terms.items()})
     return KoszulChain(ctx.dim, b.m)._with(_bimodule_terms(ctx, (
         (k, ps[0], _nu_gen(ctx, ps[1:-1]), ps[-1], c) for (k, ps), c in b.terms.items())))
 
 
 def _nu_gen(ctx: WeylContext, betas) -> KoszulChain:
+    if not betas:
+        return KoszulChain(ctx.dim, 0, {(0, _zero(ctx.dim), _zero(ctx.dim), ()): Fraction(1)})
     hit = ctx._nu_cache.get(betas)
     if hit is not None:
         return hit
@@ -412,13 +422,13 @@ def bar_homotopy(ctx: WeylContext, b: BarChain) -> BarChain:
     """rho: zero on B_0, rho(g) = h_B((id - lambda nu) g) - h_B(rho(bar_d g))
     on interior generators, extended as a bimodule map; satisfies
     b - lambda(nu(b)) = bar_d(rho(b)) + rho(bar_d(b))."""
-    if b.m == 0:
-        return BarChain(b.dim, 1, {})
     return BarChain(ctx.dim, b.m + 1)._with(_bimodule_terms(ctx, (
         (k, ps[0], _rho_gen(ctx, ps[1:-1]), ps[-1], c) for (k, ps), c in b.terms.items())))
 
 
 def _rho_gen(ctx: WeylContext, betas) -> BarChain:
+    if not betas:
+        return BarChain(ctx.dim, 1)
     hit = ctx._rho_cache.get(betas)
     if hit is not None:
         return hit
@@ -588,14 +598,16 @@ class MonomialEvaluator:
     each tuple evaluated once.  The dual maps create one per call and drop
     it on return, so no value outlives the call or is shared."""
 
-    __slots__ = ("dim", "arity", "_by_slots", "_values")
+    __slots__ = ("dim", "arity", "_by_first", "_values")
 
     def __init__(self, a: WeylCochain):
         self.dim = a.dim
         self.arity = a.arity
-        self._by_slots = {}
+        # {alpha_1: {(alpha_1..alpha_q): [(k, p, c)]}}, () for arity 0
+        self._by_first = {}
         for (k, p, alphas), c in a.terms.items():
-            self._by_slots.setdefault(alphas, []).append((k, p, c))
+            groups = self._by_first.setdefault(alphas[0] if alphas else (), {})
+            groups.setdefault(alphas, []).append((k, p, c))
         self._values = {}
 
     def __call__(self, betas) -> WSeries:
@@ -605,17 +617,21 @@ class MonomialEvaluator:
         if hit is not None:
             return hit
         out = {}
-        for alphas, terms in self._by_slots.items():
-            f, shift = 1, _zero(self.dim)
-            for al, be in zip(alphas, betas):
-                d = _mono_derivative(al, be)
-                if d is None:
-                    break
-                f *= d[0]
-                shift = vec_add(shift, d[1])
-            else:
-                for k, p, c in terms:
-                    _acc(out, (k, vec_add(p, shift)), c * f)
+        first = betas[0] if betas else ()
+        for sub, groups in self._by_first.items():
+            if not all(map(le, sub, first)):
+                continue
+            for alphas, terms in groups.items():
+                f, shift = 1, _zero(self.dim)
+                for al, be in zip(alphas, betas):
+                    d = _mono_derivative(al, be)
+                    if d is None:
+                        break
+                    f *= d[0]
+                    shift = vec_add(shift, d[1])
+                else:
+                    for k, p, c in terms:
+                        _acc(out, (k, vec_add(p, shift)), c * f)
         hit = self._values[betas] = WSeries(self.dim, out)
         return hit
 
@@ -689,8 +705,7 @@ def nu_hat(ctx: WeylContext, f: PsiElement, arity, rec_cap, order=None) -> WeylC
     """Precompose with nu: the cochain with values f(nu(1 (x) args (x) 1))."""
 
     def fn(betas):
-        chain = bar_to_koszul(ctx, BarChain.interior(ctx.dim, betas))
-        return eval_psi_on_koszul(ctx, f, chain, order)
+        return eval_psi_on_koszul(ctx, f, _nu_gen(ctx, betas), order)
 
     return cochain_from_values(ctx, fn, arity, rec_cap, order)
 
@@ -701,8 +716,7 @@ def rho_hat(ctx: WeylContext, a, rec_cap, order=None) -> WeylCochain:
     a = _evaluator(a)
 
     def fn(betas):
-        chain = bar_homotopy(ctx, BarChain.interior(ctx.dim, betas))
-        return eval_on_bar(ctx, a, chain, order)
+        return eval_on_bar(ctx, a, _rho_gen(ctx, betas), order)
 
     return cochain_from_values(ctx, fn, a.arity - 1, rec_cap, order)
 

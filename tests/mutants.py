@@ -140,6 +140,18 @@ MUTANTS = [
      "c * e if wedge[0] > 0 else -(c * e)",
      "c * e",
      "tests/test_form_operators.py::test_r_commutator_table_matches_the_kernel[curved]"),
+    ("validate-drops-the-domega-term", "weyl.py",
+     "nab = self.omega_lower[j - 1][k - 1].diff(i)",
+     "nab = XPoly.zero(n)",
+     "tests/test_verify.py::test_x_dependent_omega_without_a_connection_is_refused"),
+    ("slot-index-matches-the-first-slot-exactly", "weylhh.py",
+     "if not all(map(le, sub, first)):",
+     "if sub != first:",
+     "tests/test_weylhh.py::test_dual_maps_match_the_replaced_bodies[2-standard]"),
+    ("t-integral-table-keyed-by-p1-only", "weylhh.py",
+     "key = (p1, base_tpow)",
+     "key = p1",
+     "tests/test_weylhh.py::test_t_integral_table_matches_the_per_term_integral"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

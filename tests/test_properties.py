@@ -1,9 +1,10 @@
 """Property tests of identities the seeded suites sample: star
 associativity and tau horizontality on the built-in curved chart, cup
 associativity, the Hodge identity, d o d = 0 for both Hochschild
-differentials, D o D = 0 for the extended Fedosov differential, and GL
+differentials, D o D = 0 for the extended Fedosov differential, GL
 functoriality of the transport of every transported
-type, at orders <= 4.  Examples are
+type, and the three identities of the Weyl cochain homotopy (chi, rho-hat
+and the GL homotopy square), at orders <= 4.  Examples are
 derandomized so every run draws the same inputs."""
 
 import functools
@@ -18,12 +19,13 @@ from fedosov.cochains import (FiberwiseCochain, cup, fedosov_d_cochain, hochschi
                               transport_cochain, transport_form, transport_weyl)
 from fedosov.poly import XPoly
 from fedosov.quantize import StarProduct, solve_r, tau
-from fedosov.verify import _deep_connection, builtin_curved_data
+from fedosov.verify import CHI_WINDOW_FACTOR, _deep_connection, builtin_curved_data
 from fedosov.weyl import (FormWeyl, WeylElement, _matmul, _matrix_inverse, delta,
                           delta_inv, fedosov_D, sigma_project)
 from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain, WeylContext,
-                            WSeries, _subsets, gl_transport, gl_transport_context,
-                            hh_hochschild_d)
+                            WSeries, _subsets, bar_to_koszul, cochain_from_values,
+                            cochain_homotopy, eval_on_bar, gl_transport,
+                            gl_transport_context, hh_hochschild_d, koszul_to_bar, rho_hat)
 
 DIM = 2
 ORDER = 4
@@ -222,3 +224,67 @@ def test_transport_is_functorial(kind, data):
 def test_transport_along_the_identity_is_the_identity(kind, data):
     x = data.draw(TRANSPORTED[kind])
     assert _push(CTX, IDENTITY, x) == x
+
+
+# -- the cochain homotopy of the Weyl algebra -----------------------------------------
+#
+# Inputs of weight <= ORDER with slot degrees in the window; as in the chi
+# suite, the maps run two filtration levels above ORDER (psi_h lowers the
+# weight by one) and the two sides are compared on the window at ORDER.
+
+WINDOW = 2
+REC = CHI_WINDOW_FACTOR * WINDOW
+WORK = ORDER + 2
+WORK_CTX = WeylContext.standard(DIM, WORK)
+window_slots = st.sampled_from([e for e in product(range(WINDOW + 1), repeat=DIM)
+                                if sum(e) <= WINDOW])
+weighted_parts = st.sampled_from([(m, p) for m in (0, 1)
+                                  for p in product(range(ORDER + 1), repeat=DIM)
+                                  if 2 * m + sum(p) <= ORDER])
+
+
+def _window_wcochains(arity):
+    keys = st.tuples(weighted_parts, st.tuples(*[window_slots] * arity)).map(
+        lambda t: t[0] + (t[1],))
+    return st.dictionaries(keys, fractions, min_size=1, max_size=2).map(
+        lambda terms: WeylCochain(DIM, arity, terms))
+
+
+window_wcochains = st.integers(1, 2).flatmap(_window_wcochains)
+
+
+def _on_window(x):
+    return x.restrict(WINDOW).normalize(ORDER)
+
+
+@SETTINGS
+@given(window_wcochains)
+def test_chi_contracts_the_hochschild_complex(a):
+    d, chi = hh_hochschild_d, cochain_homotopy
+    got = d(WORK_CTX, chi(WORK_CTX, a, REC, WORK), WORK) + \
+        chi(WORK_CTX, d(WORK_CTX, a), WINDOW, WORK)
+    assert _on_window(got) == _on_window(a)
+
+
+@SETTINGS
+@given(window_wcochains)
+def test_rho_hat_is_a_homotopy_from_lambda_nu_to_the_identity(a):
+    # a - a(lambda nu) = d rho_hat(a) + rho_hat(d a)
+    def via_koszul(betas):
+        chain = koszul_to_bar(WORK_CTX, bar_to_koszul(WORK_CTX, BarChain.interior(DIM, betas)))
+        return eval_on_bar(WORK_CTX, a, chain)
+
+    d = hh_hochschild_d
+    a_ln = cochain_from_values(WORK_CTX, via_koszul, a.arity, WINDOW, WORK)
+    rhs = d(WORK_CTX, rho_hat(WORK_CTX, a, REC, WORK), WORK) + \
+        rho_hat(WORK_CTX, d(WORK_CTX, a), WINDOW, WORK)
+    assert _on_window(a - a_ln) == _on_window(rhs)
+
+
+@SETTINGS
+@given(window_wcochains, gls)
+def test_chi_commutes_with_gl_transport(a, g):
+    ctx2 = gl_transport_context(WORK_CTX, g)
+    left = gl_transport(WORK_CTX, g, cochain_homotopy(WORK_CTX, a, REC, WORK))
+    right = cochain_homotopy(ctx2, gl_transport(WORK_CTX, g, a), REC, WORK)
+    assert _on_window(left) == _on_window(right)

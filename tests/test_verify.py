@@ -15,7 +15,7 @@ from fedosov import weylhh as hh
 from fedosov.cli import main
 from fedosov.poly import XPoly
 from fedosov.quantize import FedosovData
-from fedosov.weyl import SymplecticChart
+from fedosov.weyl import ChartValidationError, SymplecticChart
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -150,3 +150,12 @@ def test_x_dependent_omega_chart_passes_dsquare():
     assert len(chart.christoffel) == 18
     checks = verify.suite_dsquare(FedosovData(chart, {}, 3), seed=0, samples=10)
     assert checks and all(c.ok for c in checks), [c.id for c in checks if not c.ok]
+
+
+def test_x_dependent_omega_without_a_connection_is_refused():
+    # with no Christoffel symbols nabla_i omega_jk is d_i omega_jk, and the
+    # first nonzero one is d_1 (x4^2 + x1 x3) = x3
+    chart = _x_dependent_omega_chart()
+    bare = SymplecticChart(4, chart.omega_lower, chart.omega_upper, {})
+    with pytest.raises(ChartValidationError, match=r"^nabla_1 omega_\{1,3\} != 0$"):
+        bare.validate()

@@ -1,15 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
+from fedosov import weylhh
+from fedosov.cochains import _multidegrees
+from fedosov.poly import _acc, _mono_derivative
 from fedosov.verify import (rand_bar, rand_fraction, rand_gl, rand_koszul,
                             rand_psi, rand_wcochain)
-from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain,
-                            WeylContext, WSeries, bar_aug, bar_d, bar_h,
-                            bar_homotopy, bar_to_koszul, cochain_from_values,
-                            cochain_homotopy, eval_on_bar, gl_push_theta,
+from fedosov.weyl import vec_add, vec_sub
+from fedosov.weylhh import (BarChain, KoszulChain, MonomialEvaluator, PsiElement,
+                            WeylCochain, WeylContext, WSeries, _collect_subst,
+                            bar_aug, bar_d, bar_h, bar_homotopy, bar_to_koszul,
+                            cochain_from_values, cochain_homotopy, eval_on_bar,
+                            eval_psi_on_koszul, gl_push_theta,
                             gl_transport, gl_transport_context,
                             hh_hochschild_d, hh_reduce, koszul_aug, koszul_d,
                             koszul_h, koszul_to_bar, lambda_hat, nu_hat, psi_d,
@@ -428,6 +434,101 @@ def test_dual_maps_keep_no_values_between_calls():
     b = _matching_bar(rng, a1, 8)
     for a in (a1, a2):
         _assert_dual_maps_match_reference(ctx, a, 3, b)
+
+
+# -- the dual maps against the bodies they replaced -----------------------------
+#
+# rho_hat and nu_hat read the cached generator images, MonomialEvaluator
+# visits only the slot groups whose first slot lies below the tuple's, and
+# koszul_h reads its t-integrals from a module table.  The references are the
+# bodies these replaced: the tuple values through bar_homotopy and
+# bar_to_koszul of BarChain.interior, a scan of every term, and the t-integral
+# taken term by term of the expansion.
+
+def _ref_rho_hat_via_chains(ctx, a, rec_cap, order):
+    def fn(betas):
+        chain = bar_homotopy(ctx, BarChain.interior(ctx.dim, betas))
+        return eval_on_bar(ctx, a, chain, order)
+
+    return cochain_from_values(ctx, fn, a.arity - 1, rec_cap, order)
+
+
+def _ref_nu_hat_via_chains(ctx, f, arity, rec_cap, order):
+    def fn(betas):
+        chain = bar_to_koszul(ctx, BarChain.interior(ctx.dim, betas))
+        return eval_psi_on_koszul(ctx, f, chain, order)
+
+    return cochain_from_values(ctx, fn, arity, rec_cap, order)
+
+
+def _ref_full_scan(a, betas):
+    out = {}
+    for (k, p, alphas), c in a.terms.items():
+        f, shift = 1, (0,) * a.dim
+        for al, be in zip(alphas, betas):
+            d = _mono_derivative(al, be)
+            if d is None:
+                break
+            f *= d[0]
+            shift = vec_add(shift, d[1])
+        else:
+            _acc(out, (k, vec_add(p, shift)), c * f)
+    return WSeries(a.dim, out)
+
+
+def _ref_collect_subst(out, dim, k, p1, p2, T, coeff, base_tpow):
+    combos = [((), 0, Fraction(1))]  # (v-tuple, t-degree, coeff)
+    for c_idx in range(dim):
+        p = p1[c_idx]
+        nxt = []
+        for v_t, tdeg, cf in combos:
+            for u in range(p + 1):
+                for v in range(u + 1):
+                    cc = cf * comb(p, u) * comb(u, v) * (-1 if (u - v) % 2 else 1)
+                    nxt.append((v_t + (v,), tdeg + u, cc))
+        combos = nxt
+    for v_t, tdeg, cf in combos:
+        if not cf:
+            continue
+        d = base_tpow + tdeg
+        newp2 = vec_add(p2, vec_sub(p1, v_t))
+        _acc(out, (k, v_t, newp2, T), coeff * cf * Fraction(1, d + 1))
+
+
+@pytest.mark.parametrize("transported", [False, True], ids=["standard", "transported"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_dual_maps_match_the_replaced_bodies(arity, transported):
+    rng = random.Random(60 + arity)
+    ctx = WeylContext.standard(2, N)
+    if transported:
+        ctx = gl_transport_context(ctx, rand_gl(rng, 2))
+    a = rand_wcochain(rng, ctx, arity, ydeg=2, acap=1, nterms=8, hmin=-1) + WeylCochain(
+        2, arity, {(k, p, ((0, 1),) + ((1, 0),) * (arity - 1)): frac(k - 3, 7)
+                   for k, p in ((-1, (1, 2)), (0, (0, 1)), (1, (1, 1)))})
+    f = rand_psi(rng, ctx, nterms=12)
+    rec_cap = 2
+    tuples = list(product(_multidegrees(2, 3), repeat=arity))
+    # the first pass runs each map on a cold context, before its reference
+    for _ in ("cold", "warm"):
+        assert nu_hat(ctx, f, arity - 1, rec_cap, N) == \
+            _ref_nu_hat_via_chains(ctx, f, arity - 1, rec_cap, N)
+        assert rho_hat(ctx, a, rec_cap, N) == _ref_rho_hat_via_chains(ctx, a, rec_cap, N)
+        ev = MonomialEvaluator(a)
+        for betas in tuples + tuples:
+            assert ev(betas) == _ref_full_scan(a, betas)
+
+
+def test_t_integral_table_matches_the_per_term_integral(monkeypatch):
+    # every p1 meets every base_tpow, in a cold table and then a warm one;
+    # the expansion does not depend on theta, so one table serves every context
+    monkeypatch.setattr(weylhh, "_SUBST_CACHE", {})
+    for _ in ("cold", "warm"):
+        for p1 in _multidegrees(2, 4):
+            for base_tpow in range(4):
+                got, want = {}, {}
+                _collect_subst(got, 1, p1, (1, 0), (2,), frac(3, 5), base_tpow)
+                _ref_collect_subst(want, 2, 1, p1, (1, 0), (2,), frac(3, 5), base_tpow)
+                assert got == want
 
 
 # -- cohomology reduction -----------------------------------------------------------
