@@ -22,7 +22,8 @@ unary - and truth value, so the same lines run with XPoly coefficients here
 and with Fraction coefficients for the constant-theta complex of `weylhh`.
 Cochain operations here group terms by dx subset, call the kernel per block
 or block pair, and wedge the dx blocks in front.  Cup and the product
-cochain (id cup id) run on the Moyal pairing kernel of `weyl`.
+cochain (id cup id) run on the Moyal pairing kernel of `weyl`, which reads
+either kind of coefficient into its own flat integer tables.
 
 A form is an arity-0 cochain, and the cochain terms above are the term
 dicts of `weyl`: a FormWeyl stores the same flat dict with alphas = (),
@@ -696,12 +697,17 @@ def to_local_operator(P: FiberwiseCochain, star_product,
                       validate: bool = True) -> LocalCochainEvaluator:
     """beta: D-closed cochains of exterior degree 0 to local operators.
 
-    At the star product's order N, P held at N + 2 is enough for beta(P).
-    In a cup beta(P) cup beta(P') the side of P is evaluated at order
-    N + 2 neg, neg summing the negative hbar powers of the other side's
-    arguments, so there P held at N + 2 + 2 neg is enough.  Less can do:
-    lifted cochains held at N + 2 gave exact cups, the product cochain
-    held at N + 2 did not."""
+    At the star product's order N, P held at N + 2 is enough for beta(P)
+    on arguments without negative hbar powers.  In a cup beta(P) cup
+    beta(P') the side of P is evaluated at order N + 2 neg, neg summing the
+    negative hbar powers of the other side's arguments, so there P held at
+    N + 2 + 2 neg is enough.  Less can do: lifted cochains held at N + 2
+    gave exact cups, the product cochain held at N + 2 did not.  Known
+    limit: on an argument hbar^k a with k < 0 the arguments are lifted at
+    the depth of their product, which leaves the lift short of the room
+    that P's slot derivatives consume, and the top orders of beta(P) can
+    be wrong (on curved_omega.json at N = 2, beta(A)(hbar^-1 x1) for a
+    lifted A with slot degree 2)."""
     if validate:
         D = fedosov_d_cochain(P, star_product.data.chart, star_product.r)
         if not D.truncate(P.order - 1).is_zero():

@@ -434,6 +434,73 @@ class XPoly:
         return " + ".join(bits)
 
 
+# The flat layout of the kernels: a coefficient as integer numerators
+# {packed x-monomial: int} over one positive denominator, XPoly's own fields
+# for an XPoly and the one monomial 0 for a constant.  Only this module and
+# the kernels that call these helpers see it.
+
+def _flat_terms(terms):
+    """A term dict {key: coefficient} over one common denominator:
+    ([(key, numerators)], denominator, nvars), nvars that of an XPoly
+    coefficient (None when there is none).  An XPoly hands over its own
+    fields, which callers only read; a Fraction or int c is {0: c} over its
+    denominator."""
+    flat = []
+    den, nvars = 1, None
+    for key, c in terms.items():
+        if c.__class__ is XPoly:
+            num, d, nvars = c._num, c._den, c.nvars
+        else:
+            num, d = ({0: c.numerator} if c else {}), c.denominator
+        flat.append((key, num, d))
+        if den % d:
+            den = lcm(den, d)
+    return ([(key, num if d == den else {e: c * (den // d) for e, c in num.items()})
+             for key, num, d in flat], den, nvars)
+
+
+def _unflat(nvars, num, den):
+    """The coefficient sum num[e] / den x^e, normalized once: an XPoly, or
+    for nvars None a Fraction (num then has only the monomial 0)."""
+    if nvars is None:
+        return Fraction(num.get(0, 0), den)
+    if not all(num.values()):
+        num = {e: c for e, c in num.items() if c}
+    return _reduced(nvars, num, den)
+
+
+def _linear_sum(parts):
+    """sum c * v over the parts (c, items) and the pairs (key, v) of items,
+    c a Fraction and v an XPoly: {key: XPoly}, nonzero values only.  The
+    numerators of each key are summed as integers over the common
+    denominator of its terms, and each value is normalized once."""
+    groups = {}
+    for c, items in parts:
+        for key, v in items:
+            hit = groups.get(key)
+            if hit is None:
+                groups[key] = [(c, v)]
+            else:
+                hit.append((c, v))
+    out = {}
+    for key, cvs in groups.items():
+        if len(cvs) == 1:
+            (c, v), = cvs
+            n, den = c.numerator, c.denominator * v._den
+            num = {e: x * n for e, x in v._num.items()}
+        else:
+            den = lcm(*[c.denominator * v._den for c, v in cvs])
+            num = {}
+            for c, v in cvs:
+                f = c.numerator * (den // (c.denominator * v._den))
+                for e, x in v._num.items():
+                    num[e] = num.get(e, 0) + x * f
+        p = _unflat(v.nvars, num, den)
+        if p:
+            out[key] = p
+    return out
+
+
 class HbarScalar(SparseTerms):
     """Laurent polynomial in hbar over Q; exponents bounded below.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cochains import FiberwiseCochain, _fixed_point, _slot_splits
-from .poly import SparseTerms, XPoly, _acc
+from .poly import SparseTerms, XPoly, _acc, _linear_sum
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
                    curvature_R, delta_inv, moyal_product, nabla, sigma_project, vec_add,
                    weyl_curvature_class)
@@ -146,8 +146,12 @@ class StarProduct:
     delta_inv, (1/hbar)[r, .]) is Q[hbar]-linear and never lowers the
     weight 2k + |p|, while multiplying by hbar^k shifts that weight by
     exactly 2k.  So tau of sum c hbar^k x^e at the working order is
-    sum c hbar^k tau(x^e), truncated.  A product that _star_depth sends
-    deeper runs on one deeper instance per depth, with its own r and memo.
+    sum c hbar^k tau(x^e), truncated.  That sum is taken flat
+    (poly._linear_sum): the integer numerators of all its terms on one key
+    (hbar power, y-multidegree) are added over their common denominator,
+    and each coefficient is normalized once, not once per term.  A product
+    that _star_depth sends deeper runs on one deeper instance per depth,
+    with its own r and memo.
     The memo is filled lazily, through tau itself, and grows by one lifted
     element per distinct monomial that an instance meets.
 
@@ -200,14 +204,14 @@ class StarProduct:
         return _sigma_product(sp._lift(a), sp._lift(b), self.data)
 
     def _lift(self, a: WeylElement) -> WeylElement:
-        """tau(a, self.data, self.r), summed from the memoized monomial lifts."""
+        """tau(a, self.data, self.r), summed flat from the memoized monomial
+        lifts."""
         if not a.is_y_free():
             raise ValueError("tau expects an hbar-Laurent polynomial in x (no y)")
-        terms = {}
-        for (k, _), c in a.terms.items():
-            for e, coeff in c.terms.items():
-                for (m, p), v in self._monomial_lift(e).terms.items():
-                    _acc(terms, (m + k, p), v.scale(coeff))
+        terms = _linear_sum([(coeff, [((m + k, p), v) for (m, p), v
+                                      in self._monomial_lift(e).terms.items()])
+                             for (k, _), c in a.terms.items()
+                             for e, coeff in c.terms.items()])
         return WeylElement(a.dim, self.data.order + WORK_HEADROOM, terms)
 
     def _monomial_lift(self, e) -> WeylElement:

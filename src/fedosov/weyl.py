@@ -28,6 +28,12 @@ fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
 dicts {(m, p, alphas): coeff} for every caller: moyal_product and the
 commutators here, cup and the product cochain of `cochains`, and the
 monomial product, cup, product cochain and Koszul homotopy of `weylhh`.
+It runs on flat integer tables for either coefficient type: each
+coefficient (an XPoly, a Fraction or an int) and each omega^{ij} is read as
+integer numerators by packed x-monomial over one denominator, a constant
+being the monomial 0.  The packed x-monomial joins the state key, and each
+pairing level keeps one denominator.  Each output coefficient is built
+once: an XPoly when an input or omega carries one, a Fraction otherwise.
 
 Conventions fixed here and verified by the Hodge-identity tests:
   * delta = dx^i d/dy^i, delta_inv contracts with i(d/dx^k) from the left,
@@ -41,8 +47,9 @@ from __future__ import annotations
 from fractions import Fraction
 from operator import add, sub
 
-from .poly import (GradedTerms, XPoly, _acc, _add_terms, _mono_derivative,
-                   _subst_multidegree, as_fraction)
+from .poly import (_GUARDS, MAX_EXP, ExponentOverflow, GradedTerms, XPoly, _acc, _add_terms,
+                   _flat_terms, _mono_derivative, _subst_multidegree, _unflat,
+                   as_fraction)
 
 # ---------------------------------------------------------------------------
 # small index helpers
@@ -387,41 +394,80 @@ def _derive_targets(seen, p, alphas, slots_ok):
     return hit
 
 
+_OMEGA_LAST = [None, None]  # the content key of the last matrix and its table
+
+
+def _omega_table(omega):
+    """omega^{ij} in the flat layout: ([(i, j, [(x-monomial, numerator)])]
+    for the nonzero entries, one denominator, nvars or None for constant
+    entries).  The table of the last matrix is kept, keyed by content, so a
+    run of calls on one matrix builds it once; comparing the keys takes no
+    hash and compares entries that are the same objects by identity alone.
+    One table is enough: the callers switch matrices about once per
+    transported context, and a table per matrix would grow with them."""
+    key = tuple(map(tuple, omega))
+    if key != _OMEGA_LAST[0]:
+        flat, den, nvars = _flat_terms({(i, j): c for i, row in enumerate(omega)
+                                        for j, c in enumerate(row) if c})
+        _OMEGA_LAST[:] = key, ([(i, j, list(num.items())) for (i, j), num in flat],
+                               den, nvars)
+    return _OMEGA_LAST[1]
+
+
 def _pairing_levels(terms1, terms2, omega, order, odd_only=False):
     """The Moyal pairing exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) of two
     dx-free term dicts {(m, p, alphas): coeff}, one pairing order t at a
-    time: yields (t, {(m, p1, alphas1, p2, alphas2): coeff}), the state
-    before the two factors merge, m including the t new hbar powers.
+    time: (nvars, [(t, den, {(m, p1, alphas1, p2, alphas2, e): int})]), the
+    state before the two factors merge, m including the t new hbar powers.
+
+    The state is flat: each coefficient (XPoly, Fraction or int; see
+    poly._flat_terms) and each omega^{ij} become integer numerators by
+    packed x-monomial e.  A level's numerators share one denominator den:
+    the previous level's times 2t (t on the commutator's first step) times
+    the common denominator of omega.  No coefficient object is built and no
+    gcd is taken inside a level.  nvars is that of an XPoly among the
+    inputs, None when every coefficient is constant.  Every level's
+    x-monomials are checked against the guard bits of the packed fields.
 
     Each d/dy lands on the y-part or on a slot of its factor.  A step never
     lowers the weight 2m + |p1| + |p2|, and raises it by one per slot hit,
     so pairs beyond the order are dropped up front and only slot hits are
     checked against the order.  With odd_only, only the odd orders are
-    yielded, doubled: with an arity-0 factor that is the commutator, as
-    omega is antisymmetric and the order-t part of the swapped product is
-    (-1)^t times this one.  Coefficients are touched only through *, + and
-    truth value, so XPoly and Fraction run the same lines.
+    kept, doubled: with an arity-0 factor that is the commutator, as omega
+    is antisymmetric and the order-t part of the swapped product is
+    (-1)^t times this one.
     """
-    dim = len(omega)
-    pairs = [(i, j, omega[i][j]) for i in range(dim) for j in range(dim)
-             if omega[i][j]]
+    flat1, den1, nv1 = _flat_terms(terms1)
+    flat2, den2, nv2 = _flat_terms(terms2)
+    pairs, wden, nvo = _omega_table(omega)
+    nvars = nv1 if nv1 is not None else nv2 if nv2 is not None else nvo
     state = {}
-    for (m1, p1, al1), c1 in terms1.items():
+    for (m1, p1, al1), num1 in flat1:
         w1 = 2 * m1 + sum(p1)
-        for (m2, p2, al2), c2 in terms2.items():
+        for (m2, p2, al2), num2 in flat2:
             if w1 + 2 * m2 + sum(p2) <= order:
-                _acc(state, (m1 + m2, p1, al1, p2, al2), c1 * c2)
+                for e1, c1 in num1.items():
+                    for e2, c2 in num2.items():
+                        key = (m1 + m2, p1, al1, p2, al2, e1 + e2)
+                        state[key] = state.get(key, 0) + c1 * c2
+    den = den1 * den2
+    levels = []
     seen = {}
     t = 0
-    while state:
+    while True:
+        state = {key: c for key, c in state.items() if c}
+        for key in state:
+            if key[5] & _GUARDS:
+                raise ExponentOverflow(f"a product has an exponent above {MAX_EXP}")
+        if not state:
+            return nvars, levels
         if t % 2 or not odd_only:
-            yield t, state
+            levels.append((t, den, state))
         t += 1
         # the commutator's factor 2 rides on the first pairing step
-        den = t if odd_only and t == 1 else 2 * t
-        weights = {}  # (i, j, integer factor) -> omega^{ij} factor / den
+        den *= (t if odd_only and t == 1 else 2 * t) * wden
         nxt = {}
-        for (m, q1, b1, q2, b2), c in state.items():
+        for (m, q1, b1, q2, b2, e), c in state.items():
             room = order - 2 * m - sum(q1) - sum(q2)
             left = _derive_targets(seen, q1, b1, room > 0)
             right = _derive_targets(seen, q2, b2, room > 0)
@@ -430,21 +476,36 @@ def _pairing_levels(terms1, terms2, omega, order, odd_only=False):
                     for q2n, b2n, f2, l2 in right[j]:
                         if l1 + l2 > room:
                             continue
-                        wkey = (i, j, f1 * f2)
-                        wt = weights.get(wkey)
-                        if wt is None:
-                            wt = weights[wkey] = om * Fraction(f1 * f2, den)
-                        _acc(nxt, (m + 1, q1n, b1n, q2n, b2n), wt * c)
+                        cf = c * f1 * f2
+                        for ew, cw in om:
+                            key = (m + 1, q1n, b1n, q2n, b2n, e + ew)
+                            nxt[key] = nxt.get(key, 0) + cf * cw
         state = nxt
 
 
 def _pair_terms(terms1, terms2, omega, order, odd_only=False):
     """(first factor) o (second factor) on dx-free term dicts, the slots of
-    the first before those of the second."""
+    the first before those of the second.  The levels are rescaled to the
+    last one's denominator and summed as integers; each coefficient is
+    then built once (poly._unflat)."""
+    nvars, levels = _pairing_levels(terms1, terms2, omega, order, odd_only)
+    if not levels:
+        return {}
+    last = levels[-1][1]
+    acc = {}
+    for _, den, state in levels:
+        f = last // den
+        for (m, q1, b1, q2, b2, e), c in state.items():
+            key = (m, vec_add(q1, q2), b1 + b2)
+            num = acc.get(key)
+            if num is None:
+                num = acc[key] = {}
+            num[e] = num.get(e, 0) + c * f
     out = {}
-    for _, state in _pairing_levels(terms1, terms2, omega, order, odd_only):
-        for (m, q1, b1, q2, b2), c in state.items():
-            _acc(out, (m, vec_add(q1, q2), b1 + b2), c)
+    for key, num in acc.items():
+        c = _unflat(nvars, num, last)
+        if c:
+            out[key] = c
     return out
 
 

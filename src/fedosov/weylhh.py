@@ -300,11 +300,12 @@ def koszul_h(ctx: WeylContext, a) -> KoszulChain:
             p1a = vec_sub(p1, unit_vec(dim, kc + 1))
             # D_{-t} D = exp((hbar (1-t)/2) theta^{ij} d/dy1^i d/dy2^j):
             # the s-th pairing order carries (1-t)^s = sum_w C(s,w) (-t)^w
-            for s, state in _pairing_levels({(k, p1a, ()): c0}, {(0, p2, ()): 1},
-                                            ctx.theta, inf):
-                for (ks, pb1, _, pb2, _), cs in state.items():
+            _, levels = _pairing_levels({(k, p1a, ()): c0}, {(0, p2, ()): 1},
+                                        ctx.theta, inf)
+            for s, den, state in levels:
+                for (ks, pb1, _, pb2, _, _), cs in state.items():
                     for w in range(s + 1):
-                        cw = cs * comb(s, w) * (-1 if w % 2 else 1)
+                        cw = Fraction(cs * comb(s, w) * (-1 if w % 2 else 1), den)
                         _collect_subst(out, ks, pb1, pb2, T2, cw, w + tpow_T)
     return KoszulChain(dim, a.m + 1, out)
 

@@ -152,6 +152,19 @@ MUTANTS = [
      "key = (p1, base_tpow)",
      "key = p1",
      "tests/test_weylhh.py::test_t_integral_table_matches_the_per_term_integral"),
+    ("pairing-level-drops-the-one-over-2t", "weyl.py",
+     "den *= (t if odd_only and t == 1 else 2 * t) * wden",
+     "den *= wden",
+     "tests/test_pairing_kernel.py::"
+     "test_flat_kernel_matches_the_object_kernel_on_xpoly_coefficients[curved]"),
+    ("pairing-level-skips-the-guard-check", "weyl.py",
+     "            if key[5] & _GUARDS:",
+     "            if False:",
+     "tests/test_pairing_kernel.py::test_a_pairing_level_beyond_the_packed_field_raises"),
+    ("lift-sum-uses-one-terms-denominator", "poly.py",
+     "den = lcm(*[c.denominator * v._den for c, v in cvs])",
+     "den = cvs[0][0].denominator * cvs[0][1]._den",
+     "tests/test_pairing_kernel.py::test_flat_lift_sum_matches_the_per_term_sum[curved]"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)
