@@ -22,8 +22,10 @@ unary - and truth value, so the same lines run with XPoly coefficients here
 and with Fraction coefficients for the constant-theta complex of `weylhh`.
 Cochain operations here group terms by dx subset, call the kernel per block
 or block pair, and wedge the dx blocks in front.  Cup and the product
-cochain (id cup id) run on the Moyal pairing kernel of `weyl`, which reads
-either kind of coefficient into its own flat integer tables.
+cochain mu = id cup id run on the Moyal pairing kernel of `weyl`, which
+reads either kind of coefficient into its own flat integer tables.  mu and
+its depth exist once for both rings: one table keyed by omega's content
+holds mu (_mu_terms), and the one Hochschild d (_hochschild_terms) sizes it.
 
 A form is an arity-0 cochain, and the cochain terms above are the term
 dicts of `weyl`: a FormWeyl stores the same flat dict with alphas = (),
@@ -291,15 +293,36 @@ def _bracket(ins, P1, P2, zero):
     return out
 
 
-def _hochschild_terms(terms, k, mu, order):
-    """Hochschild differential of arity-k terms, mu the product cochain:
-    (d P)(a_1..a_{k+1}) = a_1 o P(a_2..) - P(a_1 o a_2, ..) + ...
-    + (-)^k P(a_1, .., a_k o a_{k+1}) + (-)^{k+1} P(a_1..a_k) o a_{k+1}."""
+def _hochschild_terms(terms, k, omega, order):
+    """Hochschild differential of arity-k terms, mu the product cochain of
+    omega: (d P)(a_1..a_{k+1}) = a_1 o P(a_2..) - P(a_1 o a_2, ..) + ...
+    + (-)^k P(a_1, .., a_k o a_{k+1}) + (-)^{k+1} P(a_1..a_k) o a_{k+1}.
+    A pairing of weight 2t in mu meets hbar^m in outputs of weight >= 2t + 2m,
+    so mu is read to weight order - 2 min(0, m)."""
+    lowest = min((key[0] for key in terms), default=0)
+    mu = _mu_terms(omega, order - 2 * min(0, lowest))
     out = _insert_terms(mu, 1, terms, order)
     _add_terms(out, _insert_terms(mu, 0, terms, order), (-1) ** (k + 1))
     for j in range(k):
         _add_terms(out, _insert_terms(terms, j, mu, order), (-1) ** (j + 1))
     return out
+
+
+_MU_TABLE = {}
+
+
+def _mu_terms(omega, weight):
+    """id cup id = sum_{2t <= weight} (hbar/2)^t/t! omega^{i1 j1}..omega^{it jt}
+    d^t (x) d^t as dx-free terms in omega's ring (XPoly for a chart, Fraction
+    for a constant theta), built once into a module table keyed by omega's
+    content and the weight; callers only read it."""
+    key = (tuple(map(tuple, omega)), weight)
+    hit = _MU_TABLE.get(key)
+    if hit is None:
+        zero = (0,) * len(omega)
+        ident = {(0, zero, (zero,)): 1}
+        hit = _MU_TABLE[key] = _pair_terms(ident, ident, omega, weight)
+    return hit
 
 
 def _reconstruct(dim, arity, max_deg, order, values, shift):
@@ -381,11 +404,8 @@ def product_cochain(chart_or_theta, dim, order, t_max, cap=None) -> FiberwiseCoc
     """The fiberwise multiplication as a 2-cochain, with Poisson pairings up
     to order t_max: id cup id, that is sum_t (hbar/2)^t/t!
     omega^{i1 j1}..omega^{it jt} d^t (x) d^t."""
-    zero = (0,) * dim
-    ident = {(0, zero, (zero,)): XPoly.const(dim, 1)}
-    terms = _pair_terms(ident, ident, omega_matrix(chart_or_theta, dim),
-                        min(order, 2 * t_max))
-    return FiberwiseCochain(dim, order, 2, {((),) + k: c for k, c in terms.items()}, cap)
+    mu = _mu_terms(omega_matrix(chart_or_theta, dim), min(order, 2 * t_max))
+    return FiberwiseCochain(dim, order, 2, {((),) + k: c for k, c in mu.items()}, cap)
 
 
 def cup(P1: FiberwiseCochain, P2: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
@@ -418,31 +438,12 @@ def gerstenhaber(P1: FiberwiseCochain, P2: FiberwiseCochain) -> FiberwiseCochain
 def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:
     """Fiberwise Hochschild differential with the (-1)^q exterior-degree
     prefactor; equals (-1)^{q+k+1} [mult, P]_G on each exterior component."""
-    t_max = max(0, P.order - min(0, P.filtration_degree()) + 1)
-    # an hbar^m term with m < 0 meets pairings of mu up to weight order - 2m
-    lowest = min(0, P.min_hbar() or 0)
-    mu = _product_terms(chart_or_theta, P.dim, P.order - 2 * lowest, t_max, P.cap)
+    omega = omega_matrix(chart_or_theta, P.dim)
     out = {}
     for S, block in _blocks(P.terms).items():
-        _add_terms(out, _hochschild_terms(block, P.arity, mu, P.order),
+        _add_terms(out, _hochschild_terms(block, P.arity, omega, P.order),
                    (-1) ** len(S), (S,))
     return FiberwiseCochain(P.dim, P.order, P.arity + 1, out, P.cap)
-
-
-_MU_CACHE = {}
-
-
-def _product_terms(chart_or_theta, dim, order, t_max, cap):
-    """The dx-free term dict of product_cochain(chart_or_theta, dim, order,
-    t_max, cap), built once per omega matrix and kept in a module table;
-    callers only read it."""
-    omega = omega_matrix(chart_or_theta, dim)
-    key = (tuple(map(tuple, omega)), dim, order, t_max, cap)
-    hit = _MU_CACHE.get(key)
-    if hit is None:
-        mu = product_cochain(omega, dim, order, t_max, cap)
-        hit = _MU_CACHE[key] = _blocks(mu.terms).get((), {})
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -643,10 +644,12 @@ class LocalCochainEvaluator:
     def _value(self, sp, args) -> WeylElement:
         """sigma(P(tau a_1, .., tau a_k)), exact at the order of the star
         product sp, which may run deeper than self.star_product."""
-        lifted = sp.lifts(*args)
         # sigma keeps only the dx- and y-free part of the value, and only
-        # the dx- and y-free terms of the cochain reach it
-        val = cochain_eval(sigma_cochain(self.cochain), lifted)
+        # the dx- and y-free terms of the cochain reach it; their slots read
+        # the lifts' y^alpha terms (StarProduct.lifts)
+        sigma = sigma_cochain(self.cochain)
+        s = max((sum(al) - 2 * k[1] for k in sigma.terms for al in k[3]), default=0)
+        val = cochain_eval(sigma, sp.lifts(*args, s=s))
         return sigma_project(val).truncate(sp.order)
 
     def cup(self, other: "LocalCochainEvaluator"):
@@ -700,14 +703,12 @@ def to_local_operator(P: FiberwiseCochain, star_product,
     At the star product's order N, P held at N + 2 is enough for beta(P)
     on arguments without negative hbar powers.  In a cup beta(P) cup
     beta(P') the side of P is evaluated at order N + 2 neg, neg summing the
-    negative hbar powers of the other side's arguments, so there P held at
-    N + 2 + 2 neg is enough.  Less can do: lifted cochains held at N + 2
-    gave exact cups, the product cochain held at N + 2 did not.  Known
-    limit: on an argument hbar^k a with k < 0 the arguments are lifted at
-    the depth of their product, which leaves the lift short of the room
-    that P's slot derivatives consume, and the top orders of beta(P) can
-    be wrong (on curved_omega.json at N = 2, beta(A)(hbar^-1 x1) for a
-    lifted A with slot degree 2)."""
+    negative hbar powers of the other side's arguments, and its value is
+    cut at P's order, so there P must be held at N + 2 + 2 neg (lifted
+    cochains too).  The arguments are lifted deep enough for the slots: a
+    term c hbar^m d^alpha_1..d^alpha_k reads y^alpha_i of each lift, so
+    the lifts run max(0, s + 2 neg(args) - 2) orders deeper, s the largest
+    |alpha_i| - 2m of the sigma-part of P."""
     if validate:
         D = fedosov_d_cochain(P, star_product.data.chart, star_product.r)
         if not D.truncate(P.order - 1).is_zero():

@@ -123,12 +123,13 @@ def _neg(factors) -> int:
     return sum(max(0, -(x.min_hbar() or 0)) for x in factors)
 
 
-def _star_depth(*factors: WeylElement) -> int:
+def _star_depth(*factors: WeylElement, s: int = 0) -> int:
     """How far above the contract order N a product of the factors (or the
     lift of one) must run: its weight-N part needs the lift of each factor
     to weight N + 2 neg(the other factors), and the lift of hbar^k x^e,
-    k < 0, at working order W = N + 2 is exact to W + 2k."""
-    return 2 * max(0, _neg(factors) - 1)
+    k < 0, at working order W = N + 2 is exact to W + 2k.  Slots that read
+    y^alpha of the lifts under hbar^m need s = max |alpha| - 2m more."""
+    return max(0, s + 2 * _neg(factors) - 2)
 
 
 def _sigma_product(ta: WeylElement, tb: WeylElement, data: FedosovData) -> WeylElement:
@@ -156,8 +157,9 @@ class StarProduct:
     element per distinct monomial that an instance meets.
 
     StarProduct.lifts owns the depth of a lift taken outside a product: it
-    runs plain tau on the instance that its factors' product would use, so
-    each lift is exact at the contract order.  StarProduct.tau and
+    runs plain tau on the instance that its factors' product would use, s
+    orders deeper for slot derivatives that read s more weight, so each
+    lift is exact at the contract order.  StarProduct.tau and
     LocalCochainEvaluator lift through it.  It is not memoized yet (the
     switch is sp._lift in its one line): bench/worker.py keeps every op's
     inputs, so a beta workload made faster completes more ops and its
@@ -182,10 +184,11 @@ class StarProduct:
                 FedosovData(data.chart, data.omega_series, data.order + depth))
         return sp
 
-    def lifts(self, *factors: WeylElement) -> list:
+    def lifts(self, *factors: WeylElement, s: int = 0) -> list:
         """tau of each factor, exact at the contract order in a product of
-        all of them: plain tau, run _star_depth(*factors) orders deeper."""
-        sp = self._at_depth(_star_depth(*factors))
+        all of them, or under slots that read s more weight: plain tau, run
+        _star_depth(*factors, s=s) orders deeper."""
+        sp = self._at_depth(_star_depth(*factors, s=s))
         return [tau(a, sp.data, sp.r) for a in factors]
 
     def _beside(self, *others: WeylElement) -> "StarProduct":

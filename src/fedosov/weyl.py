@@ -27,7 +27,7 @@ One pairing kernel (_pairing_levels, summed by _pair_terms) runs the
 fiberwise product exp((hbar/2) omega^{ij} d/dy^i (x) d/dz^j) on dx-free term
 dicts {(m, p, alphas): coeff} for every caller: moyal_product and the
 commutators here, cup and the product cochain of `cochains`, and the
-monomial product, cup, product cochain and Koszul homotopy of `weylhh`.
+monomial product, cup and Koszul homotopy of `weylhh`.
 It runs on flat integer tables for either coefficient type: each
 coefficient (an XPoly, a Fraction or an int) and each omega^{ij} is read as
 integer numerators by packed x-monomial over one denominator, a constant

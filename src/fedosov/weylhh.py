@@ -22,18 +22,18 @@ weight 2k + |p| <= order, which is exact for every evaluation at that
 order.  Slot degree |alpha| is never truncated, as that would not commute
 with the Hochschild differential; slot windows apply only to comparisons.
 
-The cochain operations (insertion, cup, bracket, Hochschild d, product
-cochain, evaluation, reconstruction from values) run on the kernel of
-`cochains` with Fraction coefficients: a WeylCochain is a fiberwise cochain
-with no dx part and constant coefficients.  The monomial product, cup,
-product cochain and the Koszul homotopy run on the Moyal pairing kernel of
-`weyl`.  Each of the five types declares its key fields in KEY (the field
-names of io), and GL transport of every one of them is the linear
-substitution of `weyl` over those fields, the one that also transports
-forms and fiberwise cochains.  All five types take their linear structure,
-==, hash and repr from poly.SparseTerms (equal values share the dim, the
-m or arity where the type has one, and the terms), and WSeries and
-WeylCochain their filtration from poly.GradedTerms.
+The cochain operations (insertion, cup, bracket, Hochschild d, evaluation,
+reconstruction from values) run on the kernel of `cochains` with Fraction
+coefficients: a WeylCochain is a fiberwise cochain with no dx part and
+constant coefficients, and its Hochschild d reads mu of theta from the one
+table of `cochains`.  The monomial product, cup and the Koszul homotopy run
+on the Moyal pairing kernel of `weyl`.  Each of the five types declares its
+key fields in KEY (the field names of io), and GL transport of every one of
+them is the linear substitution of `weyl` over those fields, the one that
+also transports forms and fiberwise cochains.  All five types take their
+linear structure, ==, hash and repr from poly.SparseTerms (equal values
+share the dim, the m or arity where the type has one, and the terms), and
+WSeries and WeylCochain their filtration from poly.GradedTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
 MonomialEvaluator that lives for one call and indexes its slot groups by
 their first slot, so that a tuple visits only the groups whose first slot
@@ -84,7 +84,6 @@ class WeylContext:
         self._lambda_cache = {}
         self._nu_cache = {}
         self._rho_cache = {}
-        self._product_cochain = {}
 
     @classmethod
     def standard(cls, dim: int, order: int) -> "WeylContext":
@@ -544,20 +543,6 @@ class WeylCochain(GradedTerms):
         return WSeries(self.dim, _eval_terms(self.terms, [a.terms for a in args]), order)
 
 
-def product_cochain(ctx: WeylContext, t_max: int) -> WeylCochain:
-    """The multiplication of W_theta as a 2-cochain, with pairing order up
-    to t_max: id cup id, that is sum_t (hbar/2)^t/t!
-    theta^{i1 j1}..theta^{it jt} d^t (x) d^t."""
-    hit = ctx._product_cochain.get(t_max)
-    if hit is not None:
-        return hit
-    zero = _zero(ctx.dim)
-    ident = {(0, zero, (zero,)): Fraction(1)}
-    out = WeylCochain(ctx.dim, 2, _pair_terms(ident, ident, ctx.theta, 2 * t_max))
-    ctx._product_cochain[t_max] = out
-    return out
-
-
 def cochain_insert(P1: WeylCochain, i: int, P2: WeylCochain) -> WeylCochain:
     """Insert P2 into slot i (0-based) of P1: the slot derivative
     distributes multinomially over P2's y-part and slots."""
@@ -578,8 +563,7 @@ def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None) -> WeylCochain
     (dPhi)(a_1..a_{q+1}) = a_1 o Phi(a_2..) - Phi(a_1 o a_2, ..) + ...
     + (-)^q Phi(a_1, .., a_q o a_{q+1}) + (-)^{q+1} Phi(a_1..a_q) o a_{q+1}."""
     order = ctx.order if order is None else order
-    t_max = max(0, order - min(0, a.filtration_degree()) + 1)
-    out = _hochschild_terms(a.terms, a.arity, product_cochain(ctx, t_max).terms, order)
+    out = _hochschild_terms(a.terms, a.arity, ctx.theta, order)
     return WeylCochain(ctx.dim, a.arity + 1, out, order)
 
 

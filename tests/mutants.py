@@ -69,7 +69,7 @@ MUTANTS = [
      "if False:",
      "tests/test_cli.py::test_cli_fuzz_bad_invocations_exit_cleanly"),
     ("tau-command-runs-at-the-order", "quantize.py",
-     "sp = self._at_depth(_star_depth(*factors))",
+     "sp = self._at_depth(_star_depth(*factors, s=s))",
      "sp = self._at_depth(0)",
      "tests/test_cli.py::test_tau_command_hbar_power_below_minus_one[hbar^-2*x1*x2]"),
     ("fixed-point-drops-negative-hbar-passes", "cochains.py",
@@ -165,6 +165,15 @@ MUTANTS = [
      "den = lcm(*[c.denominator * v._den for c, v in cvs])",
      "den = cvs[0][0].denominator * cvs[0][1]._den",
      "tests/test_pairing_kernel.py::test_flat_lift_sum_matches_the_per_term_sum[curved]"),
+    ("hochschild-mu-drops-the-negative-hbar-widening", "cochains.py",
+     "mu = _mu_terms(omega, order - 2 * min(0, lowest))",
+     "mu = _mu_terms(omega, order)",
+     "tests/test_cochains.py::test_hochschild_d_widens_mu_for_negative_hbar[fiberwise]"),
+    ("beta-lifts-at-the-product-depth", "cochains.py",
+     "val = cochain_eval(sigma, sp.lifts(*args, s=s))",
+     "val = cochain_eval(sigma, sp.lifts(*args))",
+     "tests/test_cochains.py::test_beta_lifts_arguments_deep_enough_for_the_slots"
+     "[4-alpha0-x1^3*x2]"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

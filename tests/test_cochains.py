@@ -156,24 +156,26 @@ def test_hochschild_d_squares_to_zero():
 
 
 def test_hochschild_d_builds_each_product_cochain_once(monkeypatch):
-    built = []
+    """hochschild_d reads mu from the one module table, which builds each
+    (omega, weight) once whichever form of omega is passed, and whose mu
+    gives what one built afresh gives."""
+    class Counted(dict):
+        builds = 0
 
-    def counted(*args):
-        built.append(args)
-        return product_cochain(*args)
+        def __setitem__(self, key, value):
+            self.builds += 1
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(cochains, "_MU_CACHE", {})
-    monkeypatch.setattr(cochains, "product_cochain", counted)
+    table = Counted()
+    monkeypatch.setattr(cochains, "_MU_TABLE", table)
     P = rand_cochain(random.Random(11), DIM, N, 1, work=WORK)
     first = hochschild_d(P, CURVED)
-    assert len(built) == 1
+    assert table.builds == 1
     assert hochschild_d(P, CURVED) == first
     assert hochschild_d(P, CURVED.omega_upper) == first
-    assert len(built) == 1
-    # the cached mu gives what a product cochain built afresh gives
-    monkeypatch.setattr(cochains, "_MU_CACHE", {})
+    assert table.builds == len(table) == 1
+    monkeypatch.setattr(cochains, "_MU_TABLE", {})
     assert hochschild_d(P, CURVED) == first
-    assert len(built) == 2
 
 
 def test_cup_derivation_rule():
@@ -462,6 +464,32 @@ def test_cup_of_local_operators_for_negative_hbar_powers():
         assert E.cup(E)(*(x.truncate(4) for x in (a, b, c, d))) == want, args
 
 
+def _beta_of_slot_lift(order, alpha, text):
+    """beta(A)(a) on curved_omega.json at the order, A the lift of the
+    seed d^alpha held at order + 2."""
+    data = fio.fedosov_data_from_json(json.loads(CURVED_OMEGA_FILE.read_text()))
+    data.order = order
+    r, sp = _deep_connection(data)
+    A = horizontal_lift_cochain(FiberwiseCochain.single_slot(DIM, order + 2, alpha),
+                                data.chart, r)
+    return to_local_operator(A, sp, validate=False)(fio.parse_poly(text, DIM, order))
+
+
+@pytest.mark.parametrize("order, alpha, text", [
+    (4, (3, 0), "x1^3*x2"), (3, (4, 0), "x1^4*x2"), (2, (2, 0), "hbar^-1*x1^2"),
+    (3, (2, 1), "hbar^-1*x1^2*x2"), (2, (0, 2), "hbar^-2*x2^3")])
+def test_beta_lifts_arguments_deep_enough_for_the_slots(order, alpha, text):
+    """The slot derivative d^alpha reads y^alpha of the lifted argument, so
+    the lift runs |alpha| + 2 neg - 2 orders deeper than the contract
+    order; beta(A)(a) equals the value computed 4 orders deeper."""
+    got = _beta_of_slot_lift(order, alpha, text)
+    assert got == _beta_of_slot_lift(order + 4, alpha, text).truncate(order)
+    if alpha == (3, 0):
+        want = fio.parse_poly("6 x2 - 33/4 x1^2 x2 - 9/2 hbar x2 + 99/16 hbar x1^2 x2"
+                              " - 3/16 hbar^2 x2 + 33/128 hbar^2 x1^2 x2", DIM, order)
+        assert got == want
+
+
 def test_beta_of_unit_cochain(solved_r):
     sp = StarProduct(CURVED_DATA, solved_r.truncate(N + 2))
     one = FiberwiseCochain.from_form(
@@ -678,3 +706,27 @@ def test_hochschild_d_with_negative_hbar_powers():
         want = hh_hochschild_d(ctx, a).normalize(N, N)
         assert hochschild_d(A, ctx.theta).terms == {
             ((),) + k: XPoly.const(DIM, c) for k, c in want.terms.items()}
+
+
+@pytest.mark.parametrize("world", ["fiberwise", "weyl"])
+def test_hochschild_d_widens_mu_for_negative_hbar(world):
+    """d of one term hbar^k y^p d^alpha, k = -4..-1, at orders 0-4 equals d
+    computed 12 orders deeper and truncated: an hbar^k term meets the
+    pairings of mu up to weight order - 2k."""
+    from fedosov.weylhh import WeylCochain, WeylContext, hh_hochschild_d
+
+    ctx = WeylContext.standard(DIM, N)
+    for k in range(-4, 0):
+        for order in range(5):
+            for p in [(0, 0), (1, 0), (0, order - 2 * k)]:
+                key = (k, p, ((1, 1),))
+                if world == "weyl":
+                    a = WeylCochain(DIM, 1, {key: Fraction(1)})
+                    want = hh_hochschild_d(ctx, a, order + 12).normalize(order)
+                    assert hh_hochschild_d(ctx, a, order) == want, (k, order, p)
+                else:
+                    terms = {((),) + key: XPoly.const(DIM, 1)}
+                    P = FiberwiseCochain(DIM, order, 1, terms)
+                    deep = FiberwiseCochain(DIM, order + 12, 1, terms)
+                    want = hochschild_d(deep, CURVED).truncate(order)
+                    assert hochschild_d(P, CURVED) == want, (k, order, p)

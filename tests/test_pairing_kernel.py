@@ -183,10 +183,14 @@ def test_fiberwise_product_cochain_closed_form(order, t_max, cap):
 
 @pytest.mark.parametrize("dim,t_max", [(2, 0), (2, 4), (4, 3)])
 def test_weyl_product_cochain_closed_form(dim, t_max):
+    """The shared mu builder on a constant theta: the closed form, with
+    Fraction coefficients."""
     ctx = (weylhh.WeylContext.standard(2, 6) if dim == 2
            else weylhh.WeylContext(THETA4, 6))
     want = _closed_product(ctx.theta, dim, t_max, Fraction(1))
-    assert weylhh.product_cochain(ctx, t_max).terms == want
+    got = cochains._mu_terms(ctx.theta, 2 * t_max)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.values())
 
 
 # ---------------------------------------------------------------------------
