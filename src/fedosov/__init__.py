@@ -6,7 +6,7 @@ All coefficients are exact rationals; every construction is computed modulo
 the filtration 2*[hbar] + [y] > order and is exact in that quotient.
 """
 
-from .poly import HbarScalar, XPoly
+from .poly import XPoly
 from .weyl import (ChartValidationError, FormWeyl, SymplecticChart,
                    WeylElement, curvature_R, delta, delta_inv, fedosov_D,
                    filtration_degree, graded_commutator, is_central,
@@ -20,13 +20,13 @@ from .cochains import (FiberwiseCochain, LocalCochainEvaluator, cochain_eval,
                        product_cochain, sigma_cochain, to_local_operator,
                        transfer_exactness)
 from .weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain,
-                     WeylContext, WSeries, bar_aug, bar_d, bar_h,
+                     WeylContext, bar_aug, bar_d, bar_h,
                      bar_homotopy, bar_to_koszul, cochain_homotopy,
                      gl_transport, hh_hochschild_d, hh_reduce, koszul_aug,
                      koszul_d, koszul_h, koszul_to_bar, psi_d, psi_h)
 
 __all__ = [
-    "HbarScalar", "XPoly",
+    "XPoly",
     "ChartValidationError", "FormWeyl", "SymplecticChart", "WeylElement",
     "curvature_R", "delta", "delta_inv", "fedosov_D", "filtration_degree",
     "graded_commutator", "is_central", "moyal_product", "nabla",
@@ -39,7 +39,7 @@ __all__ = [
     "nabla_cochain", "product_cochain", "sigma_cochain", "to_local_operator",
     "transfer_exactness",
     "BarChain", "KoszulChain", "PsiElement", "WeylCochain", "WeylContext",
-    "WSeries", "bar_aug", "bar_d", "bar_h", "bar_homotopy", "bar_to_koszul",
+    "bar_aug", "bar_d", "bar_h", "bar_homotopy", "bar_to_koszul",
     "cochain_homotopy", "gl_transport", "hh_hochschild_d", "hh_reduce",
     "koszul_aug", "koszul_d", "koszul_h", "koszul_to_bar", "psi_d", "psi_h",
 ]

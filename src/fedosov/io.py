@@ -266,6 +266,8 @@ def fedosov_data_from_json(doc) -> FedosovData:
     with _schema("Fedosov data"):
         n = _int(doc["dim"])
         order = _int(doc["order"])
+        if order < 0:
+            raise SchemaError(f"order must be >= 0, got {order}")
         lower = _matrix(doc, "omega_lower", n)
         upper = _matrix(doc, "omega_upper", n)
         christoffel = {}
@@ -325,10 +327,12 @@ def term_text(k: int, p, coeff: Fraction, dx=(), x=()) -> str:
 
 
 def weyl_text(w: WeylElement, dx=()) -> str:
+    """The terms of w, an XPoly coefficient monomial by monomial and a
+    constant one as it stands."""
     if not w.terms:
         return "0"
     bits = [term_text(k, p, coeff, dx, e) for (k, p), c in sorted(w.terms.items())
-            for e, coeff in sorted(c.terms.items())]
+            for e, coeff in (sorted(c.terms.items()) if isinstance(c, XPoly) else [((), c)])]
     return " + ".join(bits).replace("+ -", "- ")
 
 

@@ -1,14 +1,16 @@
-"""Exact coefficient arithmetic: multivariate polynomials over Q and Laurent
-polynomials in hbar, the linear structure shared by every sparse type, and
-the two monomial kernels every module calls: linear substitution and the
-derivative d^alpha y^beta.
+"""Exact coefficient arithmetic: multivariate polynomials over Q, the linear
+structure shared by every sparse type, and the two monomial kernels every
+module calls: linear substitution and the derivative d^alpha y^beta.
 
 Every sparse type of the package stores a dictionary {key: coefficient} in
 ``terms``.  SparseTerms gives all of them one add/neg/sub/scale, one
 copy, and one ==, hash and plain repr, under one rule: two values are
 equal when they have the same type, terms and header slots, ``order`` and
-``cap`` aside.  GradedTerms gives the five types graded by Fedosov's
-filtration one order clip, truncation, hbar shift and weight query.
+``cap`` aside.  GradedTerms gives the four types graded by Fedosov's
+filtration one order clip, truncation, hbar shift and weight query.  A
+Laurent polynomial in hbar (a value in C((hbar))) is no type of its own:
+it is a y-free weyl.WeylElement, with XPoly coefficients on a chart or
+Fraction ones at constant theta.
 XPoly, the hottest type, keeps its own exact layout, arithmetic and
 equality: each monomial is one Kronecker-packed int with a fixed field of
 FIELD bits per variable, and the coefficients are integer numerators over
@@ -500,60 +502,3 @@ def _linear_sum(parts):
             out[key] = p
     return out
 
-
-class HbarScalar(SparseTerms):
-    """Laurent polynomial in hbar over Q; exponents bounded below.
-
-    Filtration weight of hbar^k is 2k, so truncation at order N keeps k <= N//2.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for k, c in terms.items():
-                c = as_fraction(c)
-                if c:
-                    clean[int(k)] = c
-        self.terms = clean
-
-    @classmethod
-    def const(cls, c) -> "HbarScalar":
-        return cls({0: as_fraction(c)})
-
-    @classmethod
-    def hbar(cls, k: int = 1, c=1) -> "HbarScalar":
-        return cls({k: as_fraction(c)})
-
-    @property
-    def min_exp(self):
-        return min(self.terms) if self.terms else None
-
-    def __mul__(self, other):
-        if isinstance(other, HbarScalar):
-            terms = {}
-            for k1, c1 in self.terms.items():
-                for k2, c2 in other.terms.items():
-                    _acc(terms, k1 + k2, c1 * c2)
-            return HbarScalar(terms)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def truncate(self, order: int) -> "HbarScalar":
-        return HbarScalar({k: c for k, c in self.terms.items() if 2 * k <= order})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                bits.append(f"{c}")
-            elif k == 1:
-                bits.append(f"{c}*hbar")
-            else:
-                bits.append(f"{c}*hbar^{k}")
-        return " + ".join(bits)

@@ -609,8 +609,8 @@ def suite_psi(dim=2, order=6, seed=0, samples=50):
         a = rand_psi(rng, ctx)
 
         def homot(a=a):
-            z = hh.PsiElement(ctx.dim, {(k, (0,) * ctx.dim, ()): c
-                                        for k, c in a.constant_part().terms.items()})
+            z = hh.PsiElement(ctx.dim, {(k, p, ()): c
+                                        for (k, p), c in a.constant_part().terms.items()})
             got = z + hh.psi_d(ctx, hh.psi_h(ctx, a)) + hh.psi_h(ctx, hh.psi_d(ctx, a))
             return _equal(got, a)
 

@@ -104,7 +104,9 @@ def contract_index(k: int, S: tuple):
 
 
 class WeylElement(GradedTerms):
-    """Section of the Weyl bundle: {(hbar_exp, y_multidegree): XPoly}."""
+    """Section of the Weyl bundle: {(hbar_exp, y_multidegree): coefficient},
+    the coefficient an XPoly on a chart or a Fraction at constant theta (an
+    element of the Weyl algebra W itself).  order None keeps every term."""
 
     __slots__ = ("dim", "order", "terms")
     KEY = ("hbar", "ydeg")
@@ -147,7 +149,7 @@ class WeylElement(GradedTerms):
         for (k, p), c in self.terms.items():
             d = _mono_derivative(alpha, p)
             if d is not None:
-                terms[(k, d[1])] = c.scale(d[0])
+                terms[(k, d[1])] = c * d[0]
         return self._with(terms)
 
     def at_y_zero(self) -> "WeylElement":

@@ -4,11 +4,15 @@ comparison maps, the reduced complex on anticommuting psi variables, the
 induced cochain homotopy, and GL(2n, Q) transport.
 
 Representations (all coefficients exact rationals):
-  WSeries     {(hbar_exp, y_multidegree): Fraction}          element of W
+  WeylElement {(hbar_exp, y_multidegree): Fraction}          element of W
   BarChain    {(hbar_exp, (p_1..p_{m+2})): Fraction}         element of B_m
   KoszulChain {(hbar_exp, p1, p2, C_subset): Fraction}       element of K_m
   PsiElement  {(hbar_exp, p, psi_subset): Fraction}          element of W[psi]
   WeylCochain {(hbar_exp, p, (alpha_1..alpha_q)): Fraction}  arity-q cochain
+
+An element of W is the WeylElement of a chart with Fraction coefficients
+in place of XPoly ones, its order None (no clip) unless a producer clips it
+at the context's order; its y-free part is its value in C((hbar)).
 
 Anticommuting indices (C, psi) are stored strictly increasing; left
 derivatives and left multiplication fix all signs.  The bar differential
@@ -30,10 +34,10 @@ table of `cochains`.  The monomial product, cup and the Koszul homotopy run
 on the Moyal pairing kernel of `weyl`.  Each of the five types declares its
 key fields in KEY (the field names of io), and GL transport of every one of
 them is the linear substitution of `weyl` over those fields, the one that
-also transports forms and fiberwise cochains.  All five types take their
-linear structure, ==, hash and repr from poly.SparseTerms (equal values
-share the dim, the m or arity where the type has one, and the terms), and
-WSeries and WeylCochain their filtration from poly.GradedTerms.
+also transports forms and fiberwise cochains.  The four types defined here
+take their linear structure, ==, hash and repr from poly.SparseTerms (equal
+values share the dim, the m or arity where the type has one, and the
+terms), and WeylCochain its filtration from poly.GradedTerms.
 The dual maps evaluate a cochain only on monomial tuples, through a
 MonomialEvaluator that lives for one call and indexes its slot groups by
 their first slot, so that a tuple visits only the groups whose first slot
@@ -56,10 +60,10 @@ from math import comb, inf
 from operator import le
 
 from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
-from .poly import GradedTerms, HbarScalar, SparseTerms, _acc, _mono_derivative, as_fraction
-from .weyl import (_asymmetric_at, _matmul, _matrix_inverse, _pair_terms, _pairing_levels,
-                   _subst_terms, _transpose, contract_index, prepend_index, unit_vec,
-                   vec_add, vec_sub)
+from .poly import GradedTerms, SparseTerms, XPoly, _acc, _mono_derivative, as_fraction
+from .weyl import (WeylElement, _asymmetric_at, _matmul, _matrix_inverse, _pair_terms,
+                   _pairing_levels, _subst_terms, _transpose, contract_index, prepend_index,
+                   unit_vec, vec_add, vec_sub)
 
 ZERO = Fraction(0)
 
@@ -107,42 +111,9 @@ class WeylContext:
         return out
 
 
-# ---------------------------------------------------------------------------
-# W-series
-
-
-class WSeries(GradedTerms):
-    """Element of the Weyl algebra: {(hbar_exp, y_multidegree): Fraction}."""
-
-    __slots__ = ("dim", "terms")
-    KEY = ("hbar", "ydeg")
-
-    def __init__(self, dim, terms=None, order=None):
-        self.dim = dim
-        self.terms = self._clip(terms or {}, order)
-
-    @classmethod
-    def monomial(cls, dim, p, c=1, k=0):
-        return cls(dim, {(k, tuple(p)): as_fraction(c)})
-
-    @classmethod
-    def const(cls, dim, c=1):
-        return cls(dim, {(0, _zero(dim)): as_fraction(c)})
-
-    def weyl_mul(self, other, ctx: WeylContext, order=None):
-        """Moyal-type product in W_theta."""
-        terms = {}
-        for (k1, p1), c1 in self.terms.items():
-            for (k2, p2), c2 in other.terms.items():
-                for (t, p), cp in ctx.mono_product(p1, p2).items():
-                    _acc(terms, (k1 + k2 + t, p), c1 * c2 * cp)
-        return WSeries(self.dim, terms, order)
-
-    def hbar_scalar(self):
-        """The y-free part as an HbarScalar; raises if y-dependence remains."""
-        if not self.is_y_free():
-            raise ValueError("series has y-dependence")
-        return HbarScalar({k: c for (k, _), c in self.terms.items()})
+def _unit(dim) -> WeylElement:
+    """1 in W, the value of both augmentations on 1 (x) 1."""
+    return WeylElement(dim, None, {(0, _zero(dim)): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -184,20 +155,20 @@ def bar_d(ctx: WeylContext, b: BarChain) -> BarChain:
     return BarChain(b.dim, b.m - 1, out)
 
 
-def bar_aug(ctx: WeylContext, b: BarChain) -> WSeries:
+def bar_aug(ctx: WeylContext, b: BarChain) -> WeylElement:
     """Augmentation B_0 -> W: the bimodule map sending 1 (x) 1 to 1, that is
     the Weyl product of the two slots."""
     if b.m != 0:
         raise ValueError("augmentation lives on B_0")
-    one = WSeries.const(b.dim)
-    return WSeries(b.dim, _bimodule_terms(ctx, ((k, ps[0], one, ps[1], c)
-                                                for (k, ps), c in b.terms.items())))
+    one = _unit(b.dim)
+    return WeylElement(b.dim, None, _bimodule_terms(
+        ctx, ((k, ps[0], one, ps[1], c) for (k, ps), c in b.terms.items())))
 
 
 def bar_h(b) -> BarChain:
     """Contracting homotopy: insert a fresh constant first slot.  Accepts a
-    BarChain (B_{m-1} -> B_m) or a WSeries (W -> B_0)."""
-    if isinstance(b, WSeries):
+    BarChain (B_{m-1} -> B_m) or a WeylElement (W -> B_0)."""
+    if isinstance(b, WeylElement):
         return BarChain(b.dim, 0,
                         {(k, (_zero(b.dim), p)): c for (k, p), c in b.terms.items()})
     out = {}
@@ -263,14 +234,14 @@ def koszul_d(ctx: WeylContext, a: KoszulChain) -> KoszulChain:
     return KoszulChain(dim, a.m - 1, out)
 
 
-def koszul_aug(ctx: WeylContext, a: KoszulChain) -> WSeries:
+def koszul_aug(ctx: WeylContext, a: KoszulChain) -> WeylElement:
     """Augmentation K_0 = W (x) W^op -> W: the bimodule map sending 1 (x) 1
     to 1, that is the Weyl product of the factors."""
     if a.m != 0:
         raise ValueError("augmentation lives on K_0")
-    one = WSeries.const(a.dim)
-    return WSeries(a.dim, _bimodule_terms(ctx, ((k, p1, one, p2, c)
-                                                for (k, p1, p2, _), c in a.terms.items())))
+    one = _unit(a.dim)
+    return WeylElement(a.dim, None, _bimodule_terms(
+        ctx, ((k, p1, one, p2, c) for (k, p1, p2, _), c in a.terms.items())))
 
 
 def koszul_h(ctx: WeylContext, a) -> KoszulChain:
@@ -279,9 +250,9 @@ def koszul_h(ctx: WeylContext, a) -> KoszulChain:
     h(a) = C^k  int_0^1 dt (D_{-t} D d/dy1^k a)(hbar, y2 + t(y1-y2), y2, tC)
 
     with D = exp((hbar/2) theta^{ij} d/dy1^i d/dy2^j); the t-integral is the
-    exact per-monomial division.  Accepts a KoszulChain or a WSeries (the
+    exact per-monomial division.  Accepts a KoszulChain or a WeylElement (the
     W -> K_0 insertion w |-> w(y2))."""
-    if isinstance(a, WSeries):
+    if isinstance(a, WeylElement):
         return KoszulChain(a.dim, 0,
                            {(k, _zero(a.dim), p, ()): c for (k, p), c in a.terms.items()})
     dim = a.dim
@@ -339,10 +310,10 @@ def _collect_subst(out, k, p1, p2, T, coeff, base_tpow):
 # comparison maps lambda, nu and the homotopy rho
 
 
-# each type's term key as (hbar_exp, tensor factors, rest) and back; a
-# WSeries has one tensor factor, so both outer actions multiply it
+# each type's term key as (hbar_exp, tensor factors, rest) and back; an
+# element of W has one tensor factor, so both outer actions multiply it
 _FACTORS = {
-    WSeries: (lambda key: (key[0], key[1:], ()), lambda k, ps, rest: (k,) + ps),
+    WeylElement: (lambda key: (key[0], key[1:], ()), lambda k, ps, rest: (k,) + ps),
     BarChain: (lambda key: (key[0], key[1], ()), lambda k, ps, rest: (k, ps)),
     KoszulChain: (lambda key: (key[0], key[1:3], key[3]),
                   lambda k, ps, rest: (k,) + ps + (rest,)),
@@ -352,7 +323,7 @@ _FACTORS = {
 def _bimodule_terms(ctx: WeylContext, items):
     """The bimodule extension: the term dict of the sum of
     hbar^k c  y^left o val o y^right  over items (k, left, val, right, c),
-    val a BarChain, KoszulChain or WSeries.  y^left multiplies val's first
+    val a BarChain, KoszulChain or WeylElement.  y^left multiplies val's first
     tensor factor and y^right its last; a zero exponent multiplies nothing."""
     out = {}
     for k, left, val, right, c in items:
@@ -453,11 +424,11 @@ class PsiElement(SparseTerms):
         self.dim = dim
         self.terms = {key: c for key, c in (terms or {}).items() if c}
 
-    def constant_part(self) -> HbarScalar:
-        """Terms with y = psi = 0."""
+    def constant_part(self) -> WeylElement:
+        """Terms with y = psi = 0, as a y-free element of W."""
         z = _zero(self.dim)
-        return HbarScalar({k: c for (k, p, T), c in self.terms.items()
-                           if p == z and not T})
+        return WeylElement(self.dim, None, {(k, p): c for (k, p, T), c in self.terms.items()
+                                            if p == z and not T})
 
 
 def psi_d(ctx: WeylContext, a: PsiElement) -> PsiElement:
@@ -512,35 +483,33 @@ class WeylCochain(GradedTerms):
     __slots__ = ("dim", "arity", "terms")
     KEY = ("hbar", "ydeg", "slots")
 
-    def __init__(self, dim, arity, terms=None, order=None, cap=None):
+    def __init__(self, dim, arity, terms=None, order=None):
         self.dim = dim
         self.arity = arity
         terms = terms or {}
         if any(len(key[2]) != arity for key, c in terms.items() if c):
             raise ValueError("wrong arity")
-        clean = self._clip(terms, order)
-        if cap is not None:
-            clean = {key: c for key, c in clean.items()
-                     if all(sum(al) <= cap for al in key[2])}
-        self.terms = clean
+        self.terms = self._clip(terms, order)
 
-    def as_wseries(self) -> WSeries:
+    def as_wseries(self) -> WeylElement:
+        """The arity-0 cochain as the element of W it multiplies by."""
         if self.arity != 0:
             raise ValueError("not an arity-0 cochain")
-        return WSeries(self.dim, {(k, p): c for (k, p, _), c in self.terms.items()})
+        return WeylElement(self.dim, None, {(k, p): c for (k, p, _), c in self.terms.items()})
 
-    def normalize(self, order, cap=None):
-        return WeylCochain(self.dim, self.arity, self.terms, order, cap)
+    # the weight window of a comparison, under the name its callers use
+    normalize = GradedTerms.truncate
 
     def restrict(self, cap):
         """Keep terms with every |alpha_s| <= cap (window comparison)."""
-        return WeylCochain(self.dim, self.arity, self.terms, None, cap)
+        return self._with({key: c for key, c in self.terms.items()
+                           if all(sum(al) <= cap for al in key[2])})
 
-    def eval(self, args, order=None) -> WSeries:
-        """Evaluate on WSeries arguments."""
+    def eval(self, args, order=None) -> WeylElement:
+        """Evaluate on elements of W."""
         if len(args) != self.arity:
             raise ValueError("arity mismatch")
-        return WSeries(self.dim, _eval_terms(self.terms, [a.terms for a in args]), order)
+        return WeylElement(self.dim, order, _eval_terms(self.terms, [a.terms for a in args]))
 
 
 def cochain_insert(P1: WeylCochain, i: int, P2: WeylCochain) -> WeylCochain:
@@ -595,7 +564,7 @@ class MonomialEvaluator:
             groups.setdefault(alphas, []).append((k, p, c))
         self._values = {}
 
-    def __call__(self, betas) -> WSeries:
+    def __call__(self, betas) -> WeylElement:
         """a(y^{beta_1}, .., y^{beta_q}): each term with every
         alpha_s <= beta_s, times prod_s beta_s!/(beta_s - alpha_s)!."""
         hit = self._values.get(betas)
@@ -617,7 +586,7 @@ class MonomialEvaluator:
                 else:
                     for k, p, c in terms:
                         _acc(out, (k, vec_add(p, shift)), c * f)
-        hit = self._values[betas] = WSeries(self.dim, out)
+        hit = self._values[betas] = WeylElement(self.dim, None, out)
         return hit
 
 
@@ -625,7 +594,7 @@ def _evaluator(a) -> MonomialEvaluator:
     return a if isinstance(a, MonomialEvaluator) else MonomialEvaluator(a)
 
 
-def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WSeries:
+def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WeylElement:
     """The bimodule map Hom(B_q, W) attached to a (a WeylCochain or its
     MonomialEvaluator), evaluated on b:
     hbar^k y^{p_1} o a(middle slots) o y^{p_{q+2}}."""
@@ -634,20 +603,20 @@ def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WSeries:
         raise ValueError("bar degree must match cochain arity")
     terms = _bimodule_terms(ctx, ((k, ps[0], a(ps[1:-1]), ps[-1], c)
                                   for (k, ps), c in b.terms.items()))
-    return WSeries(ctx.dim, terms, ctx.order if order is None else order)
+    return WeylElement(ctx.dim, ctx.order if order is None else order, terms)
 
 
 def eval_psi_on_koszul(ctx: WeylContext, f: PsiElement, kappa: KoszulChain,
-                       order=None) -> WSeries:
+                       order=None) -> WeylElement:
     """Evaluate f in W[psi] = Hom(K, W) on a Koszul chain:
     f(hbar^k y^{p1} y^{p2} C^T) = hbar^k y^{p1} o w_T o y^{p2}."""
     coeffs = {}
     for (k, p, T), c in f.terms.items():
         coeffs.setdefault(T, {})[(k, p)] = c
-    w = {T: WSeries(ctx.dim, terms) for T, terms in coeffs.items()}
+    w = {T: WeylElement(ctx.dim, None, terms) for T, terms in coeffs.items()}
     terms = _bimodule_terms(ctx, ((k, p1, w[T], p2, c)
                                   for (k, p1, p2, T), c in kappa.terms.items() if T in w))
-    return WSeries(ctx.dim, terms, ctx.order if order is None else order)
+    return WeylElement(ctx.dim, ctx.order if order is None else order, terms)
 
 
 def lambda_hat(ctx: WeylContext, a, order=None) -> PsiElement:
@@ -719,14 +688,17 @@ def cochain_homotopy(ctx: WeylContext, a: WeylCochain, rec_cap, order=None) -> W
 
 
 def hh_reduce(ctx: WeylContext, a: WeylCochain, rec_cap=None):
-    """For a cocycle: arity 0 -> its central value in C((hbar)); arity >= 1
-    -> an exactness witness chi(a) with d chi(a) = a."""
+    """For a cocycle: arity 0 -> its central value in C((hbar)), a y-free
+    element of W; arity >= 1 -> an exactness witness chi(a) with
+    d chi(a) = a."""
     d = hh_hochschild_d(ctx, a)
     if not d.is_zero():
         raise ValueError("input is not a Hochschild cocycle")
     if a.arity == 0:
         w = a.as_wseries()
-        return w.hbar_scalar()
+        if not w.is_y_free():
+            raise ValueError("series has y-dependence")
+        return w
     rec_cap = ctx.order if rec_cap is None else rec_cap
     return cochain_homotopy(ctx, a, rec_cap)
 
@@ -749,8 +721,13 @@ def gl_transport(ctx: WeylContext, g, obj):
     by the substitution of its key fields (weyl._subst_terms): y-variables
     by g^{-1} in every copy, C like y, psi (dual to C) and the slots
     contravariantly by g^T; functorial in g.  A WeylCochain is normalized
-    at ctx.order, which drops exactly what the order drops from its values."""
-    if not isinstance(obj, (WSeries, BarChain, KoszulChain, PsiElement, WeylCochain)):
+    at ctx.order, which drops exactly what the order drops from its values.
+    A WeylElement with XPoly coefficients is a chart's section, not an
+    element of W (cochains.transport_weyl moves its x too)."""
+    chart_section = isinstance(obj, WeylElement) and any(
+        c.__class__ is XPoly for c in obj.terms.values())
+    if chart_section or not isinstance(
+            obj, (WeylElement, BarChain, KoszulChain, PsiElement, WeylCochain)):
         raise TypeError(f"cannot transport {type(obj).__name__}")
     out = obj._with(_subst_terms(obj.KEY, obj.terms, _matrix_inverse(g), _transpose(g)))
     return out.normalize(ctx.order) if isinstance(obj, WeylCochain) else out

@@ -174,6 +174,10 @@ MUTANTS = [
      "val = cochain_eval(sigma, sp.lifts(*args))",
      "tests/test_cochains.py::test_beta_lifts_arguments_deep_enough_for_the_slots"
      "[4-alpha0-x1^3*x2]"),
+    ("augmentation-unit-is-two", "weylhh.py",
+     "return WeylElement(dim, None, {(0, _zero(dim)): Fraction(1)})",
+     "return WeylElement(dim, None, {(0, _zero(dim)): Fraction(2)})",
+     "tests/test_weylhh.py::test_bimodule_maps_match_term_by_term_products"),
 ]
 
 _FAILED = re.compile(r"^FAILED (\S+)", re.M)

@@ -311,6 +311,7 @@ def _bad_data_files(tmp_path):
         # numeric string or boolean
         "order-fraction": lambda d: d.update(order=2.9),
         "order-bool": lambda d: d.update(order=True),
+        "order-negative": lambda d: d.update(order=-1),
         "dim-numeric-text": lambda d: d.update(dim="2"),
         "christoffel-fractional-exponent": lambda d: d["christoffel"][0]["poly"][0]
         .__setitem__("exps", [0.5, 1]),

@@ -186,7 +186,7 @@ def _ref_wseries_transport(w, M):
     for (k, p), c in w.terms.items():
         for mono, f in _ref_subst(p, M).items():
             out[(k, mono)] = out.get((k, mono), 0) + c * f
-    return weylhh.WSeries(w.dim, out)
+    return WeylElement(w.dim, None, out)
 
 
 def _ref_gl_transport(ctx, g, a):
@@ -195,7 +195,7 @@ def _ref_gl_transport(ctx, g, a):
     ginv = _matrix_inverse(g)
 
     def fn(betas):
-        args = [_ref_wseries_transport(weylhh.WSeries.monomial(ctx.dim, b), g)
+        args = [_ref_wseries_transport(WeylElement(ctx.dim, None, {(0, b): Fraction(1)}), g)
                 for b in betas]
         return _ref_wseries_transport(a.eval(args), ginv).truncate(ctx.order)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedosov.poly import MAX_EXP, ExponentOverflow, HbarScalar, XPoly, _mono_derivative
+from fedosov.poly import MAX_EXP, ExponentOverflow, XPoly, _mono_derivative
 from fedosov.quantize import _diff_x
 
 
@@ -83,20 +83,6 @@ def test_xpoly_substitute_linear_matches_repeated_products(dim):
                     term = term * row
             want = want + term
         assert p.substitute_linear(m) == want
-
-
-def test_hbar_scalar_laurent():
-    a = HbarScalar({-1: Fraction(1, 2), 2: Fraction(3)})
-    b = HbarScalar({1: Fraction(2)})
-    assert (a * b).terms == {0: Fraction(1), 3: Fraction(6)}
-    assert a.min_exp == -1
-    assert (a - a).is_zero()
-    assert a.truncate(2).terms == {-1: Fraction(1, 2)}  # weight 2k <= 2
-
-
-def test_hbar_scalar_rejects_garbage():
-    with pytest.raises(TypeError):
-        HbarScalar({0: 1.5})
 
 
 # -- XPoly against a reference dict-of-Fraction polynomial ------------------------

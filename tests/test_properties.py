@@ -31,7 +31,7 @@ from fedosov.verify import (CHI_WINDOW_FACTOR, _deep_connection, _signed, builti
 from fedosov.weyl import (FormWeyl, WeylElement, _matmul, _matrix_inverse, delta,
                           delta_inv, fedosov_D, sigma_project)
 from fedosov.weylhh import (BarChain, KoszulChain, PsiElement, WeylCochain, WeylContext,
-                            WSeries, _subsets, bar_to_koszul, cochain_from_values,
+                            _subsets, bar_to_koszul, cochain_from_values,
                             cochain_homotopy, eval_on_bar, gerstenhaber_w, gl_transport,
                             gl_transport_context, hh_hochschild_d, koszul_to_bar, rho_hat)
 
@@ -312,7 +312,9 @@ TRANSPORTED = {
                   lambda terms: WeylElement(DIM, ORDER, terms)),
     "form": _forms(ORDER),
     "cochain": st.integers(0, 2).flatmap(lambda k: _cochains(k, ORDER)),
-    "wseries": _sums(st.tuples(hbars, exps), fractions, lambda terms: WSeries(DIM, terms)),
+    # an element of W: a WeylElement with Fraction coefficients
+    "wseries": _sums(st.tuples(hbars, exps), fractions,
+                     lambda terms: WeylElement(DIM, None, terms)),
     "bar": st.integers(0, 1).flatmap(lambda m: _sums(
         st.tuples(hbars, st.tuples(*[exps] * (m + 2))), fractions,
         lambda terms: BarChain(DIM, m, terms))),
@@ -326,9 +328,11 @@ TRANSPORTED = {
 
 
 def _push(ctx, g, x):
-    """x pushed along g by the transport of its type."""
+    """x pushed along g by the transport of its type; a WeylElement moves
+    with its chart's x when it has XPoly coefficients, and by gl_transport
+    as an element of W when they are Fractions."""
     ginv = _matrix_inverse(g)
-    if isinstance(x, WeylElement):
+    if isinstance(x, WeylElement) and any(isinstance(c, XPoly) for c in x.terms.values()):
         return transport_weyl(x, ginv)
     if isinstance(x, FormWeyl):
         return transport_form(x, ginv)

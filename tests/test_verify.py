@@ -15,7 +15,7 @@ from fedosov import weylhh as hh
 from fedosov.cli import main
 from fedosov.poly import XPoly
 from fedosov.quantize import FedosovData
-from fedosov.weyl import ChartValidationError, SymplecticChart
+from fedosov.weyl import ChartValidationError, SymplecticChart, WeylElement
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,7 +28,7 @@ def test_failing_check_witness_is_the_serialized_difference(monkeypatch):
         return drawn[-1]
 
     def zero_homotopy(ctx, a):
-        return hh.KoszulChain(a.dim, 0 if isinstance(a, hh.WSeries) else a.m + 1)
+        return hh.KoszulChain(a.dim, 0 if isinstance(a, WeylElement) else a.m + 1)
 
     monkeypatch.setattr(verify, "rand_koszul", draw)
     monkeypatch.setattr(hh, "koszul_h", zero_homotopy)

@@ -7,12 +7,12 @@ import pytest
 
 from fedosov import weylhh
 from fedosov.cochains import _multidegrees
-from fedosov.poly import _acc, _mono_derivative
+from fedosov.poly import XPoly, _acc, _mono_derivative
 from fedosov.verify import (rand_bar, rand_fraction, rand_gl, rand_koszul,
                             rand_psi, rand_wcochain)
-from fedosov.weyl import vec_add, vec_sub
+from fedosov.weyl import WeylElement, vec_add, vec_sub
 from fedosov.weylhh import (BarChain, KoszulChain, MonomialEvaluator, PsiElement,
-                            WeylCochain, WeylContext, WSeries, _collect_subst,
+                            WeylCochain, WeylContext, _collect_subst,
                             bar_aug, bar_d, bar_h, bar_homotopy, bar_to_koszul,
                             cochain_from_values, cochain_homotopy, eval_on_bar,
                             eval_psi_on_koszul, gl_push_theta,
@@ -29,14 +29,29 @@ def frac(a, b=1):
     return Fraction(a, b)
 
 
+def _mono(dim, p, c=1, k=0):
+    """c hbar^k y^p, an element of W."""
+    return WeylElement(dim, None, {(k, tuple(p)): Fraction(c)})
+
+
+def _weyl_mul(ctx, a, b):
+    """The theta-Weyl product of two elements of W, term by term over
+    ctx.mono_product: the reference product of the bimodule tests."""
+    terms = {}
+    for (k1, p1), c1 in a.terms.items():
+        for (k2, p2), c2 in b.terms.items():
+            for (t, p), cp in ctx.mono_product(p1, p2).items():
+                _acc(terms, (k1 + k2 + t, p), c1 * c2 * cp)
+    return WeylElement(a.dim, None, terms)
+
+
 # -- the Weyl product ---------------------------------------------------------
 
 def test_wseries_product():
-    y1 = WSeries.monomial(2, (1, 0))
-    y2 = WSeries.monomial(2, (0, 1))
-    got = y1.weyl_mul(y2, CTX)
+    y1, y2 = _mono(2, (1, 0)), _mono(2, (0, 1))
+    got = _weyl_mul(CTX, y1, y2)
     assert got.terms == {(0, (1, 1)): frac(1), (1, (0, 0)): frac(1, 2)}
-    comm = got - y2.weyl_mul(y1, CTX)
+    comm = got - _weyl_mul(CTX, y2, y1)
     assert comm.terms == {(1, (0, 0)): frac(1)}
 
 
@@ -65,7 +80,7 @@ def test_bar_h_examples():
     one = BarChain(2, 0, {(0, ((0, 0), (0, 0))): frac(1)})
     lifted = bar_h(one)
     assert lifted.m == 1 and lifted.terms == {(0, ((0, 0), (0, 0), (0, 0))): frac(1)}
-    w = WSeries.monomial(2, (1, 1), 3)
+    w = _mono(2, (1, 1), 3)
     assert bar_h(w).terms == {(0, ((0, 0), (1, 1))): frac(3)}
 
 
@@ -174,10 +189,7 @@ def test_rho_identity_on_lambda_image():
 
 def _ref_sandwich(ctx, k, left, val, right, c):
     """hbar^k c  y^left o val o y^right on a BarChain or KoszulChain val, one
-    term at a time, the outer factors multiplied by WSeries.weyl_mul."""
-    def mono(p):
-        return WSeries.monomial(ctx.dim, p)
-
+    term at a time, the outer factors multiplied by _weyl_mul."""
     out = val._empty()
     for key, cv in val.terms.items():
         if isinstance(val, BarChain):
@@ -185,8 +197,8 @@ def _ref_sandwich(ctx, k, left, val, right, c):
             first, last = ps[0], ps[-1]
         else:
             kv, first, last, T = key
-        firsts = mono(left).weyl_mul(mono(first), ctx).terms
-        lasts = mono(last).weyl_mul(mono(right), ctx).terms
+        firsts = _weyl_mul(ctx, _mono(ctx.dim, left), _mono(ctx.dim, first)).terms
+        lasts = _weyl_mul(ctx, _mono(ctx.dim, last), _mono(ctx.dim, right)).terms
         for (t1, q1), c1 in firsts.items():
             for (t2, q2), c2 in lasts.items():
                 kk = k + kv + t1 + t2
@@ -197,7 +209,7 @@ def _ref_sandwich(ctx, k, left, val, right, c):
 
 
 def _ref_product(ctx, k, p1, p2, c):
-    return WSeries.monomial(ctx.dim, p1, c, k).weyl_mul(WSeries.monomial(ctx.dim, p2), ctx)
+    return _weyl_mul(ctx, _mono(ctx.dim, p1, c, k), _mono(ctx.dim, p2))
 
 
 def _outer_factors_nontrivial(ps_pairs):
@@ -228,11 +240,11 @@ def test_bimodule_maps_match_term_by_term_products():
     b, a = rand_bar(rng, CTX, 0, nterms=6), rand_koszul(rng, CTX, 0, nterms=6)
     assert _outer_factors_nontrivial(ps for (_, ps) in b.terms)
     assert _outer_factors_nontrivial((p1, p2) for (_, p1, p2, _) in a.terms)
-    want = WSeries(2)
+    want = WeylElement(2, None)
     for (k, (p1, p2)), c in b.terms.items():
         want = want + _ref_product(CTX, k, p1, p2, c)
     assert bar_aug(CTX, b) == want
-    want = WSeries(2)
+    want = WeylElement(2, None)
     for (k, p1, p2, _), c in a.terms.items():
         want = want + _ref_product(CTX, k, p1, p2, c)
     assert koszul_aug(CTX, a) == want
@@ -261,7 +273,7 @@ def test_psi_homotopy_identity():
     for _ in range(25):
         a = rand_psi(rng, CTX)
         const = a.constant_part()
-        z = PsiElement(2, {(k, (0, 0), ()): c for k, c in const.terms.items()})
+        z = PsiElement(2, {(k, p, ()): c for (k, p), c in const.terms.items()})
         got = z + psi_d(CTX, psi_h(CTX, a)) + psi_h(CTX, psi_d(CTX, a))
         assert got == a
         assert psi_d(CTX, psi_d(CTX, a)).is_zero()
@@ -275,7 +287,7 @@ def test_cochain_eval_and_reconstruction_roundtrip():
         a = rand_wcochain(rng, CTX, q, ydeg=2, acap=2, nterms=4)
 
         def fn(betas, a=a):
-            return a.eval([WSeries.monomial(2, b) for b in betas], N)
+            return a.eval([_mono(2, b) for b in betas], N)
 
         back = cochain_from_values(CTX, fn, q, 3, N)
         assert back.restrict(2).normalize(N) == a.restrict(2).normalize(N)
@@ -361,11 +373,11 @@ def test_chi_requires_positive_arity():
 # value kept between evaluations.
 
 def _ref_eval_on_bar(ctx, a, b, order):
-    total = WSeries(ctx.dim)
+    total = WeylElement(ctx.dim, None)
     for (k, ps), c in b.terms.items():
-        val = a.eval([WSeries.monomial(ctx.dim, p) for p in ps[1:-1]])
-        val = WSeries.monomial(ctx.dim, ps[0], c, k).weyl_mul(val, ctx)
-        total = total + val.weyl_mul(WSeries.monomial(ctx.dim, ps[-1]), ctx)
+        val = a.eval([_mono(ctx.dim, p) for p in ps[1:-1]])
+        val = _weyl_mul(ctx, _mono(ctx.dim, ps[0], c, k), val)
+        total = total + _weyl_mul(ctx, val, _mono(ctx.dim, ps[-1]))
     return total.truncate(order)
 
 
@@ -473,7 +485,7 @@ def _ref_full_scan(a, betas):
             shift = vec_add(shift, d[1])
         else:
             _acc(out, (k, vec_add(p, shift)), c * f)
-    return WSeries(a.dim, out)
+    return WeylElement(a.dim, None, out)
 
 
 def _ref_collect_subst(out, dim, k, p1, p2, T, coeff, base_tpow):
@@ -536,7 +548,7 @@ def test_t_integral_table_matches_the_per_term_integral(monkeypatch):
 def test_hh_reduce_central():
     c = WeylCochain(2, 0, {(0, (0, 0), ()): frac(3), (-1, (0, 0), ()): frac(1, 2)})
     got = hh_reduce(CTX, c)
-    assert got.terms == {0: frac(3), -1: frac(1, 2)}
+    assert got == WeylElement(2, None, {(0, (0, 0)): frac(3), (-1, (0, 0)): frac(1, 2)})
 
 
 def test_hh_reduce_rejects_noncocycle():
@@ -561,15 +573,20 @@ def test_transport_functorial_and_algebraic():
     g1, g2 = rand_gl(rng, 2), rand_gl(rng, 2)
     comp = [[sum(g2[i][k] * g1[k][j] for k in range(2)) for j in range(2)]
             for i in range(2)]
-    w = WSeries(2, {(0, (2, 1)): frac(3, 2), (1, (1, 0)): frac(-2)})
+    w = WeylElement(2, None, {(0, (2, 1)): frac(3, 2), (1, (1, 0)): frac(-2)})
     assert gl_transport(CTX, g2, gl_transport(CTX, g1, w)) == \
         gl_transport(CTX, comp, w)
     ctx2 = gl_transport_context(CTX, g1)
-    a = WSeries.monomial(2, (1, 1))
-    b = WSeries.monomial(2, (2, 0))
-    lhs = gl_transport(CTX, g1, a.weyl_mul(b, CTX))
-    rhs = gl_transport(CTX, g1, a).weyl_mul(gl_transport(CTX, g1, b), ctx2)
+    a, b = _mono(2, (1, 1)), _mono(2, (2, 0))
+    lhs = gl_transport(CTX, g1, _weyl_mul(CTX, a, b))
+    rhs = _weyl_mul(ctx2, gl_transport(CTX, g1, a), gl_transport(CTX, g1, b))
     assert lhs == rhs
+
+
+def test_transport_refuses_a_chart_section():
+    section = WeylElement(2, N, {(0, (1, 0)): XPoly.variable(2, 1)})
+    with pytest.raises(TypeError):
+        gl_transport(CTX, [[frac(2), frac(0)], [frac(0), frac(1, 2)]], section)
 
 
 def test_transport_identity():
