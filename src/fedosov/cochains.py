@@ -15,17 +15,26 @@ wedged after dx^S in slot order.  Terms are truncated at filtration weight
 slot's alpha over the inserted slots, so a slot truncation would not
 commute with the Hochschild differential.
 
-The cochain algebra itself (insertion, cup, product cochain, Hochschild d,
-evaluation, triangular reconstruction) is one kernel over dx-free term
-dicts {(m, p, alphas): coeff}.  It touches coefficients only through *, +,
-unary - and truth value, so the same lines run with XPoly coefficients here
-and with Fraction coefficients for the constant-theta complex of `weylhh`.
-Cochain operations here group terms by dx subset, call the kernel per block
-or block pair, and wedge the dx blocks in front.  Cup and the product
-cochain mu = id cup id run on the Moyal pairing kernel of `weyl`, which
-reads either kind of coefficient into its own flat integer tables.  mu and
-its depth exist once for both rings: one table keyed by omega's content
-holds mu (_mu_terms), and the one Hochschild d (_hochschild_terms) sizes it.
+The cochain algebra itself (insertion, bracket, cup, product cochain,
+Hochschild d, evaluation, triangular reconstruction) is one kernel over
+dx-free term dicts {(m, p, alphas): coeff}, run with XPoly coefficients
+here and with Fraction coefficients for the constant-theta complex of
+`weylhh`.  Insertion reads the coefficients of either ring in the flat
+layout of poly._flat_terms, integer numerators by packed x-monomial over
+one denominator per factor, and writes into a caller's table over the
+product of the two denominators (_insert_into).  All insertions of one
+Hochschild d, or of one bracket, land in one table, and each output
+coefficient is built once, after a guard check of its x-monomials
+(_built): most insertion terms cancel, and none of them becomes a
+coefficient object.  Evaluation and reconstruction touch coefficients
+only through *, +, unary - and truth value.  Cochain operations here group
+terms by dx subset, call the kernel per block or block pair, and wedge the
+dx blocks in front; the bracket folds the wedge signs of a block pair into
+the table of their merged subset.  Cup and the product cochain
+mu = id cup id run on the Moyal pairing kernel of `weyl`, which reads
+either kind of coefficient into its own flat integer tables.  mu and its
+depth exist once for both rings: one table keyed by omega's content holds
+mu (_mu_terms), and the one Hochschild d (_hochschild_terms) sizes it.
 
 A form is an arity-0 cochain, and the cochain terms above are the term
 dicts of `weyl`: a FormWeyl stores the same flat dict with alphas = (),
@@ -67,9 +76,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, inf
 
-from .poly import GradedTerms, XPoly, _acc, _add_terms, _mono_derivative
+from .poly import (_GUARDS, MAX_EXP, ExponentOverflow, GradedTerms, XPoly, _acc,
+                   _add_terms, _flat_terms, _mono_derivative, _unflat)
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, _blocks,
                    _delta_inv_terms, _delta_terms, _fiber_product, _form_blocks,
                    _nabla_terms, _pair_terms, _pairwise, _sigma_terms,
@@ -194,7 +204,7 @@ _SPLIT_CACHE = {}
 
 def _slot_splits(alpha, nslots):
     """All ways the multi-index alpha distributes over a y-part and nslots
-    inserted slots: tuples ((g0, g1..g_{nslots}), multinomial_factor)."""
+    inserted slots: tuples (g0, (g1..g_{nslots}), multinomial_factor)."""
     key = (alpha, nslots)
     hit = _SPLIT_CACHE.get(key)
     if hit is not None:
@@ -212,51 +222,110 @@ def _slot_splits(alpha, nslots):
     for parts, f in splits:
         pieces = tuple(tuple(parts[c][s] for c in range(dim))
                        for s in range(nslots + 1))
-        out.append((pieces, f))
+        out.append((pieces[0], pieces[1:], f))
     _SPLIT_CACHE[key] = out
     return out
 
 
-def _insert_terms(terms1, i, terms2, order):
-    """Insert P2 into slot i (0-based) of P1: the slot derivative
-    distributes multinomially over P2's y-part and slots.  Only terms of
-    weight <= order are built.
+_SURVIVORS = {}
+
+
+def _surviving_splits(alpha, p2, nslots, need):
+    """The splits of alpha over y^{p2} and nslots inserted slots that give
+    a term within the order: g0 divides y^{p2} and |g0| >= need, with
+    need = max(0, w - order) (see _insert_into).  [(multinomial factor
+    times that of d^{g0} y^{p2}, p2 - g0, (g1..g_{nslots}))], kept in a
+    module table; the tuples are those of _slot_splits and
+    poly._mono_derivative.  need <= min(|alpha|, |p2|) on every pair that is not
+    skipped, so the keys are bounded at a given order."""
+    key = (alpha, p2, nslots, need)
+    hit = _SURVIVORS.get(key)
+    if hit is None:
+        hit = _SURVIVORS[key] = []
+        for g0, slots, f in _slot_splits(alpha, nslots):
+            if sum(g0) >= need:
+                d = _mono_derivative(g0, p2)
+                if d is not None:
+                    hit.append((f * d[0], d[1], slots))
+    return hit
+
+
+def _insert_into(acc, flat1, i, flat2, order, sign):
+    """acc += sign * (P2 inserted into slot i (0-based) of P1) on flat
+    dx-free terms {(m, p, alphas): numerators} (_flat_pair), acc being
+    such a table over the product of the two denominators.  The slot
+    derivative distributes multinomially over P2's y-part and slots; only
+    terms of weight <= order are formed.
 
     A term pair (m1, p1, alpha_1..) (x) (m2, p2, slots) and a split of
     alpha = alpha_i into g0 (to the y-part) and g1..gn (to the slots)
     give one output term, of weight w - |g0| with
     w = 2(m1 + m2) + |p1| + |p2|: d^{g0} y^{p2} lowers |p2| by |g0| and
-    nothing else moves the weight.  So a split with w - |g0| > order is
-    skipped before its derivative, slots or coefficient are formed, a
-    pair is skipped when even the largest |g0| = min(|alpha|, |p2|) is
-    not enough, and c1 c2 is formed once per pair, only when some split
-    survives.  This is exact: the weight is a function of the output key,
-    so a skipped term never shares a key with a kept one, and every caller
-    truncates the result at the order it passes."""
-    out = {}
-    for (m1, p1, al1), c1 in terms1.items():
+    nothing else moves the weight.  So a pair is skipped when even the
+    largest |g0| = min(|alpha|, |p2|) leaves it beyond the order, and the
+    splits of a kept pair are read from _surviving_splits with
+    need = w - order.  This is exact: the weight is a function of the
+    output key, so a skipped term never shares a key with a kept one, and
+    every caller truncates the result at the order it passes.  The
+    numerator product of a pair is formed once, with the sign, when some
+    split survives; nothing is normalized here (see _built)."""
+    for (m1, p1, al1), num1 in flat1.items():
         alpha = al1[i]
         asize = sum(alpha)
         head, tail = al1[:i], al1[i + 1:]
         w1 = 2 * m1 + sum(p1)
-        for (m2, p2, al2), c2 in terms2.items():
+        for (m2, p2, al2), num2 in flat2.items():
             w = w1 + 2 * m2 + sum(p2)
             if w - min(asize, sum(p2)) > order:
                 continue
-            base = None
-            for pieces, f in _slot_splits(alpha, len(al2)):
-                if w - sum(pieces[0]) > order:
-                    continue
-                d = _mono_derivative(pieces[0], p2)
-                if d is None:
-                    continue
-                if base is None:
-                    base = c1 * c2
-                f *= d[0]
-                key = (m1 + m2, vec_add(p1, d[1]),
-                       head + tuple(map(vec_add, al2, pieces[1:])) + tail)
-                _acc(out, key, base if f == 1 else base * f)
+            splits = _surviving_splits(alpha, p2, len(al2), max(0, w - order))
+            if not splits:
+                continue
+            base = [(e1 + e2, c1 * c2 if sign > 0 else -(c1 * c2))
+                    for e1, c1 in num1.items() for e2, c2 in num2.items()]
+            m = m1 + m2
+            for f, rest, slots in splits:
+                key = (m, vec_add(p1, rest), head + tuple(map(vec_add, al2, slots)) + tail)
+                num = acc.get(key)
+                if num is None:
+                    num = acc[key] = {}
+                for e, c in base:
+                    num[e] = num.get(e, 0) + c * f
+
+
+def _built(acc, nvars, den):
+    """The coefficients of a table filled by _insert_into, each built once
+    (poly._unflat), nonzero ones only.  Every x-monomial is checked against
+    the guard bits of the packed fields: a product term whose exponent
+    does not fit raises ExponentOverflow."""
+    out = {}
+    for key, num in acc.items():
+        for e in num:
+            if e & _GUARDS:
+                raise ExponentOverflow(f"a product has an exponent above {MAX_EXP}")
+        c = _unflat(nvars, num, den)
+        if c:
+            out[key] = c
     return out
+
+
+def _flat_pair(terms1, terms2):
+    """Both term dicts in the flat layout of poly._flat_terms, as
+    {key: numerators}: (flat1, flat2, the product of their denominators,
+    nvars of an XPoly coefficient or None)."""
+    flat1, den1, nv1 = _flat_terms(terms1)
+    flat2, den2, nv2 = _flat_terms(terms2)
+    return dict(flat1), dict(flat2), den1 * den2, nv1 if nv1 is not None else nv2
+
+
+def _insert_terms(terms1, i, terms2, order):
+    """Insert P2 into slot i (0-based) of P1 on dx-free term dicts:
+    _insert_into on a fresh table.  The output has XPoly coefficients if
+    an input has, Fraction ones otherwise."""
+    flat1, flat2, den, nvars = _flat_pair(terms1, terms2)
+    acc = {}
+    _insert_into(acc, flat1, i, flat2, order, 1)
+    return _built(acc, nvars, den)
 
 
 def _compositions(total, parts):
@@ -278,34 +347,45 @@ def _multinomial(total, compn):
     return out
 
 
-def _bracket(ins, P1, P2, zero):
-    """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2),
-    k' = arity - 1, for cochains of one type with its insertion ins and
-    the zero of the bracket's arity."""
-    k1, k2 = P1.arity - 1, P2.arity - 1
-    out = zero
-    for i in range(P1.arity):
-        term = ins(P1, i, P2)
-        out = out - term if (i * k2) % 2 else out + term
-    for j in range(P2.arity):
-        term = ins(P2, j, P1)
-        out = out - term if (k1 * k2 + j * k1) % 2 == 0 else out + term
-    return out
+def _bracket_into(acc, flat1, k1, order1, flat2, k2, order2, sign12, sign21):
+    """acc += sign12 sum_i (-)^{i k2'} P1 o_i P2
+    - sign21 (-)^{k1' k2'} sum_j (-)^{j k1'} P2 o_j P1,  k' = arity - 1,
+    on flat dx-free terms of arities k1 and k2 (see _insert_into).  An
+    insertion into P1 is formed to order1, one into P2 to order2; the
+    signs carry the dx wedges of a block pair."""
+    for i in range(k1):
+        _insert_into(acc, flat1, i, flat2, order1,
+                     -sign12 if (i * (k2 - 1)) % 2 else sign12)
+    for j in range(k2):
+        _insert_into(acc, flat2, j, flat1, order2,
+                     -sign21 if ((k1 - 1) * (k2 - 1) + j * (k1 - 1)) % 2 == 0 else sign21)
+
+
+def _bracket_terms(terms1, k1, terms2, k2):
+    """[P1, P2]_G on untruncated dx-free term dicts of arities k1 and k2:
+    every insertion in one table, each coefficient built once."""
+    flat1, flat2, den, nvars = _flat_pair(terms1, terms2)
+    acc = {}
+    _bracket_into(acc, flat1, k1, inf, flat2, k2, inf, 1, 1)
+    return _built(acc, nvars, den)
 
 
 def _hochschild_terms(terms, k, omega, order):
     """Hochschild differential of arity-k terms, mu the product cochain of
     omega: (d P)(a_1..a_{k+1}) = a_1 o P(a_2..) - P(a_1 o a_2, ..) + ...
     + (-)^k P(a_1, .., a_k o a_{k+1}) + (-)^{k+1} P(a_1..a_k) o a_{k+1}.
+    The 2 + k insertions land in one table, each coefficient built once.
     A pairing of weight 2t in mu meets hbar^m in outputs of weight >= 2t + 2m,
     so mu is read to weight order - 2 min(0, m)."""
     lowest = min((key[0] for key in terms), default=0)
     mu = _mu_terms(omega, order - 2 * min(0, lowest))
-    out = _insert_terms(mu, 1, terms, order)
-    _add_terms(out, _insert_terms(mu, 0, terms, order), (-1) ** (k + 1))
+    flat_mu, flat, den, nvars = _flat_pair(mu, terms)
+    acc = {}
+    _insert_into(acc, flat_mu, 1, flat, order, 1)
+    _insert_into(acc, flat_mu, 0, flat, order, (-1) ** (k + 1))
     for j in range(k):
-        _add_terms(out, _insert_terms(terms, j, mu, order), (-1) ** (j + 1))
-    return out
+        _insert_into(acc, flat, j, flat_mu, order, (-1) ** (j + 1))
+    return _built(acc, nvars, den)
 
 
 _MU_TABLE = {}
@@ -429,10 +509,24 @@ def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCocha
 
 def gerstenhaber(P1: FiberwiseCochain, P2: FiberwiseCochain) -> FiberwiseCochain:
     """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2),
-    k' = arity - 1."""
-    zero = FiberwiseCochain.zero(P1.dim, P1.order, P1.arity + P2.arity - 1,
-                                 max(P1.cap, P2.cap))
-    return _bracket(insert, P1, P2, zero)
+    k' = arity - 1.  Each dx-block pair is one term-level bracket
+    (_bracket_into) into the table of its merged dx subset, P1 o P2
+    wedged dx^{S1} dx^{S2} and P2 o P1 wedged dx^{S2} dx^{S1}."""
+    flat1, flat2, den, nvars = _flat_pair(P1.terms, P2.terms)
+    blocks1, blocks2 = _blocks(flat1), _blocks(flat2)
+    tables = {}
+    for S1, b1 in blocks1.items():
+        for S2, b2 in blocks2.items():
+            merged = merge_subsets(S1, S2)
+            if merged is not None:
+                _bracket_into(tables.setdefault(merged[1], {}),
+                              b1, P1.arity, P1.order, b2, P2.arity, P2.order,
+                              merged[0], merge_subsets(S2, S1)[0])
+    out = {}
+    for S, acc in tables.items():
+        _add_terms(out, _built(acc, nvars, den), 1, (S,))
+    return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity - 1, out,
+                            max(P1.cap, P2.cap))
 
 
 def hochschild_d(P: FiberwiseCochain, chart_or_theta) -> FiberwiseCochain:

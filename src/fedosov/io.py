@@ -127,6 +127,11 @@ _FIELDS = {"hbar": _INT, "hbar_power": _INT, "upper": _INT, "lower": _INTS,
 Layout = namedtuple("Layout", "header fields items group build",
                     defaults=("terms", None, None))
 _WEYL = Layout(("dim", "order"), WeylElement.KEY + ("poly",))
+# an element of W itself (constant coefficients) is written as a WeylCochain
+# is, with Fraction "coeff" fields and no order; a WeylElement document
+# without an order is read as one
+_W = Layout(("dim",), WeylElement.KEY + ("coeff",),
+            build=lambda terms, dim: WeylElement(dim, None, terms))
 LAYOUTS = {
     WeylElement: _WEYL,
     # a form is written by dx block, each block a WeylElement: its empty
@@ -196,8 +201,12 @@ def _decode(layout, doc, dim):
 
 
 def to_json(x):
-    """The JSON document of a value of a type in LAYOUTS."""
+    """The JSON document of a value of a type in LAYOUTS, or of an element
+    of W (a WeylElement with no order or a constant coefficient)."""
     layout = LAYOUTS[type(x)]
+    if layout is _WEYL and (x.order is None
+                            or any(c.__class__ is not XPoly for c in x.terms.values())):
+        layout = _W
     head = {name: getattr(x, _ATTRS.get(name, name)) for name in layout.header}
     return _encode(layout, head, x.terms)
 
@@ -207,6 +216,8 @@ def from_json(cls, doc, **known):
     that the document does not carry."""
     layout = LAYOUTS[cls]
     with _schema(cls.__name__):
+        if layout is _WEYL and "order" not in doc:
+            layout = _W
         head = dict(known, **{_ATTRS.get(name, name): _int(doc[name])
                               for name in layout.header if name in doc})
         return (layout.build or cls)(terms=_decode(layout, doc, head["dim"]), **head)

@@ -320,7 +320,7 @@ class GaugeOperator(SparseTerms):
         terms = (self + other).terms
         for (k1, mu), p1 in self.terms.items():
             for (k2, nu), p2 in other.terms.items():
-                for (gamma, rest), c in _slot_splits(mu, 1):
+                for gamma, (rest,), c in _slot_splits(mu, 1):
                     _acc(terms, (k1 + k2, vec_add(rest, nu)),
                          (p1 * _diff_x(p2, gamma)).scale(c))
         return self._with(terms)

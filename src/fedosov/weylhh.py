@@ -59,7 +59,8 @@ from fractions import Fraction
 from math import comb, inf
 from operator import le
 
-from .cochains import _bracket, _eval_terms, _hochschild_terms, _insert_terms, _reconstruct
+from .cochains import (_bracket_terms, _eval_terms, _hochschild_terms, _insert_terms,
+                       _reconstruct)
 from .poly import GradedTerms, SparseTerms, XPoly, _acc, _mono_derivative, as_fraction
 from .weyl import (WeylElement, _asymmetric_at, _matmul, _matrix_inverse, _pair_terms,
                    _pairing_levels, _subst_terms, _transpose, contract_index, prepend_index,
@@ -539,8 +540,8 @@ def hh_hochschild_d(ctx: WeylContext, a: WeylCochain, order=None) -> WeylCochain
 def gerstenhaber_w(P1: WeylCochain, P2: WeylCochain) -> WeylCochain:
     """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2)
     with k' = arity - 1."""
-    return _bracket(cochain_insert, P1, P2,
-                    WeylCochain(P1.dim, P1.arity + P2.arity - 1))
+    return WeylCochain(P1.dim, P1.arity + P2.arity - 1,
+                       _bracket_terms(P1.terms, P1.arity, P2.terms, P2.arity))
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,8 @@ MUTANTS = [
      "fedosov_d_cochain(P, chart, r).truncate(P.order - 4)",
      "tests/test_cochains.py::test_transfer_rejects_input_closed_only_at_low_weight"),
     ("insert-drops-splits-at-the-order", "cochains.py",
-     "if w - sum(pieces[0]) > order:",
-     "if w - sum(pieces[0]) >= order:",
+     "if sum(g0) >= need:",
+     "if sum(g0) > need:",
      "tests/test_acceptance.py::test_criterion_9_resolutions"),
     ("insert-pair-skip-uses-max", "cochains.py",
      "if w - min(asize, sum(p2)) > order:",
@@ -174,6 +174,18 @@ MUTANTS = [
      "val = cochain_eval(sigma, sp.lifts(*args))",
      "tests/test_cochains.py::test_beta_lifts_arguments_deep_enough_for_the_slots"
      "[4-alpha0-x1^3*x2]"),
+    ("insert-skips-the-guard-check", "cochains.py",
+     "            if e & _GUARDS:",
+     "            if False:",
+     "tests/test_insert_kernel.py::test_an_insertion_beyond_the_packed_field_raises"),
+    ("bracket-drops-the-swapped-merge-sign", "cochains.py",
+     "merged[0], merge_subsets(S2, S1)[0])",
+     "merged[0], merged[0])",
+     "tests/test_insert_kernel.py::test_fiberwise_operations_match_reference"),
+    ("split-table-ignores-need", "cochains.py",
+     "key = (alpha, p2, nslots, need)",
+     "key = (alpha, p2, nslots)",
+     "tests/test_insert_kernel.py::test_split_table_keeps_each_need[need-1-first]"),
     ("augmentation-unit-is-two", "weylhh.py",
      "return WeylElement(dim, None, {(0, _zero(dim)): Fraction(1)})",
      "return WeylElement(dim, None, {(0, _zero(dim)): Fraction(2)})",

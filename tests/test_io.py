@@ -34,6 +34,21 @@ def test_weyl_roundtrip():
     assert fio.weyl_from_json(fio.weyl_to_json(w)) == w
 
 
+@pytest.mark.parametrize("order", [None, 3])
+def test_element_of_w_roundtrip(order):
+    """An element of W (Fraction coefficients) is written as a WeylCochain
+    is, with "coeff" fields and no order, and read back with order None."""
+    w = WeylElement(2, order, {(0, (1, 0)): Fraction(1), (-1, (0, 2)): Fraction(-3, 4)})
+    blob = fio.dumps_canonical(fio.weyl_to_json(w))
+    assert blob == ('{"dim":2,"terms":[{"coeff":"-3/4","hbar":-1,"ydeg":[0,2]},'
+                    '{"coeff":"1","hbar":0,"ydeg":[1,0]}]}')
+    back = fio.weyl_from_json(json.loads(blob))
+    assert back == w and back.order is None
+    assert all(type(c) is Fraction for c in back.terms.values())
+    zero = WeylElement(2, None)
+    assert fio.weyl_from_json(json.loads(fio.dumps_canonical(fio.weyl_to_json(zero)))) == zero
+
+
 def test_form_constructor_truncates_at_order():
     f = FormWeyl(2, 2, {(): WeylElement.y_monomial(2, 6, (2, 1))})
     assert f.is_zero() and f == f.truncate(2)
