@@ -347,17 +347,16 @@ def _multinomial(total, compn):
     return out
 
 
-def _bracket_into(acc, flat1, k1, order1, flat2, k2, order2, sign12, sign21):
+def _bracket_into(acc, flat1, k1, flat2, k2, order, sign12, sign21):
     """acc += sign12 sum_i (-)^{i k2'} P1 o_i P2
     - sign21 (-)^{k1' k2'} sum_j (-)^{j k1'} P2 o_j P1,  k' = arity - 1,
-    on flat dx-free terms of arities k1 and k2 (see _insert_into).  An
-    insertion into P1 is formed to order1, one into P2 to order2; the
-    signs carry the dx wedges of a block pair."""
+    on flat dx-free terms of arities k1 and k2 (see _insert_into), both
+    halves formed to order; the signs carry the dx wedges of a block pair."""
     for i in range(k1):
-        _insert_into(acc, flat1, i, flat2, order1,
+        _insert_into(acc, flat1, i, flat2, order,
                      -sign12 if (i * (k2 - 1)) % 2 else sign12)
     for j in range(k2):
-        _insert_into(acc, flat2, j, flat1, order2,
+        _insert_into(acc, flat2, j, flat1, order,
                      -sign21 if ((k1 - 1) * (k2 - 1) + j * (k1 - 1)) % 2 == 0 else sign21)
 
 
@@ -366,7 +365,7 @@ def _bracket_terms(terms1, k1, terms2, k2):
     every insertion in one table, each coefficient built once."""
     flat1, flat2, den, nvars = _flat_pair(terms1, terms2)
     acc = {}
-    _bracket_into(acc, flat1, k1, inf, flat2, k2, inf, 1, 1)
+    _bracket_into(acc, flat1, k1, flat2, k2, inf, 1, 1)
     return _built(acc, nvars, den)
 
 
@@ -509,9 +508,11 @@ def insert(P1: FiberwiseCochain, i: int, P2: FiberwiseCochain) -> FiberwiseCocha
 
 def gerstenhaber(P1: FiberwiseCochain, P2: FiberwiseCochain) -> FiberwiseCochain:
     """[P1, P2]_G = sum_i (-)^{i k2'} P1 o_i P2 - (-)^{k1' k2'} (1 <-> 2),
-    k' = arity - 1.  Each dx-block pair is one term-level bracket
-    (_bracket_into) into the table of its merged dx subset, P1 o P2
-    wedged dx^{S1} dx^{S2} and P2 o P1 wedged dx^{S2} dx^{S1}."""
+    k' = arity - 1, at the lower of the two orders, to which both halves are
+    known.  Each dx-block pair is one term-level bracket (_bracket_into)
+    into the table of its merged dx subset, P1 o P2 wedged dx^{S1} dx^{S2}
+    and P2 o P1 wedged dx^{S2} dx^{S1}."""
+    order = min(P1.order, P2.order)
     flat1, flat2, den, nvars = _flat_pair(P1.terms, P2.terms)
     blocks1, blocks2 = _blocks(flat1), _blocks(flat2)
     tables = {}
@@ -519,13 +520,12 @@ def gerstenhaber(P1: FiberwiseCochain, P2: FiberwiseCochain) -> FiberwiseCochain
         for S2, b2 in blocks2.items():
             merged = merge_subsets(S1, S2)
             if merged is not None:
-                _bracket_into(tables.setdefault(merged[1], {}),
-                              b1, P1.arity, P1.order, b2, P2.arity, P2.order,
-                              merged[0], merge_subsets(S2, S1)[0])
+                _bracket_into(tables.setdefault(merged[1], {}), b1, P1.arity, b2, P2.arity,
+                              order, merged[0], merge_subsets(S2, S1)[0])
     out = {}
     for S, acc in tables.items():
         _add_terms(out, _built(acc, nvars, den), 1, (S,))
-    return FiberwiseCochain(P1.dim, P1.order, P1.arity + P2.arity - 1, out,
+    return FiberwiseCochain(P1.dim, order, P1.arity + P2.arity - 1, out,
                             max(P1.cap, P2.cap))
 
 

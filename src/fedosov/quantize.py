@@ -16,8 +16,8 @@ from fractions import Fraction
 from .cochains import FiberwiseCochain, _fixed_point, _slot_splits
 from .poly import SparseTerms, XPoly, _acc, _linear_sum
 from .weyl import (FormWeyl, SymplecticChart, WeylElement, commutator_over_hbar,
-                   curvature_R, delta_inv, moyal_product, nabla, sigma_project, vec_add,
-                   weyl_curvature_class)
+                   _nabla_terms, curvature_R, delta_inv, moyal_product, nabla, sigma_project,
+                   vec_add, weyl_curvature_class)
 
 WORK_HEADROOM = 2
 
@@ -39,6 +39,7 @@ class FedosovData:
     def validate(self):
         self.chart.validate()
         n = self.chart.dim
+        zero = (0,) * n
         for k, form in self.omega_series.items():
             if k < 1:
                 raise ValueError(
@@ -46,21 +47,11 @@ class FedosovData:
             for (i, j), p in form.items():
                 if not (1 <= i < j <= n):
                     raise ValueError(f"bad 2-form indices ({i},{j})")
-            # d-closedness: antisymmetrized gradient vanishes
-            for a in range(1, n + 1):
-                for b in range(a + 1, n + 1):
-                    for c in range(b + 1, n + 1):
-                        acc = (self._coeff(form, b, c).diff(a)
-                               - self._coeff(form, a, c).diff(b)
-                               + self._coeff(form, a, b).diff(c))
-                        if not acc.is_zero():
-                            raise ValueError(
-                                f"omega_{k} is not closed at dx{a}dx{b}dx{c}")
-
-    def _coeff(self, form, i, j) -> XPoly:
-        if i < j:
-            return form.get((i, j), XPoly.zero(self.chart.dim))
-        return -form.get((j, i), XPoly.zero(self.chart.dim))
+            # closedness: nabla is d on a y-free, slot-free form
+            d_form = _nabla_terms({(S, 0, zero, ()): p for S, p in form.items()}, self.chart)
+            if d_form:
+                a, b, c = min(key[0] for key in d_form)
+                raise ValueError(f"omega_{k} is not closed at dx{a}dx{b}dx{c}")
 
     def omega_form(self, order: int) -> FormWeyl:
         """Omega as a central form-valued section."""

@@ -38,6 +38,9 @@ once: an XPoly when an input or omega carries one, a Fraction otherwise.
 Conventions fixed here and verified by the Hodge-identity tests:
   * delta = dx^i d/dy^i, delta_inv contracts with i(d/dx^k) from the left,
   * nabla delta + delta nabla = 0 (torsion-freeness),
+  * nabla is d on a y-free form, and the Weyl curvature R is read off
+    nabla^2 on the generators y^l, so nabla^2 a = (1/hbar)[R, a] holds
+    with no sign of its own,
   * the t-integral in delta_inv is the exact per-monomial division by
     (y-degree + form-degree), with degree-0 terms mapped to zero.
 """
@@ -679,46 +682,20 @@ def nabla(a, chart: SymplecticChart) -> FormWeyl:
     return _form_op(_nabla_terms, a, chart)
 
 
-def riemann_tensor(chart: SymplecticChart):
-    """(R_{ij})^m_l = d_j Gamma^m_{il} - d_i Gamma^m_{jl}
-    + Gamma^m_{jp} Gamma^p_{il} - Gamma^m_{ip} Gamma^p_{jl};
-    returns {(i, j, m, l): XPoly} for i < j (antisymmetric in i, j).
-
-    Sign convention chosen so that nabla^2 a = (1/hbar)[R, a] holds with
-    R = -1/4 dx^i dx^j omega_{km} (R_{ij})^m_l y^k y^l.
-    """
-    n = chart.dim
-    out = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for m in range(1, n + 1):
-                for l in range(1, n + 1):
-                    r = chart.gamma(m, i, l).diff(j) - chart.gamma(m, j, l).diff(i)
-                    for p in range(1, n + 1):
-                        r = r + chart.gamma(m, j, p) * chart.gamma(p, i, l)
-                        r = r - chart.gamma(m, i, p) * chart.gamma(p, j, l)
-                    if not r.is_zero():
-                        out[(i, j, m, l)] = r
-    return out
-
-
 def curvature_R(chart: SymplecticChart, order: int) -> FormWeyl:
-    """R = -1/4 dx^i dx^j omega_{km} (R_{ij})^m_l y^k y^l, the Weyl curvature
-    of the connection; satisfies nabla^2 a = (1/hbar)[R, a]."""
+    """R = 1/2 omega_{la} y^a nabla^2(y^l), the Weyl curvature of the
+    connection, read off nabla^2 on the generators: nabla^2 a = (1/hbar)[R, a]
+    gives nabla^2(y^l) = omega^{al} R_{ab} y^b for R = 1/2 R_{ab} y^a y^b."""
     n = chart.dim
-    riem = riemann_tensor(chart)
     terms = {}
-    for (i, j, m, l), r in riem.items():
-        for k in range(1, n + 1):
-            om = chart.omega_lower[k - 1][m - 1]
-            if om.is_zero():
-                continue
-            # i < j contributes twice (dx^i dx^j and dx^j dx^i), so -1/4 -> -1/2
-            c = (om * r).scale(Fraction(-1, 2))
-            if c.is_zero():
-                continue
-            p = vec_add(unit_vec(n, k), unit_vec(n, l))
-            _acc(terms, ((i, j), 0, p, ()), c)
+    for l in range(1, n + 1):
+        y_l = {((), 0, unit_vec(n, l), ()): XPoly.const(n, 1)}
+        curv = _nabla_terms(_nabla_terms(y_l, chart), chart)
+        for a in range(1, n + 1):
+            om = chart.omega_lower[l - 1][a - 1].scale(Fraction(1, 2))
+            if om:
+                for (S, m, p, al), c in curv.items():
+                    _acc(terms, (S, m, vec_add(p, unit_vec(n, a)), al), om * c)
     return FormWeyl.from_terms(n, order, terms)
 
 

@@ -15,10 +15,14 @@ in place of XPoly ones, its order None (no clip) unless a producer clips it
 at the context's order; its y-free part is its value in C((hbar)).
 
 Anticommuting indices (C, psi) are stored strictly increasing; left
-derivatives and left multiplication fix all signs.  The bar differential
-contracts every adjacent pair of tensor slots (the dual of the Hochschild
-differential under the identification of cochains with bimodule maps on the
-bar resolution); the homotopies insert a fresh constant first slot.
+derivatives and left multiplication fix all signs.  Every differential of
+the resolutions is a Weyl-product expression through mono_product: the bar
+differential multiplies every adjacent pair of tensor slots (the dual of
+the Hochschild differential under the identification of cochains with
+bimodule maps on the bar resolution), the Koszul differential multiplies
+y^i into the two inner factors (on the right of the first, on the left of
+the second), and the psi differential is psi_i [y^i, -].  The homotopies
+insert a fresh constant first slot.
 
 Chain arithmetic is exact and untruncated (all operations on finitely
 generated chains are finite); cochain data is normalized to filtration
@@ -202,37 +206,24 @@ class KoszulChain(SparseTerms):
 
 
 def koszul_d(ctx: WeylContext, a: KoszulChain) -> KoszulChain:
-    """(y1^i - y2^i) d/dC^i - (hbar/2) theta^{ij} d/dC^i (d/dy1^j + d/dy2^j),
-    with left C-derivatives.
-
-    This is multiplication by y^i on the two inner tensor positions (right
-    Weyl multiplication on the first factor minus left multiplication on the
-    second), the unique reading that commutes with the outer bimodule action
-    and whose augmented complex is contracted by the stated homotopy: the
-    Moyal kernel exp((hbar/2) theta d1 d2) conjugates it to the classical
-    Koszul differential (y1 - y2) d/dC."""
+    """sum_i (y1 o y^i - y^i o y2) d/dC^i with left C-derivatives: right Weyl
+    multiplication by y^i on the first factor minus left multiplication on
+    the second, the unique reading that commutes with the outer bimodule
+    action and whose augmented complex is contracted by the stated homotopy.
+    The Moyal kernel exp((hbar/2) theta d1 d2) conjugates it to the
+    classical Koszul differential (y1 - y2) d/dC."""
     if a.m < 1:
         raise ValueError("Koszul differential needs m >= 1")
-    dim = a.dim
     out = {}
     for (k, p1, p2, T), c in a.terms.items():
         for idx in T:
             sign, T2 = contract_index(idx, T)
-            cc = c * sign
-            i = idx - 1
-            _acc(out, (k, vec_add(p1, unit_vec(dim, idx)), p2, T2), cc)
-            _acc(out, (k, p1, vec_add(p2, unit_vec(dim, idx)), T2), -cc)
-            for j in range(dim):
-                th = ctx.theta[i][j]
-                if not th:
-                    continue
-                if p1[j]:
-                    _acc(out, (k + 1, vec_sub(p1, unit_vec(dim, j + 1)), p2, T2),
-                         -cc * th * Fraction(p1[j], 2))
-                if p2[j]:
-                    _acc(out, (k + 1, p1, vec_sub(p2, unit_vec(dim, j + 1)), T2),
-                         -cc * th * Fraction(p2[j], 2))
-    return KoszulChain(dim, a.m - 1, out)
+            y = unit_vec(a.dim, idx)
+            for (t, q), f in ctx.mono_product(p1, y).items():
+                _acc(out, (k + t, q, p2, T2), c * sign * f)
+            for (t, q), f in ctx.mono_product(y, p2).items():
+                _acc(out, (k + t, p1, q, T2), -c * sign * f)
+    return KoszulChain(a.dim, a.m - 1, out)
 
 
 def koszul_aug(ctx: WeylContext, a: KoszulChain) -> WeylElement:
@@ -433,23 +424,21 @@ class PsiElement(SparseTerms):
 
 
 def psi_d(ctx: WeylContext, a: PsiElement) -> PsiElement:
-    """hbar psi_i omega^{ij} d/dy^j with left psi multiplication;
-    omega^{ij} = theta^{ij}."""
-    dim = a.dim
+    """sum_i psi_i [y^i, a] with left psi multiplication; the commutator
+    [y^i, y^p] = hbar theta^{ij} p_j y^{p - e_j} carries the hbar."""
     out = {}
     for (k, p, T), c in a.terms.items():
-        for i in range(dim):
-            ins = prepend_index(i + 1, T)
+        for i in range(1, a.dim + 1):
+            ins = prepend_index(i, T)
             if ins is None:
                 continue
             sign, T2 = ins
-            for j in range(dim):
-                th = ctx.theta[i][j]
-                if not th or not p[j]:
-                    continue
-                _acc(out, (k + 1, vec_sub(p, unit_vec(dim, j + 1)), T2),
-                     c * sign * th * p[j])
-    return PsiElement(dim, out)
+            y = unit_vec(a.dim, i)
+            for (t, q), f in ctx.mono_product(y, p).items():
+                _acc(out, (k + t, q, T2), c * sign * f)
+            for (t, q), f in ctx.mono_product(p, y).items():
+                _acc(out, (k + t, q, T2), -c * sign * f)
+    return PsiElement(a.dim, out)
 
 
 def psi_h(ctx: WeylContext, a: PsiElement) -> PsiElement:

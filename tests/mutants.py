@@ -118,9 +118,21 @@ MUTANTS = [
      "                for row in chart_or_theta.omega_upper]",
      "tests/test_verify.py::test_x_dependent_omega_chart_passes_dsquare"),
     ("curvature-reads-the-constant-omega", "weyl.py",
-     "om = chart.omega_lower[k - 1][m - 1]",
-     "om = XPoly.const(n, chart.omega_lower[k - 1][m - 1].terms.get((0,) * n, 0))",
+     "om = chart.omega_lower[l - 1][a - 1].scale(",
+     "om = XPoly.const(n, chart.omega_lower[l - 1][a - 1].terms.get((0,) * n, 0)).scale(",
      "tests/test_verify.py::test_x_dependent_omega_chart_passes_dsquare"),
+    ("curvature-drops-the-half", "weyl.py",
+     "[a - 1].scale(Fraction(1, 2))",
+     "[a - 1]",
+     "tests/test_weyl.py::test_nabla_squared_is_curvature_commutator"),
+    ("koszul-d-multiplies-the-first-factor-on-the-left", "weylhh.py",
+     "ctx.mono_product(p1, y)",
+     "ctx.mono_product(y, p1)",
+     "tests/test_weylhh.py::test_koszul_contracting_identity_degreewise"),
+    ("validate-skips-the-closedness-check", "quantize.py",
+     "            if d_form:",
+     "            if False:",
+     "tests/test_quantize.py::test_data_validation_rejects_nonclosed_omega_dim4"),
     ("cup-evaluates-both-sides-at-the-star-depth", "cochains.py",
      "a = left._value(left.star_product._beside(*rest), first)\n"
      "        b = right._value(right.star_product._beside(*first), rest)",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -118,6 +119,14 @@ def test_solve_r_with_omega(omega_file, capsys):
 
 def test_solve_r_curved(curved_file, capsys):
     assert main(["solve-r", curved_file]) == 0
+
+
+def test_solve_r_report_bytes_are_pinned(capsys):
+    # the curvature enters r through delta_inv(R - Omega), on a chart with
+    # Christoffel symbols and an Omega series
+    assert main(["--json", "solve-r", CURVED_OMEGA_FILE]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "859260bc9724fce0465104ce0439b50630404e698b17f51cd4ffda5b41d11896"
 
 
 def test_fedosov_class_command(omega_file, capsys):

@@ -120,6 +120,21 @@ def test_bracket_antisymmetry():
         assert gerstenhaber(A, B) == rhs
 
 
+def test_bracket_of_unequal_orders_is_antisymmetric():
+    # A is known to WORK + 2 and B to WORK, so both halves of [A, B] are
+    # formed to WORK, whichever factor comes first
+    rng = random.Random(23)
+    for _ in range(4):
+        A = rand_cochain(rng, DIM, WORK + 2, rng.choice([1, 2]), nterms=3)
+        B = rand_cochain(rng, DIM, WORK, rng.choice([1, 2]), nterms=3)
+        k1, k2 = A.arity - 1, B.arity - 1
+        rhs = gerstenhaber(B, A)
+        rhs = rhs if (k1 * k2) % 2 else -rhs
+        got = gerstenhaber(A, B)
+        assert got.order == rhs.order == WORK
+        assert got == rhs
+
+
 def test_bracket_jacobi_arity_signs():
     rng = random.Random(4)
     for _ in range(4):

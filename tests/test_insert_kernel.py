@@ -90,9 +90,10 @@ def _ref_insert(P1, i, P2):
 
 
 def _ref_gerstenhaber(P1, P2):
+    """The bracket at the lower order, to which both halves are known."""
     zero = FiberwiseCochain.zero(P1.dim, P1.order, P1.arity + P2.arity - 1,
                                  max(P1.cap, P2.cap))
-    return _ref_bracket(_ref_insert, P1, P2, zero)
+    return _ref_bracket(_ref_insert, P1, P2, zero).truncate(min(P1.order, P2.order))
 
 
 def _ref_hochschild_d(P, chart):

@@ -11,7 +11,7 @@ from fedosov.quantize import (FedosovData, GaugeOperator, StarProduct,
                               apply_gauge, curvature_residual, fedosov_class,
                               solve_r, star, tau)
 from fedosov.verify import (builtin_curved_data, builtin_flat_data,
-                            rand_fraction, rand_poly_in_x)
+                            rand_fraction, rand_poly_in_x, rand_xpoly)
 from fedosov.verify import rand_form
 from fedosov.weyl import (FormWeyl, SymplecticChart, WeylElement, as_form,
                           commutator_over_hbar, curvature_R, delta, delta_inv, fedosov_D,
@@ -403,6 +403,81 @@ def test_data_validation_rejects_nonclosed_omega_dim4():
     bad = FedosovData(chart, omega, N)
     with pytest.raises(ValueError, match="not closed"):
         bad.validate()
+
+
+def _ref_closedness_error(data):
+    """The first dx triple, hbar power by hbar power, where the
+    antisymmetrized gradient of omega_k is nonzero, as the message of
+    FedosovData.validate; None when every omega_k is closed."""
+    n = data.chart.dim
+
+    def coeff(form, i, j):
+        if i < j:
+            return form.get((i, j), XPoly.zero(n))
+        return -form.get((j, i), XPoly.zero(n))
+
+    for k, form in data.omega_series.items():
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                for c in range(b + 1, n + 1):
+                    acc = (coeff(form, b, c).diff(a) - coeff(form, a, c).diff(b)
+                           + coeff(form, a, b).diff(c))
+                    if not acc.is_zero():
+                        return f"omega_{k} is not closed at dx{a}dx{b}dx{c}"
+    return None
+
+
+def _validation_error(data):
+    try:
+        data.validate()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize("dim,omega,message", [
+    # x3 dx1dx2 + x2 dx1dx3 is closed; d(x4 dx1dx2) is dx1dx2dx4
+    (4, {1: {(1, 2): (0, 0, 1, 0), (1, 3): (0, 1, 0, 0)},
+         2: {(1, 2): (0, 0, 0, 1), (3, 4): (1, 0, 0, 0)}},
+     "omega_2 is not closed at dx1dx2dx4"),
+    # omega_3 fails at dx2dx5dx6, dx3dx4dx5 and dx1dx4dx6
+    (6, {1: {(1, 2): (1, 1, 0, 0, 0, 0)},
+         3: {(2, 5): (0, 0, 0, 0, 0, 1), (3, 4): (0, 0, 1, 0, 1, 0),
+             (1, 6): (0, 0, 0, 1, 0, 0)}},
+     "omega_3 is not closed at dx1dx4dx6")],
+    ids=["dim4", "dim6"])
+def test_closedness_names_the_first_failing_triple(dim, omega, message):
+    series = {k: {ij: XPoly.monomial(dim, e, 1) for ij, e in form.items()}
+              for k, form in omega.items()}
+    data = FedosovData(SymplecticChart.standard_flat(dim), series, N)
+    assert _ref_closedness_error(data) == message
+    with pytest.raises(ValueError) as err:
+        data.validate()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_closedness_matches_the_antisymmetrized_gradient(dim):
+    # half of the draws add d of a 1-form to a closed start, half a random
+    # 2-form, so both verdicts are exercised
+    rng = random.Random(40 + dim)
+    chart = SymplecticChart.standard_flat(dim)
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+    verdicts = set()
+    for draw in range(60):
+        series = {}
+        for k in rng.sample(range(1, 4), rng.randint(1, 2)):
+            if draw % 2:
+                theta = [rand_xpoly(rng, dim, 3) for _ in range(dim)]
+                form = {(i, j): theta[j - 1].diff(i) - theta[i - 1].diff(j) for i, j in pairs}
+            else:
+                form = {ij: rand_xpoly(rng, dim, 2) for ij in rng.sample(pairs, 3)}
+            series[k] = form
+        data = FedosovData(chart, series, N)
+        want = _ref_closedness_error(data)
+        assert _validation_error(data) == want
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
 
 
 # -- gauge equivalence ---------------------------------------------------------

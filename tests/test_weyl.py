@@ -1,16 +1,20 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fedosov.poly import XPoly
+from fedosov import io as fio
+from fedosov.poly import XPoly, _acc
 from fedosov.verify import builtin_curved_data, rand_form
 from fedosov.weyl import (ChartValidationError, FormWeyl, SymplecticChart,
                           WeylElement, commutator_over_hbar, curvature_R,
                           delta, delta_inv, fedosov_D, filtration_degree,
                           graded_commutator, is_central, moyal_product,
-                          nabla, sigma_project, weyl_curvature_class)
+                          nabla, sigma_project, unit_vec, vec_add, weyl_curvature_class)
+from test_verify import _x_dependent_omega_chart
 
 DIM, N = 2, 8
 FLAT = SymplecticChart.standard_flat(DIM)
@@ -198,6 +202,46 @@ def test_curvature_bianchi():
     assert not R.is_zero()
     assert delta(R).is_zero()
     assert nabla(R, CURVED).is_zero()
+
+
+def _ref_curvature_R(chart, order):
+    """R = -1/4 dx^i dx^j omega_{km} (R_{ij})^m_l y^k y^l with
+    (R_{ij})^m_l = d_j Gamma^m_{il} - d_i Gamma^m_{jl}
+    + Gamma^m_{jp} Gamma^p_{il} - Gamma^m_{ip} Gamma^p_{jl}, summed over
+    i < j (each pair counted twice, so -1/2)."""
+    n, g = chart.dim, chart.gamma
+    terms = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            for m in range(1, n + 1):
+                for l in range(1, n + 1):
+                    r = g(m, i, l).diff(j) - g(m, j, l).diff(i)
+                    for p in range(1, n + 1):
+                        r = r + g(m, j, p) * g(p, i, l) - g(m, i, p) * g(p, j, l)
+                    for k in range(1, n + 1):
+                        c = (chart.omega_lower[k - 1][m - 1] * r).scale(Fraction(-1, 2))
+                        if c:
+                            yy = vec_add(unit_vec(n, k), unit_vec(n, l))
+                            _acc(terms, ((i, j), 0, yy, ()), c)
+    return FormWeyl.from_terms(n, order, terms)
+
+
+def _bench_chart():
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "curved_omega.json"
+    return fio.fedosov_data_from_json(json.loads(path.read_text())).chart
+
+
+@pytest.mark.parametrize("make_chart", [
+    lambda: FLAT, lambda: SymplecticChart.standard_flat(4), lambda: CURVED,
+    _x_dependent_omega_chart, _bench_chart],
+    ids=["flat2", "flat4", "curved", "x-dependent-dim4", "curved_omega"])
+def test_curvature_matches_the_riemann_tensor(make_chart):
+    chart = make_chart()
+    for order in range(9):
+        got, want = curvature_R(chart, order), _ref_curvature_R(chart, order)
+        assert got.terms == want.terms and got.order == want.order == order
+    if chart.christoffel:
+        assert got.terms
 
 
 def test_nabla_squared_is_curvature_commutator():

@@ -10,7 +10,8 @@ from fedosov.cochains import _multidegrees
 from fedosov.poly import XPoly, _acc, _mono_derivative
 from fedosov.verify import (rand_bar, rand_fraction, rand_gl, rand_koszul,
                             rand_psi, rand_wcochain)
-from fedosov.weyl import WeylElement, vec_add, vec_sub
+from fedosov.weyl import (WeylElement, contract_index, prepend_index, unit_vec, vec_add,
+                          vec_sub)
 from fedosov.weylhh import (BarChain, KoszulChain, MonomialEvaluator, PsiElement,
                             WeylCochain, WeylContext, _collect_subst,
                             bar_aug, bar_d, bar_h, bar_homotopy, bar_to_koszul,
@@ -528,6 +529,60 @@ def test_dual_maps_match_the_replaced_bodies(arity, transported):
         ev = MonomialEvaluator(a)
         for betas in tuples + tuples:
             assert ev(betas) == _ref_full_scan(a, betas)
+
+
+def _ref_koszul_d(ctx, a):
+    """(y1^i - y2^i) d/dC^i - (hbar/2) theta^{ij} d/dC^i (d/dy1^j + d/dy2^j),
+    the first Moyal order written out with left C-derivatives."""
+    dim, out = a.dim, {}
+    for (k, p1, p2, T), c in a.terms.items():
+        for idx in T:
+            sign, T2 = contract_index(idx, T)
+            cc, i = c * sign, idx - 1
+            _acc(out, (k, vec_add(p1, unit_vec(dim, idx)), p2, T2), cc)
+            _acc(out, (k, p1, vec_add(p2, unit_vec(dim, idx)), T2), -cc)
+            for j in range(dim):
+                th = ctx.theta[i][j]
+                if th and p1[j]:
+                    _acc(out, (k + 1, vec_sub(p1, unit_vec(dim, j + 1)), p2, T2),
+                         -cc * th * Fraction(p1[j], 2))
+                if th and p2[j]:
+                    _acc(out, (k + 1, p1, vec_sub(p2, unit_vec(dim, j + 1)), T2),
+                         -cc * th * Fraction(p2[j], 2))
+    return KoszulChain(dim, a.m - 1, out)
+
+
+def _ref_psi_d(ctx, a):
+    """hbar psi_i theta^{ij} d/dy^j with left psi multiplication."""
+    dim, out = a.dim, {}
+    for (k, p, T), c in a.terms.items():
+        for i in range(dim):
+            ins = prepend_index(i + 1, T)
+            for j in range(dim):
+                th = ctx.theta[i][j]
+                if ins is not None and th and p[j]:
+                    _acc(out, (k + 1, vec_sub(p, unit_vec(dim, j + 1)), ins[1]),
+                         c * ins[0] * th * p[j])
+    return PsiElement(dim, out)
+
+
+@pytest.mark.parametrize("transported", [False, True], ids=["standard", "transported"])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_koszul_and_psi_d_match_the_replaced_bodies(dim, transported):
+    rng = random.Random(70 + dim + 10 * transported)
+    ctx = WeylContext.standard(dim, N)
+    if transported:
+        ctx = gl_transport_context(ctx, rand_gl(rng, dim))
+    nonzero = 0
+    for _ in range(40):
+        a = rand_koszul(rng, ctx, rng.randint(1, dim), maxdeg=3, nterms=6)
+        got = koszul_d(ctx, a)
+        assert got == _ref_koszul_d(ctx, a)
+        f = rand_psi(rng, ctx, nterms=10)
+        assert psi_d(ctx, f) == _ref_psi_d(ctx, f)
+        nonzero += any(key[0] > min(k for k, *_ in a.terms) for key in got.terms)
+    # the hbar-raising half of koszul_d is exercised, not only y1 - y2
+    assert nonzero >= 5
 
 
 def test_t_integral_table_matches_the_per_term_integral(monkeypatch):
