@@ -412,13 +412,8 @@ def _reconstruct(dim, arity, max_deg, order, values, shift):
     x^{nu_1}..x^{nu_k} as {(m, p): coeff}; shift(key, coeff, e, f) is
     where the known coefficient coeff at key lands, times the integer f, on
     a tuple with extra total exponent e."""
-    degs = _multidegrees(dim, max_deg)
-    tuples = [()]
-    for _ in range(arity):
-        tuples = [t + (d,) for t in tuples for d in degs]
-    tuples.sort(key=lambda bt: (sum(sum(b) for b in bt), bt))
     data = {}
-    for nt in tuples:
+    for nt in _tuples(dim, arity, max_deg):
         acc = dict(values(nt))
         # subtract the contributions of known coefficients with mu <= nu
         for mus, coeff in data.items():
@@ -442,6 +437,26 @@ def _reconstruct(dim, arity, max_deg, order, values, shift):
         if entry:
             data[nt] = entry
     return data
+
+
+_TUPLES = {}
+
+
+def _tuples(dim, arity, max_deg):
+    """The arity-tuples of multidegrees up to max_deg in dim variables, by
+    total degree and then lexicographically: the order in which
+    _reconstruct solves its triangular system.  Each (dim, arity, max_deg)
+    is sorted once and kept in a module table."""
+    key = (dim, arity, max_deg)
+    hit = _TUPLES.get(key)
+    if hit is None:
+        degs = _multidegrees(dim, max_deg)
+        tuples = [()]
+        for _ in range(arity):
+            tuples = [t + (d,) for t in tuples for d in degs]
+        tuples.sort(key=lambda bt: (sum(sum(b) for b in bt), bt))
+        hit = _TUPLES[key] = tuple(tuples)
+    return hit
 
 
 def _multidegrees(dim, max_total):

@@ -55,12 +55,32 @@ y-monomials into the outer tensor factors of those values, and skips a zero
 value before any work.  lambda, nu, rho, both augmentations and both
 evaluations (eval_on_bar, eval_psi_on_koszul) call it.  The t-integrals of
 the Koszul homotopy depend on no theta and are kept in one module table.
+
+The extension runs on integers.  A value reaches it in the layout of
+_flat: its type, one denominator, and (hbar_exp, tensor factors, rest,
+numerator) per term.  The context keeps each generator image in that
+layout next to the image itself, and each monomial product as integer
+numerators over one denominator (_flat_product).  A MonomialEvaluator
+hands its values over the same way, over the one denominator of the
+cochain's coefficients.  The extension multiplies and sums numerators, each
+term over the product of the denominators it met, and builds one Fraction
+per output key over the lcm of those denominators.
+
+Counting C^i as y^i, no map of the resolutions raises the total
+y-multidegree summed over all tensor factors: the pairings of the Weyl
+product only remove theta-paired y's, the homotopies insert 1, and the
+Koszul substitution y1 -> y2 + t(y1 - y2) keeps the degree.  So rho-hat(a)
+is zero on a tuple y^{beta_1}, .., y^{beta_q} unless some term of a has
+alpha_1 + .. + alpha_{q+1} <= beta_1 + .. + beta_q componentwise, and
+nu-hat(f) is zero there unless some psi-set T of f has e_T below that sum.
+Both maps return zero on such a tuple before they read or build its
+generator image (_reaches).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, inf
+from math import comb, inf, lcm
 from operator import le
 
 from .cochains import (_bracket_terms, _eval_terms, _hochschild_terms, _insert_terms,
@@ -90,6 +110,8 @@ class WeylContext:
         self.theta_lower = _matrix_inverse(self.theta)
         self.order = order
         self._mono_cache = {}
+        self._flat_products = {}
+        self._flat_images = {}
         self._lambda_cache = {}
         self._nu_cache = {}
         self._rho_cache = {}
@@ -114,6 +136,18 @@ class WeylContext:
         out = {(t, pq): c for (t, pq, _), c in terms.items()}
         self._mono_cache[key] = out
         return out
+
+    def _flat_product(self, p, q):
+        """mono_product(p, q) over one denominator, the integer table of the
+        bimodule extension: (den, ((extra_hbar, multidegree, numerator), ..))."""
+        key = (p, q)
+        hit = self._flat_products.get(key)
+        if hit is None:
+            terms = self.mono_product(p, q)
+            den = lcm(*[c.denominator for c in terms.values()])
+            hit = self._flat_products[key] = (den, tuple(
+                (t, pq, c.numerator * (den // c.denominator)) for (t, pq), c in terms.items()))
+        return hit
 
 
 def _unit(dim) -> WeylElement:
@@ -165,7 +199,7 @@ def bar_aug(ctx: WeylContext, b: BarChain) -> WeylElement:
     the Weyl product of the two slots."""
     if b.m != 0:
         raise ValueError("augmentation lives on B_0")
-    one = _unit(b.dim)
+    one = _flat(_unit(b.dim))
     return WeylElement(b.dim, None, _bimodule_terms(
         ctx, ((k, ps[0], one, ps[1], c) for (k, ps), c in b.terms.items())))
 
@@ -231,7 +265,7 @@ def koszul_aug(ctx: WeylContext, a: KoszulChain) -> WeylElement:
     to 1, that is the Weyl product of the factors."""
     if a.m != 0:
         raise ValueError("augmentation lives on K_0")
-    one = _unit(a.dim)
+    one = _flat(_unit(a.dim))
     return WeylElement(a.dim, None, _bimodule_terms(
         ctx, ((k, p1, one, p2, c) for (k, p1, p2, _), c in a.terms.items())))
 
@@ -312,42 +346,78 @@ _FACTORS = {
 }
 
 
+def _flat(val):
+    """A BarChain, KoszulChain or WeylElement in the layout of the bimodule
+    extension: (type, den, ((hbar_exp, tensor factors, rest, numerator), ..)),
+    each coefficient its numerator over the one denominator den."""
+    split = _FACTORS[type(val)][0]
+    den = lcm(*[c.denominator for c in val.terms.values()])
+    return type(val), den, tuple((*split(key), c.numerator * (den // c.denominator))
+                                 for key, c in val.terms.items())
+
+
+def _flat_image(ctx: WeylContext, gen, key):
+    """The generator image gen(ctx, key) in the layout of _flat, kept in ctx."""
+    hit = ctx._flat_images.get((gen, key))
+    if hit is None:
+        hit = ctx._flat_images[(gen, key)] = _flat(gen(ctx, key))
+    return hit
+
+
 def _bimodule_terms(ctx: WeylContext, items):
     """The bimodule extension: the term dict of the sum of
     hbar^k c  y^left o val o y^right  over items (k, left, val, right, c),
-    val a BarChain, KoszulChain or WeylElement.  y^left multiplies val's first
-    tensor factor and y^right its last; a zero exponent multiplies nothing."""
-    out = {}
+    c a Fraction and val a BarChain, KoszulChain or WeylElement in the
+    layout of _flat, one type for all items.  y^left multiplies val's first
+    tensor factor and y^right its last; a zero exponent multiplies nothing.
+    Each term is an integer numerator over its own denominator: val's times
+    c's times those of the entries of ctx._flat_product it went through.
+    The numerators are summed per denominator and per key, rescaled to the
+    lcm of the denominators, and each coefficient is built once."""
+    sums = {}  # {den: {(hbar_exp, tensor factors, rest): numerator}}
     for k, left, val, right, c in items:
-        if not val.terms:
+        kind, vden, entries = val
+        if not entries:
             continue
-        split, join = _FACTORS[type(val)]
-        terms = {}
-        for key, cv in val.terms.items():
-            kv, ps, rest = split(key)
-            terms[(kv + k, ps, rest)] = cv * c
+        cn = c.numerator
+        terms = [(kv + k, ps, rest, n * cn, vden * c.denominator)
+                 for kv, ps, rest, n in entries]
         if any(left):
-            acted = {}
-            for (kv, ps, rest), cv in terms.items():
-                for (t, p), cp in ctx.mono_product(left, ps[0]).items():
-                    _acc(acted, (kv + t, (p,) + ps[1:], rest), cv * cp)
+            acted = []
+            for kv, ps, rest, n, d in terms:
+                pden, prods = ctx._flat_product(left, ps[0])
+                acted += [(kv + t, (p,) + ps[1:], rest, n * m, d * pden) for t, p, m in prods]
             terms = acted
         if any(right):
-            acted = {}
-            for (kv, ps, rest), cv in terms.items():
-                for (t, p), cp in ctx.mono_product(ps[-1], right).items():
-                    _acc(acted, (kv + t, ps[:-1] + (p,), rest), cv * cp)
+            acted = []
+            for kv, ps, rest, n, d in terms:
+                pden, prods = ctx._flat_product(ps[-1], right)
+                acted += [(kv + t, ps[:-1] + (p,), rest, n * m, d * pden) for t, p, m in prods]
             terms = acted
-        for (kv, ps, rest), cv in terms.items():
-            _acc(out, join(kv, ps, rest), cv)
-    return out
+        for kv, ps, rest, n, d in terms:
+            acc = sums.get(d)
+            if acc is None:
+                acc = sums[d] = {}
+            key = (kv, ps, rest)
+            acc[key] = acc.get(key, 0) + n
+    if not sums:
+        return {}
+    den = lcm(*sums)
+    total = {}
+    for d, acc in sums.items():
+        scale = den // d
+        for key, n in acc.items():
+            total[key] = total.get(key, 0) + n * scale
+    join = _FACTORS[kind][1]
+    return {join(*key): Fraction(n, den) for key, n in total.items() if n}
 
 
 def koszul_to_bar(ctx: WeylContext, a: KoszulChain) -> BarChain:
     """lambda: identity on K_0, lambda(C^T) = h_B(lambda(d C^T)) on the
     C-monomial generators, extended as a bimodule map."""
     return BarChain(ctx.dim, a.m)._with(_bimodule_terms(ctx, (
-        (k, p1, _lambda_gen(ctx, T), p2, c) for (k, p1, p2, T), c in a.terms.items())))
+        (k, p1, _flat_image(ctx, _lambda_gen, T), p2, c)
+        for (k, p1, p2, T), c in a.terms.items())))
 
 
 def _lambda_gen(ctx: WeylContext, T) -> BarChain:
@@ -366,7 +436,8 @@ def bar_to_koszul(ctx: WeylContext, b: BarChain) -> KoszulChain:
     """nu: identity on B_0, nu(g) = h_K(nu(bar_d g)) on interior monomial
     generators (unit first and last slots), extended as a bimodule map."""
     return KoszulChain(ctx.dim, b.m)._with(_bimodule_terms(ctx, (
-        (k, ps[0], _nu_gen(ctx, ps[1:-1]), ps[-1], c) for (k, ps), c in b.terms.items())))
+        (k, ps[0], _flat_image(ctx, _nu_gen, ps[1:-1]), ps[-1], c)
+        for (k, ps), c in b.terms.items())))
 
 
 def _nu_gen(ctx: WeylContext, betas) -> KoszulChain:
@@ -386,7 +457,8 @@ def bar_homotopy(ctx: WeylContext, b: BarChain) -> BarChain:
     on interior generators, extended as a bimodule map; satisfies
     b - lambda(nu(b)) = bar_d(rho(b)) + rho(bar_d(b))."""
     return BarChain(ctx.dim, b.m + 1)._with(_bimodule_terms(ctx, (
-        (k, ps[0], _rho_gen(ctx, ps[1:-1]), ps[-1], c) for (k, ps), c in b.terms.items())))
+        (k, ps[0], _flat_image(ctx, _rho_gen, ps[1:-1]), ps[-1], c)
+        for (k, ps), c in b.terms.items())))
 
 
 def _rho_gen(ctx: WeylContext, betas) -> BarChain:
@@ -539,22 +611,25 @@ def gerstenhaber_w(P1: WeylCochain, P2: WeylCochain) -> WeylCochain:
 
 class MonomialEvaluator:
     """The values of one WeylCochain on tuples of y-monomial exponents,
-    each tuple evaluated once.  The dual maps create one per call and drop
-    it on return, so no value outlives the call or is shared."""
+    each tuple evaluated once, in the layout of the bimodule extension
+    (_flat): integer numerators over the one denominator of the cochain's
+    coefficients.  The dual maps create one per call and drop it on return,
+    so no value outlives the call or is shared."""
 
-    __slots__ = ("dim", "arity", "_by_first", "_values")
+    __slots__ = ("dim", "arity", "den", "_by_first", "_values")
 
     def __init__(self, a: WeylCochain):
         self.dim = a.dim
         self.arity = a.arity
-        # {alpha_1: {(alpha_1..alpha_q): [(k, p, c)]}}, () for arity 0
+        self.den = den = lcm(*[c.denominator for c in a.terms.values()])
+        # {alpha_1: {(alpha_1..alpha_q): [(k, p, numerator)]}}, () for arity 0
         self._by_first = {}
         for (k, p, alphas), c in a.terms.items():
             groups = self._by_first.setdefault(alphas[0] if alphas else (), {})
-            groups.setdefault(alphas, []).append((k, p, c))
+            groups.setdefault(alphas, []).append((k, p, c.numerator * (den // c.denominator)))
         self._values = {}
 
-    def __call__(self, betas) -> WeylElement:
+    def __call__(self, betas):
         """a(y^{beta_1}, .., y^{beta_q}): each term with every
         alpha_s <= beta_s, times prod_s beta_s!/(beta_s - alpha_s)!."""
         hit = self._values.get(betas)
@@ -574,14 +649,38 @@ class MonomialEvaluator:
                     f *= d[0]
                     shift = vec_add(shift, d[1])
                 else:
-                    for k, p, c in terms:
-                        _acc(out, (k, vec_add(p, shift)), c * f)
-        hit = self._values[betas] = WeylElement(self.dim, None, out)
+                    for k, p, n in terms:
+                        key = (k, vec_add(p, shift))
+                        out[key] = out.get(key, 0) + n * f
+        hit = self._values[betas] = (WeylElement, self.den, tuple(
+            (k, (p,), (), n) for (k, p), n in out.items() if n))
         return hit
+
+    def slot_sums(self):
+        """The distinct sums alpha_1 + .. + alpha_q of the terms' slots."""
+        return {_total(self.dim, alphas)
+                for groups in self._by_first.values() for alphas in groups}
 
 
 def _evaluator(a) -> MonomialEvaluator:
     return a if isinstance(a, MonomialEvaluator) else MonomialEvaluator(a)
+
+
+def _total(dim, vecs):
+    out = _zero(dim)
+    for v in vecs:
+        out = vec_add(out, v)
+    return out
+
+
+def _reaches(lows, betas, dim):
+    """Whether some multidegree of lows lies below beta_1 + .. + beta_q,
+    componentwise.  No map of the resolutions raises the total
+    y-multidegree summed over the tensor factors (C^i counted as y^i), so a
+    dual map can be nonzero on the tuple y^{beta_1}, .., y^{beta_q} only
+    then, lows the least totals its nonzero values need."""
+    total = _total(dim, betas)
+    return any(all(map(le, low, total)) for low in lows)
 
 
 def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WeylElement:
@@ -596,14 +695,21 @@ def eval_on_bar(ctx: WeylContext, a, b: BarChain, order=None) -> WeylElement:
     return WeylElement(ctx.dim, ctx.order if order is None else order, terms)
 
 
-def eval_psi_on_koszul(ctx: WeylContext, f: PsiElement, kappa: KoszulChain,
-                       order=None) -> WeylElement:
-    """Evaluate f in W[psi] = Hom(K, W) on a Koszul chain:
-    f(hbar^k y^{p1} y^{p2} C^T) = hbar^k y^{p1} o w_T o y^{p2}."""
+def _psi_values(f: PsiElement):
+    """f as a map on the Koszul generators: {psi_set: its coefficient, an
+    element of W in the layout of _flat}."""
     coeffs = {}
     for (k, p, T), c in f.terms.items():
         coeffs.setdefault(T, {})[(k, p)] = c
-    w = {T: WeylElement(ctx.dim, None, terms) for T, terms in coeffs.items()}
+    return {T: _flat(WeylElement(f.dim, None, terms)) for T, terms in coeffs.items()}
+
+
+def eval_psi_on_koszul(ctx: WeylContext, f, kappa: KoszulChain,
+                       order=None) -> WeylElement:
+    """Evaluate f in W[psi] = Hom(K, W) on a Koszul chain:
+    f(hbar^k y^{p1} y^{p2} C^T) = hbar^k y^{p1} o w_T o y^{p2}.
+    f is a PsiElement or its _psi_values."""
+    w = _psi_values(f) if isinstance(f, PsiElement) else f
     terms = _bimodule_terms(ctx, ((k, p1, w[T], p2, c)
                                   for (k, p1, p2, T), c in kappa.terms.items() if T in w))
     return WeylElement(ctx.dim, ctx.order if order is None else order, terms)
@@ -635,6 +741,8 @@ def cochain_from_values(ctx: WeylContext, fn, arity, rec_cap, order=None) -> Wey
     """Reconstruct the unique polydifferential form of a polylinear map from
     its values on monomial argument tuples, triangularly by total slot
     degree; exact for slot multidegrees within rec_cap."""
+    if arity < 0:
+        raise ValueError(f"a cochain needs arity >= 0, got arity {arity}")
     order = ctx.order if order is None else order
 
     def shift(key, c, e, f):
@@ -646,20 +754,34 @@ def cochain_from_values(ctx: WeylContext, fn, arity, rec_cap, order=None) -> Wey
 
 
 def nu_hat(ctx: WeylContext, f: PsiElement, arity, rec_cap, order=None) -> WeylCochain:
-    """Precompose with nu: the cochain with values f(nu(1 (x) args (x) 1))."""
+    """Precompose with nu: the cochain with values f(nu(1 (x) args (x) 1)).
+    A tuple whose total multidegree lies above no psi-set of f (psi_T read
+    as y^{e_T}) has value zero and builds no generator image."""
+    w = _psi_values(f)
+    lows = {tuple(int(i in T) for i in range(1, ctx.dim + 1)) for T in w}
+    zero = WeylElement(ctx.dim, None)
 
     def fn(betas):
-        return eval_psi_on_koszul(ctx, f, _nu_gen(ctx, betas), order)
+        if not _reaches(lows, betas, ctx.dim):
+            return zero
+        return eval_psi_on_koszul(ctx, w, _nu_gen(ctx, betas), order)
 
     return cochain_from_values(ctx, fn, arity, rec_cap, order)
 
 
 def rho_hat(ctx: WeylContext, a, rec_cap, order=None) -> WeylCochain:
     """Precompose with rho: arity drops by one.  a is a WeylCochain or its
-    MonomialEvaluator."""
+    MonomialEvaluator.  A tuple whose total multidegree lies above the slot
+    sum of no term of a has value zero and builds no generator image."""
     a = _evaluator(a)
+    if a.arity < 1:
+        raise ValueError(f"rho-hat needs arity >= 1, got arity {a.arity}")
+    lows = a.slot_sums()
+    zero = WeylElement(ctx.dim, None)
 
     def fn(betas):
+        if not _reaches(lows, betas, ctx.dim):
+            return zero
         return eval_on_bar(ctx, a, _rho_gen(ctx, betas), order)
 
     return cochain_from_values(ctx, fn, a.arity - 1, rec_cap, order)

@@ -198,6 +198,14 @@ MUTANTS = [
      "key = (alpha, p2, nslots, need)",
      "key = (alpha, p2, nslots)",
      "tests/test_insert_kernel.py::test_split_table_keeps_each_need[need-1-first]"),
+    ("reachability-needs-every-coordinate-strictly-above", "weylhh.py",
+     "return any(all(map(le, low, total)) for low in lows)",
+     "return any(all(a < b for a, b in zip(low, total)) for low in lows)",
+     "tests/test_weylhh.py::test_dual_maps_skip_exactly_the_unreachable_tuples[2-2-standard]"),
+    ("bimodule-sum-drops-the-denominator-rescale", "weylhh.py",
+     "total[key] = total.get(key, 0) + n * scale",
+     "total[key] = total.get(key, 0) + n",
+     "tests/test_weylhh.py::test_integer_extension_matches_the_fraction_body[standard]"),
     ("augmentation-unit-is-two", "weylhh.py",
      "return WeylElement(dim, None, {(0, _zero(dim)): Fraction(1)})",
      "return WeylElement(dim, None, {(0, _zero(dim)): Fraction(2)})",

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from fedosov import weylhh
-from fedosov.cochains import _multidegrees
+from fedosov.cochains import _multidegrees, _tuples
 from fedosov.poly import XPoly, _acc, _mono_derivative
 from fedosov.verify import (rand_bar, rand_fraction, rand_gl, rand_koszul,
                             rand_psi, rand_wcochain)
@@ -489,6 +489,14 @@ def _ref_full_scan(a, betas):
     return WeylElement(a.dim, None, out)
 
 
+def _from_flat(dim, val):
+    """An element of W in the layout of the bimodule extension
+    (weylhh._flat) as a WeylElement."""
+    kind, den, entries = val
+    assert kind is WeylElement
+    return WeylElement(dim, None, {(k, p): Fraction(n, den) for k, (p,), _, n in entries})
+
+
 def _ref_collect_subst(out, dim, k, p1, p2, T, coeff, base_tpow):
     combos = [((), 0, Fraction(1))]  # (v-tuple, t-degree, coeff)
     for c_idx in range(dim):
@@ -528,7 +536,7 @@ def test_dual_maps_match_the_replaced_bodies(arity, transported):
         assert rho_hat(ctx, a, rec_cap, N) == _ref_rho_hat_via_chains(ctx, a, rec_cap, N)
         ev = MonomialEvaluator(a)
         for betas in tuples + tuples:
-            assert ev(betas) == _ref_full_scan(a, betas)
+            assert _from_flat(2, ev(betas)) == _ref_full_scan(a, betas)
 
 
 def _ref_koszul_d(ctx, a):
@@ -596,6 +604,152 @@ def test_t_integral_table_matches_the_per_term_integral(monkeypatch):
                 _collect_subst(got, 1, p1, (1, 0), (2,), frac(3, 5), base_tpow)
                 _ref_collect_subst(want, 2, 1, p1, (1, 0), (2,), frac(3, 5), base_tpow)
                 assert got == want
+
+
+
+# -- the integer bimodule extension and the reachability rule -----------------------
+#
+# _bimodule_terms runs on integer numerators over per-term denominators; its
+# reference is the Fraction body it replaced.  rho_hat and nu_hat skip the
+# tuples whose total multidegree lies above no slot sum (no psi-set) of
+# their input; their references read every tuple's generator image.
+
+def _ref_bimodule_terms(ctx, items):
+    """The Fraction bimodule extension, items (k, left, val, right, c) with
+    val a BarChain, KoszulChain or WeylElement."""
+    out = {}
+    for k, left, val, right, c in items:
+        split, join = weylhh._FACTORS[type(val)]
+        terms = {}
+        for key, cv in val.terms.items():
+            kv, ps, rest = split(key)
+            terms[(kv + k, ps, rest)] = cv * c
+        if any(left):
+            acted = {}
+            for (kv, ps, rest), cv in terms.items():
+                for (t, p), cp in ctx.mono_product(left, ps[0]).items():
+                    _acc(acted, (kv + t, (p,) + ps[1:], rest), cv * cp)
+            terms = acted
+        if any(right):
+            acted = {}
+            for (kv, ps, rest), cv in terms.items():
+                for (t, p), cp in ctx.mono_product(ps[-1], right).items():
+                    _acc(acted, (kv + t, ps[:-1] + (p,), rest), cv * cp)
+            terms = acted
+        for (kv, ps, rest), cv in terms.items():
+            _acc(out, join(kv, ps, rest), cv)
+    return out
+
+
+def _transported(rng, dim):
+    """A GL-transported context whose theta has non-unit denominators."""
+    while True:
+        ctx = gl_transport_context(WeylContext.standard(dim, N), rand_gl(rng, dim))
+        if any(c.denominator > 1 for row in ctx.theta for c in row):
+            return ctx
+
+
+@pytest.mark.parametrize("transported", [False, True], ids=["standard", "transported"])
+def test_integer_extension_matches_the_fraction_body(transported):
+    rng = random.Random(80 + transported)
+    ctx = _transported(rng, 2) if transported else WeylContext.standard(2, N)
+
+    def weyl():
+        return WeylElement(2, None, {(rng.randint(-1, 1), tuple(rng.randint(0, 2) for _ in "xy")):
+                                     rand_fraction(rng) for _ in range(4)})
+
+    def outer():
+        return tuple(rng.randint(0, 2) for _ in range(2))
+
+    draws = {"bar": lambda: rand_bar(rng, ctx, rng.randint(0, 2), nterms=5),
+             "koszul": lambda: rand_koszul(rng, ctx, rng.randint(0, 2), nterms=5),
+             "weyl": weyl}
+    for name, draw in draws.items():
+        for _ in range(12):
+            items = [(rng.randint(-1, 1), outer(), draw(), outer(), rand_fraction(rng))
+                     for _ in range(4)]
+            items.append((0, outer(), draw()._empty(), outer(), frac(1)))
+            # both outer monomials act, and the items' denominators differ
+            assert any(any(left) and any(right) for _, left, _, right, _ in items)
+            dens = {c.denominator * weylhh._flat(v)[1] for _, _, v, _, c in items[:-1]}
+            assert len(dens) > 1
+            got = weylhh._bimodule_terms(ctx, [(k, left, weylhh._flat(v), right, c)
+                                               for k, left, v, right, c in items])
+            assert got == _ref_bimodule_terms(ctx, items), name
+
+
+def _ref_rho_hat_unskipped(ctx, a, rec_cap, order):
+    ev = MonomialEvaluator(a)
+    return cochain_from_values(
+        ctx, lambda betas: eval_on_bar(ctx, ev, weylhh._rho_gen(ctx, betas), order),
+        a.arity - 1, rec_cap, order)
+
+
+def _ref_nu_hat_unskipped(ctx, f, arity, rec_cap, order):
+    return cochain_from_values(
+        ctx, lambda betas: eval_psi_on_koszul(ctx, f, weylhh._nu_gen(ctx, betas), order),
+        arity, rec_cap, order)
+
+
+def _ref_reachable(lows, betas, dim):
+    total = [sum(b[i] for b in betas) for i in range(dim)]
+    return any(all(low[i] <= total[i] for i in range(dim)) for low in lows)
+
+
+@pytest.mark.parametrize("transported", [False, True], ids=["standard", "transported"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_dual_maps_skip_exactly_the_unreachable_tuples(dim, arity, transported):
+    rng = random.Random(90 + 10 * dim + arity + 5 * transported)
+    ctx = _transported(rng, dim) if transported else WeylContext.standard(dim, N)
+    ref = WeylContext(ctx.theta, N)
+    rec_cap = 2 if dim == 2 else 1
+    # a term of a and a psi-set of f that reach some tuple besides the draws
+    z, e1, e2 = (0,) * dim, unit_vec(dim, 1), unit_vec(dim, 2)
+    a = rand_wcochain(rng, ctx, arity, ydeg=2, acap=rec_cap, nterms=12, hmin=-1) + WeylCochain(
+        dim, arity, {(0, e2, (z,) * (arity - 1) + (e1,)): frac(2, 3)})
+    f = rand_psi(rng, ctx, maxdeg=2, nterms=16) + PsiElement(
+        dim, {(0, e1, tuple(range(1, arity + 1))): frac(3, 5)})
+    got_rho = rho_hat(ctx, a, rec_cap, N)
+    got_nu = nu_hat(ctx, f, arity, rec_cap, N)
+    # the cold context built the images of the reachable tuples and no other
+    rho_lows = {tuple(map(sum, zip(*alphas))) for _, _, alphas in a.terms}
+    nu_lows = {tuple(int(i in T) for i in range(1, dim + 1)) for _, _, T in f.terms}
+    skipped = 0
+    for betas in _tuples(dim, arity - 1, rec_cap):
+        if _ref_reachable(rho_lows, betas, dim):
+            weylhh._rho_gen(ref, betas)
+        else:
+            skipped += 1
+    for betas in _tuples(dim, arity, rec_cap):
+        if _ref_reachable(nu_lows, betas, dim):
+            weylhh._nu_gen(ref, betas)
+        else:
+            skipped += 1
+    assert skipped
+    assert set(ctx._rho_cache) == set(ref._rho_cache)
+    assert set(ctx._nu_cache) == set(ref._nu_cache)
+    # and skipping lost no nonzero value
+    assert not (got_rho.is_zero() and got_nu.is_zero())
+    assert got_rho == _ref_rho_hat_unskipped(ctx, a, rec_cap, N)
+    assert got_nu == _ref_nu_hat_unskipped(ctx, f, arity, rec_cap, N)
+
+
+@pytest.mark.parametrize("case", ["rho-hat-arity-0", "nu-hat-arity-minus-1",
+                                  "cochain-from-values-arity-minus-1"])
+def test_dual_maps_name_a_bad_arity(case):
+    calls = {
+        "rho-hat-arity-0": (lambda: rho_hat(CTX, WeylCochain(2, 0, {(0, (1, 0), ()): frac(1)}),
+                                            2, N), "arity 0"),
+        "nu-hat-arity-minus-1": (lambda: nu_hat(CTX, PsiElement(2, {(0, (1, 0), ()): frac(1)}),
+                                                -1, 2, N), "arity -1"),
+        "cochain-from-values-arity-minus-1": (
+            lambda: cochain_from_values(CTX, lambda betas: _mono(2, (0, 0)), -1, 2, N),
+            "arity -1"),
+    }
+    call, message = calls[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # -- cohomology reduction -----------------------------------------------------------
